@@ -6,9 +6,10 @@ and writes ``BENCH_sweeps.json`` — the committed perf record for the
 scenario-sweep subsystem.  Three tiers:
 
 - ``sweep-cold-j1`` — serial cold run (the per-scenario floor);
-- ``sweep-cold-j4`` — cold run through a 4-worker trial engine
-  (dominated by dispatch overhead at --fast scenario sizes; the tier
-  exists to catch dispatch-cost regressions, not to show speedup);
+- ``sweep-cold-j4`` — cold run through a 4-worker trial engine (a
+  --fast scenario costs about as much as its round trip to a worker,
+  so this tier tracks the pool's per-trial dispatch cost rather than
+  showing a speed-up over serial);
 - ``sweep-warm`` — re-run against a fully warm :class:`ResultCache`
   (must execute zero trials; throughput is pure key-lookup speed).
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
+import threading
 import time
 import traceback
 from collections import deque
@@ -64,12 +65,15 @@ __all__ = [
     "inject",
 ]
 
-#: Parent-side polling cadence while waiting on pool results (seconds).
+#: Longest the parent sleeps between timeout and liveness checks
+#: (seconds).  Result arrival wakes it at once; this is only the
+#: cadence of the checks that no result announces.
 _POLL_INTERVAL = 0.02
 
-#: Grace added to dispatch-time deadlines to cover worker pickup; the
-#: deadline is re-anchored to the actual start once the worker announces.
-_DISPATCH_SLACK = 1.0
+#: Attempts kept dispatched per worker.  The pool's task queue holds
+#: the surplus, so a worker that finishes one trial picks up the next
+#: without waiting for the parent's round trip.
+_PREFETCH = 4
 
 #: Exit code used by injected crashes (visible in worker exitcodes).
 CRASH_EXIT_CODE = 87
@@ -337,7 +341,7 @@ def _run_attempt(task: Tuple[Callable[..., Any], Any, int]) -> _Attempt:
     pid = os.getpid()
     announce = _WORKER_ANNOUNCE
     if announce is not None:
-        announce.put((pid, trial.index))
+        announce.put((pid, trial.index, attempt))
     start = time.perf_counter()
     try:
         payload = call_trial(fn, trial, attempt)
@@ -440,25 +444,43 @@ def _run_serial(
 # ----------------------------------------------------------------------
 @dataclass
 class _InFlight:
-    """Bookkeeping for one dispatched-but-unfinished attempt."""
+    """Bookkeeping for one dispatched-but-unfinished attempt.
+
+    The pool's result-handler thread calls :meth:`landed` or
+    :meth:`raised`.  Both record the outcome *before* setting ``wake``,
+    and the parent clears ``wake`` before it scans for outcomes, so no
+    landing is ever slept through.
+    """
 
     trial: Any
     attempt: int
-    result: Any  # multiprocessing.pool.AsyncResult
+    wake: threading.Event
+    outcome: Optional[Tuple[bool, Any]] = None
     deadline: Optional[float] = None
     started: bool = False
+
+    def landed(self, value: Any) -> None:
+        self.outcome = (True, value)
+        self.wake.set()
+
+    def raised(self, exc: BaseException) -> None:
+        self.outcome = (False, exc)
+        self.wake.set()
 
 
 class _PoolExecutor:
     """Runs one batch over a worker pool with fault recovery.
 
-    At most ``workers`` attempts are in flight at once, so every
-    dispatched task starts (nearly) immediately and dispatch-time
-    deadlines are meaningful; the deadline is re-anchored to the actual
-    start when the worker's announcement arrives.  A hung attempt
-    (deadline exceeded) or a dead worker poisons only its own trial's
-    attempt count: the pool is torn down, respawned, and every *other*
-    unfinished trial is re-dispatched without being charged an attempt.
+    Up to ``_PREFETCH * workers`` attempts are dispatched at once; the
+    ones no worker has picked up yet wait in the pool's FIFO task
+    queue.  Every landing result wakes the parent loop, which otherwise
+    sleeps at most ``_POLL_INTERVAL`` between timeout and liveness
+    checks.  An attempt's ``trial_timeout`` clock starts when its worker
+    announces the pickup, so time spent queued never counts against it.
+    A hung attempt (deadline exceeded) or a dead worker poisons only its
+    own trial's attempt count: the pool is torn down, respawned, and
+    every *other* unfinished trial is re-dispatched without being
+    charged an attempt.
     """
 
     def __init__(
@@ -471,11 +493,14 @@ class _PoolExecutor:
         self._fn = fn
         self._order = sorted(batch, key=lambda t: t.index)
         self._workers = max(1, min(jobs, len(self._order)))
+        self._window = _PREFETCH * self._workers
         self._policy = policy
+        self._wake = threading.Event()
         self._pending: Deque[Any] = deque(self._order)
+        # Dicts keep insertion order, so this one iterates in dispatch order.
         self._inflight: Dict[int, _InFlight] = {}
         self._failed_attempts: Dict[int, int] = {t.index: 0 for t in self._order}
-        self._owner: Dict[int, int] = {}  # worker pid -> trial index
+        self._owner: Dict[int, int] = {}  # worker pid -> in-flight trial index
         self._successes: Dict[int, _Attempt] = {}
         self._failures: Dict[int, TrialFailure] = {}
         self._causes: Dict[int, BaseException] = {}
@@ -492,14 +517,24 @@ class _PoolExecutor:
                 self._ensure_pool()
                 self._dispatch()
                 self._drain_announcements()
-                progressed = self._collect_ready()
+                progressed = self._collect_landed()
                 progressed = self._reap_timeouts() or progressed
                 progressed = self._reap_dead_workers() or progressed
                 if not progressed and (self._pending or self._inflight):
-                    time.sleep(_POLL_INTERVAL)
+                    self._idle_wait()
         finally:
             self._teardown_pool()
         return self._successes, self._failures, self._causes
+
+    def _idle_wait(self) -> bool:
+        """Sleep until an attempt lands or ``_POLL_INTERVAL`` passes.
+
+        Returns ``True`` when a landing woke the loop, ``False`` when
+        the interval ran out.
+        """
+        woke = self._wake.wait(_POLL_INTERVAL)
+        self._wake.clear()
+        return woke
 
     # -- pool lifecycle ------------------------------------------------
     def _ensure_pool(self) -> None:
@@ -533,18 +568,16 @@ class _PoolExecutor:
     # -- scheduling ----------------------------------------------------
     def _dispatch(self) -> None:
         assert self._pool is not None
-        while self._pending and len(self._inflight) < self._workers:
+        while self._pending and len(self._inflight) < self._window:
             trial = self._pending.popleft()
-            attempt = self._failed_attempts[trial.index]
-            result = self._pool.apply_async(
-                _run_attempt, ((self._fn, trial, attempt),)
+            flight = _InFlight(trial, self._failed_attempts[trial.index], self._wake)
+            self._pool.apply_async(
+                _run_attempt,
+                ((self._fn, trial, flight.attempt),),
+                callback=flight.landed,
+                error_callback=flight.raised,
             )
-            deadline = None
-            if self._policy.trial_timeout is not None:
-                deadline = (
-                    time.perf_counter() + self._policy.trial_timeout + _DISPATCH_SLACK
-                )
-            self._inflight[trial.index] = _InFlight(trial, attempt, result, deadline)
+            self._inflight[trial.index] = flight
 
     def _requeue_unfinished(self, flights: Sequence[_InFlight]) -> None:
         """Re-dispatch innocent casualties of a pool restart, uncharged."""
@@ -558,52 +591,53 @@ class _PoolExecutor:
             return
         try:
             while not announce.empty():
-                pid, index = announce.get()
-                self._owner[pid] = index
+                pid, index, attempt = announce.get()
                 flight = self._inflight.get(index)
-                if flight is not None and not flight.started:
-                    flight.started = True
-                    if self._policy.trial_timeout is not None:
-                        flight.deadline = (
-                            time.perf_counter() + self._policy.trial_timeout
-                        )
+                if flight is None or flight.attempt != attempt:
+                    # That attempt landed before its announcement was
+                    # read: the worker has moved on to an unnamed trial.
+                    self._owner.pop(pid, None)
+                    continue
+                self._owner[pid] = index
+                flight.started = True
+                if self._policy.trial_timeout is not None:
+                    flight.deadline = time.perf_counter() + self._policy.trial_timeout
         except (OSError, EOFError):  # pragma: no cover - queue torn down mid-read
             pass
 
-    def _collect_ready(self) -> bool:
-        progressed = False
-        for index, flight in list(self._inflight.items()):
-            if not flight.result.ready():
-                continue
-            progressed = True
+    def _collect_landed(self) -> bool:
+        landed = [f for f in self._inflight.values() if f.outcome is not None]
+        for flight in landed:
+            index = flight.trial.index
             del self._inflight[index]
-            try:
-                outcome = flight.result.get(timeout=0)
-            except Exception as exc:
+            ok, value = flight.outcome
+            if not ok:
                 # The attempt ran but its outcome could not cross the
                 # process boundary (e.g. an unpicklable payload raised
                 # MaybeEncodingError in the pool's result handler).
                 self._attempt_failed(
                     flight,
                     kind="payload",
-                    error_type=type(exc).__name__,
-                    message=str(exc),
+                    error_type=type(value).__name__,
+                    message=str(value),
                     traceback_text="",
                     worker=self._pid_running(index),
                 )
-                continue
-            if outcome.ok:
-                self._successes[index] = outcome
+            elif value.ok:
+                self._successes[index] = value
             else:
                 self._attempt_failed(
                     flight,
                     kind="error",
-                    error_type=outcome.error_type,
-                    message=outcome.message,
-                    traceback_text=outcome.traceback_text,
-                    worker=outcome.worker,
+                    error_type=value.error_type,
+                    message=value.message,
+                    traceback_text=value.traceback_text,
+                    worker=value.worker,
                 )
-        return progressed
+            self._owner = {
+                pid: owned for pid, owned in self._owner.items() if owned != index
+            }
+        return bool(landed)
 
     def _reap_timeouts(self) -> bool:
         if self._policy.trial_timeout is None or not self._inflight:
@@ -644,25 +678,28 @@ class _PoolExecutor:
         dead = [proc for proc in self._procs if not proc.is_alive()]
         if not dead:
             return False
-        victims = set()
-        for proc in dead:
-            index = self._owner.get(proc.pid)
-            if index is not None and index in self._inflight:
-                victims.add(index)
-        if not victims and self._inflight:
-            # A worker died before announcing its trial; the victim is
-            # unknowable, so conservatively charge every in-flight trial
-            # one attempt (keeps crash loops bounded by the retry budget).
-            victims = set(self._inflight)
+        # A pickup announced just before the death names its victim.
+        self._drain_announcements()
+        victims = [
+            self._inflight[index]
+            for index in (self._owner.get(proc.pid) for proc in dead)
+            if index in self._inflight
+        ]
+        # A worker that died before announcing had taken the oldest
+        # unclaimed task from the pool's FIFO queue: charge one attempt
+        # per such death, earliest-dispatched first, and no more.
+        ownerless = len(dead) - len(victims)
+        unannounced = [f for f in self._inflight.values() if not f.started]
+        victims.extend(unannounced[:ownerless])
+        victim_indices = {flight.trial.index for flight in victims}
         exitcodes = sorted({proc.exitcode for proc in dead if proc.exitcode})
         survivors = [
             flight
             for index, flight in self._inflight.items()
-            if index not in victims
+            if index not in victim_indices
         ]
-        victim_flights = [self._inflight[index] for index in sorted(victims)]
         self._inflight.clear()
-        for flight in victim_flights:
+        for flight in sorted(victims, key=lambda f: f.trial.index):
             self._attempt_failed(
                 flight,
                 kind="worker-death",
@@ -727,7 +764,10 @@ def execute_batch(
     Serial execution handles ``jobs == 1`` and — unless a timeout needs
     process isolation to be enforceable — single-trial batches.  The
     pool path adds timeout and worker-death recovery on top of the
-    shared retry semantics.
+    shared retry semantics.  It keeps a window of ``_PREFETCH`` attempts
+    per worker dispatched, wakes as each result lands, and starts a
+    trial's timeout clock when a worker picks it up, not when it is
+    queued.
     """
     use_pool = jobs > 1 and (len(batch) > 1 or policy.trial_timeout is not None)
     if use_pool:
