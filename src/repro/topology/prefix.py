@@ -16,6 +16,7 @@ from __future__ import annotations
 import ipaddress
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import TopologyError
@@ -83,7 +84,8 @@ class PrefixPool:
     The pool records, for every hosted Bitcoin node, which prefix its IP
     falls into.  ``nodes_by_prefix`` is the grouping Figure 4 needs: the
     analysis sorts prefixes by node count and accumulates the hijack
-    cost curve.
+    cost curve.  Prefixes join the pool through :meth:`add_prefix`,
+    which keeps the prefix→position index in step with ``prefixes``.
     """
 
     asn: int
@@ -91,6 +93,14 @@ class PrefixPool:
     _node_prefix: Dict[int, Prefix] = field(default_factory=dict, repr=False)
     _node_ip: Dict[int, ipaddress.IPv4Address] = field(default_factory=dict, repr=False)
     _next_host: Dict[Prefix, int] = field(default_factory=dict, repr=False)
+    _index: Dict[Prefix, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        prefixes, self.prefixes = self.prefixes, []
+        for prefix in prefixes:
+            self.add_prefix(prefix)
 
     def add_prefix(self, prefix: Prefix) -> None:
         if prefix.origin_asn != self.asn:
@@ -98,6 +108,11 @@ class PrefixPool:
                 "prefix origin does not match pool AS",
                 asn=self.asn,
                 origin=prefix.origin_asn,
+            )
+        position = len(self.prefixes)
+        if self._index.setdefault(prefix, position) != position:
+            raise TopologyError(
+                "prefix already in pool", asn=self.asn, prefix=str(prefix)
             )
         self.prefixes.append(prefix)
 
@@ -111,7 +126,7 @@ class PrefixPool:
 
     def assign_node(self, node_id: int, prefix: Prefix) -> ipaddress.IPv4Address:
         """Give ``node_id`` the next free host address inside ``prefix``."""
-        if prefix not in self._next_host and prefix not in self.prefixes:
+        if prefix not in self._index:
             raise TopologyError("prefix not in pool", asn=self.asn, prefix=str(prefix))
         if node_id in self._node_prefix:
             raise TopologyError("node already assigned", node_id=node_id)
@@ -137,16 +152,34 @@ class PrefixPool:
         ``weights`` has one entry per prefix in ``self.prefixes``; the
         builder passes a Zipf-like vector whose skew is calibrated per
         AS so the resulting hijack-cost curve matches Figure 4.
+
+        Each node's prefix is drawn exactly as
+        ``rng.choices(live, weights=live_weights)[0]`` would draw it:
+        the same ``random()`` calls, the same picks and the same stream
+        position afterwards.  ``live`` starts as every prefix; a drawn
+        prefix that is full leaves it and the draw is retried, so a
+        heavily-weighted small prefix overflows into the others
+        instead of failing.  The prefix sums are built once and
+        rebuilt only when a prefix leaves the live set, so placing N
+        nodes over P prefixes costs O(N log P) draws plus O(P) per
+        prefix that fills.
         """
-        if len(weights) != len(self.prefixes):
+        prefixes = self.prefixes
+        if len(weights) != len(prefixes):
             raise TopologyError(
                 "one weight per prefix required",
-                prefixes=len(self.prefixes),
+                prefixes=len(prefixes),
                 weights=len(weights),
             )
-        if not self.prefixes:
+        if not prefixes:
             raise TopologyError("pool has no prefixes", asn=self.asn)
-        capacity = sum(p.num_addresses - 2 for p in self.prefixes)
+        # Bookkeeping by prefix position: host index i is free while
+        # i < limit, i.e. below the broadcast address.
+        limits = [(1 << (32 - p.network.prefixlen)) - 1 for p in prefixes]
+        next_host = [1] * len(prefixes)
+        for prefix, host_index in self._next_host.items():
+            next_host[self._index[prefix]] = host_index
+        capacity = sum(limits) - sum(next_host)
         if capacity < len(node_ids):
             raise TopologyError(
                 "pool capacity exceeded",
@@ -154,24 +187,38 @@ class PrefixPool:
                 capacity=capacity,
                 nodes=len(node_ids),
             )
+        node_prefix, node_ip = self._node_prefix, self._node_ip
+        live = list(range(len(prefixes)))
+        cum = _cumulative_weights(weights, live)
+        choices = rng.choices
+        touched: Dict[int, None] = {}
         assignments: Dict[int, ipaddress.IPv4Address] = {}
-        live = list(zip(self.prefixes, weights))
-        for node_id in node_ids:
-            # A full prefix is dropped from the candidate set and the
-            # draw retried, so a heavily-weighted small prefix overflows
-            # into the next ones instead of failing.
-            while True:
-                prefixes, wts = zip(*live)
-                prefix = rng.choices(prefixes, weights=wts, k=1)[0]
-                if self._has_room(prefix):
-                    break
-                live = [(p, w) for p, w in live if p != prefix]
-            assignments[node_id] = self.assign_node(node_id, prefix)
+        try:
+            for node_id in node_ids:
+                while True:
+                    index = choices(live, cum_weights=cum)[0]
+                    if next_host[index] < limits[index]:
+                        break
+                    live.remove(index)
+                    cum = _cumulative_weights(weights, live)
+                if node_id in node_prefix:
+                    raise TopologyError("node already assigned", node_id=node_id)
+                prefix = prefixes[index]
+                host_index = next_host[index]
+                ip = ipaddress.IPv4Address(
+                    int(prefix.network.network_address) + host_index
+                )
+                next_host[index] = host_index + 1
+                touched[index] = None
+                node_prefix[node_id] = prefix
+                node_ip[node_id] = ip
+                assignments[node_id] = ip
+        finally:
+            # Publish the host counters in first-use order, so
+            # ``_next_host`` matches node-by-node assign_node calls.
+            for index in touched:
+                self._next_host[prefixes[index]] = next_host[index]
         return assignments
-
-    def _has_room(self, prefix: Prefix) -> bool:
-        """Whether ``prefix`` still has a free host address."""
-        return self._next_host.get(prefix, 1) < prefix.num_addresses - 1
 
     def node_ip(self, node_id: int) -> ipaddress.IPv4Address:
         try:
@@ -205,6 +252,15 @@ class PrefixPool:
 
     def __iter__(self) -> Iterator[Prefix]:
         return iter(self.prefixes)
+
+
+def _cumulative_weights(weights: Sequence[float], live: List[int]) -> List[float]:
+    """Running sums of ``weights`` over the ``live`` prefix positions.
+
+    The list ``random.choices(weights=...)`` builds internally on every
+    call; passing it back as ``cum_weights`` gives the same draws.
+    """
+    return list(accumulate(weights[index] for index in live))
 
 
 class AddressPlan:

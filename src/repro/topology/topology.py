@@ -28,9 +28,13 @@ class Topology:
     """Spatial ground truth: organizations, ASes, prefixes, hosted nodes.
 
     Construction is incremental: create orgs and ASes through the
-    registries, attach prefix pools, then host nodes.  All node hosting
-    goes through :meth:`host_node` so the inverted indices stay
-    consistent.
+    registries, attach prefix pools, then host nodes.  Callers host
+    nodes through :meth:`host_node`, which records the node's AS and
+    places it in the pool in one step.  The one exception is
+    :class:`~repro.topology.builder.PaperTopologyBuilder`: it writes
+    ``_node_asn`` directly for a whole AS and then places the nodes
+    with :meth:`PrefixPool.assign_nodes_weighted`, keeping the same
+    two records in step.
     """
 
     orgs: OrganizationRegistry = field(default_factory=OrganizationRegistry)

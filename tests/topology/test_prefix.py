@@ -55,6 +55,24 @@ class TestPrefixPool:
         with pytest.raises(TopologyError):
             pool.add_prefix(make_prefix("10.0.0.0/24", asn=999))
 
+    def test_prefix_not_in_pool_rejected(self):
+        pool = PrefixPool(asn=100)
+        pool.add_prefix(make_prefix("10.0.0.0/24"))
+        with pytest.raises(TopologyError, match="prefix not in pool"):
+            pool.assign_node(1, make_prefix("10.0.1.0/24"))
+
+    def test_duplicate_prefix_rejected(self):
+        pool = PrefixPool(asn=100)
+        pool.add_prefix(make_prefix("10.0.0.0/24"))
+        with pytest.raises(TopologyError, match="already in pool"):
+            pool.add_prefix(make_prefix("10.0.0.0/24"))
+        assert pool.num_prefixes == 1
+
+    def test_constructor_prefixes_are_indexed(self):
+        prefix = make_prefix("10.0.0.0/24")
+        pool = PrefixPool(asn=100, prefixes=[prefix])
+        assert pool.assign_node(1, prefix) == prefix.network.network_address + 1
+
     def test_double_assignment_rejected(self):
         pool = PrefixPool(asn=100)
         prefix = make_prefix("10.0.0.0/24")
@@ -89,6 +107,18 @@ class TestPrefixPool:
         pool.add_prefix(make_prefix("10.0.0.0/30"))
         with pytest.raises(TopologyError):
             pool.assign_nodes_weighted(range(10), [1.0], random.Random(1))
+
+    def test_weighted_capacity_counts_hosts_already_placed(self):
+        pool = PrefixPool(asn=100)
+        pool.add_prefix(make_prefix("10.0.0.0/30"))
+        pool.add_prefix(make_prefix("10.0.0.4/30"))
+        pool.assign_node(0, pool.prefixes[0])
+        rng = random.Random(5)
+        before = rng.getstate()
+        with pytest.raises(TopologyError, match="capacity"):
+            pool.assign_nodes_weighted([1, 2, 3, 4], [1.0, 1.0], rng)
+        assert rng.getstate() == before
+        assert pool.num_nodes == 1
 
     def test_weight_count_must_match(self):
         pool = PrefixPool(asn=100)
