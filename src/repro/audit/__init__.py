@@ -37,8 +37,6 @@ from .project import ClassNode, FunctionNode, MODULE_BODY, ModuleRecord, Project
 from .rules import (
     AUDIT_RULES,
     AuditContext,
-    AuditReport,
-    AuditRule,
     audit_rule_by_identifier,
     run_audit,
 )
@@ -47,8 +45,6 @@ from .workers import Worker, find_workers
 __all__ = [
     "AUDIT_RULES",
     "AuditContext",
-    "AuditReport",
-    "AuditRule",
     "CallGraph",
     "CallSite",
     "ClassHierarchy",

@@ -9,182 +9,40 @@ Usage::
     repro-audit --select RPL203        # one rule family member
     repro-audit --list-rules           # RPL2xx catalogue with rationale
 
-Exit codes match ``repro-lint``: 0 clean, 1 findings (or manifest
-drift under ``--check-manifest``), 2 usage error.
+Options and exit codes are those of every tier (:mod:`repro.audit.tier`):
+0 clean, 1 findings (or manifest drift under ``--check-manifest``),
+2 usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from pathlib import Path
-from typing import Dict, List, Optional
 
-from ..lint.core import FileReport, RunReport
-from ..lint.reporters import render_json, render_text
-from .manifest import DEFAULT_MANIFEST, build_manifest, diff_manifest, render_manifest
-from .rules import AUDIT_RULES, AuditReport, audit_rule_by_identifier, run_audit
+from .manifest import DEFAULT_MANIFEST, build_manifest
+from .rules import AUDIT_RULES, audit_rule_by_identifier, run_audit
+from .tier import DEFAULT_PATHS as _DEFAULT_PATHS, Tier  # noqa: F401  (default root, pinned by tests)
 
-__all__ = ["main"]
+__all__ = ["TIER", "main"]
 
-_DEFAULT_PATHS = ["src"]
-
-
-def _split_rule_list(values: Optional[List[str]]) -> Optional[List[str]]:
-    if not values:
-        return None
-    names = [part.strip() for chunk in values for part in chunk.split(",")]
-    return [name for name in names if name]
-
-
-def _render_rule_list() -> str:
-    lines = ["repro-audit rules (whole-program; complement the per-file RPL1xx):"]
-    for rule in AUDIT_RULES:
-        lines.append(f"  {rule.rule_id}  {rule.name:<20} {rule.summary}")
-        lines.append(f"          {rule.rationale}")
-    lines.append(
+TIER = Tier(
+    prog="repro-audit",
+    description=(
+        "Whole-program seed-flow & effect audit over the repro source "
+        "tree (see the README section 'Static analysis')."
+    ),
+    rules=AUDIT_RULES,
+    lookup=audit_rule_by_identifier,
+    run=run_audit,
+    build_manifest=lambda report: build_manifest(report.context),
+    default_manifest=DEFAULT_MANIFEST,
+    sanction_hint=(
         "sanction a deliberate effect on its line with `# repro-lint: "
         "disable=<rule-or-effect-kind> <reason>`; sanctioned effects "
         "raise no findings but stay in the audit manifest"
-    )
-    return "\n".join(lines)
+    ),
+)
 
-
-def as_run_report(report: AuditReport) -> RunReport:
-    """Adapt an audit outcome to the lint reporters' ``RunReport`` shape.
-
-    One ``FileReport`` per analyzed module (plus any unparseable file),
-    so the shared text/JSON renderers — and their pinned schema — serve
-    both tools.
-    """
-    by_path: Dict[str, FileReport] = {}
-
-    def slot(path: str) -> FileReport:
-        if path not in by_path:
-            by_path[path] = FileReport(path=path, findings=[], suppressed=[])
-        return by_path[path]
-
-    for record in report.context.project.modules.values():
-        slot(record.info.path)
-    for finding in report.findings:
-        slot(finding.path).findings.append(finding)
-    for finding in report.suppressed:
-        slot(finding.path).suppressed.append(finding)
-    return RunReport(files=[by_path[path] for path in sorted(by_path)])
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-audit",
-        description=(
-            "Whole-program seed-flow & effect audit over the repro source "
-            "tree (see the README section 'Static analysis')."
-        ),
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        default=None,
-        help=f"directories to audit (default: {' '.join(_DEFAULT_PATHS)})",
-    )
-    parser.add_argument(
-        "--format",
-        "-f",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--select",
-        action="append",
-        metavar="RULES",
-        help="comma-separated audit rule IDs/names to run exclusively",
-    )
-    parser.add_argument(
-        "--ignore",
-        action="append",
-        metavar="RULES",
-        help="comma-separated audit rule IDs/names to skip",
-    )
-    parser.add_argument(
-        "--manifest",
-        default=DEFAULT_MANIFEST,
-        metavar="PATH",
-        help=f"manifest location (default: {DEFAULT_MANIFEST})",
-    )
-    parser.add_argument(
-        "--write-manifest",
-        action="store_true",
-        help="regenerate the manifest from source and write it",
-    )
-    parser.add_argument(
-        "--check-manifest",
-        action="store_true",
-        help="fail (exit 1) when the committed manifest has drifted",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the audit rule catalogue and exit",
-    )
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        print(_render_rule_list())
-        return 0
-
-    select = _split_rule_list(args.select)
-    ignore = _split_rule_list(args.ignore)
-    try:
-        for name in (select or []) + (ignore or []):
-            audit_rule_by_identifier(name)
-    except KeyError as exc:
-        print(f"repro-audit: error: {exc.args[0]}", file=sys.stderr)
-        return 2
-
-    paths = args.paths if args.paths else list(_DEFAULT_PATHS)
-    missing = [path for path in paths if not Path(path).exists()]
-    if missing:
-        print(
-            f"repro-audit: error: no such path(s): {', '.join(missing)}",
-            file=sys.stderr,
-        )
-        return 2
-
-    report = run_audit(paths, select=select, ignore=ignore)
-    run_report = as_run_report(report)
-    if args.format == "json":
-        print(render_json(run_report))
-    else:
-        print(render_text(run_report, prog="repro-audit"))
-
-    status = 0 if report.ok else 1
-
-    manifest = build_manifest(report.context)
-    if args.write_manifest:
-        Path(args.manifest).write_text(
-            render_manifest(manifest), encoding="utf-8"
-        )
-        print(f"repro-audit: wrote {args.manifest}")
-    elif args.check_manifest:
-        drift = diff_manifest(manifest, args.manifest)
-        if drift is not None:
-            print(
-                f"repro-audit: manifest drift — {args.manifest} no longer "
-                "matches the audited source; regenerate with "
-                "--write-manifest and commit the result",
-                file=sys.stderr,
-            )
-            sys.stderr.write(drift)
-            status = 1
-        else:
-            print(f"repro-audit: manifest {args.manifest} is current")
-    return status
+main = TIER.main
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

@@ -123,9 +123,6 @@ class TracedEffect:
     effect: Effect
     trace: Tuple[str, ...]  # fq function ids, worker first
 
-    def render_trace(self) -> str:
-        return " -> ".join(self.trace)
-
 
 @dataclass
 class EffectClosure:

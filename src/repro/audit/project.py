@@ -31,10 +31,10 @@ from ..lint.core import (
     Finding,
     ImportMap,
     ModuleInfo,
-    PARSE_ERROR_ID,
     Suppressions,
     iter_python_files,
     module_dotted_path,
+    parse_error,
     parse_suppressions,
 )
 from ..lint.rules.state import module_mutables
@@ -251,16 +251,7 @@ class Project:
             try:
                 tree = ast.parse(source, filename=posix)
             except SyntaxError as exc:
-                failures.append(
-                    Finding(
-                        path=posix,
-                        line=exc.lineno or 1,
-                        col=(exc.offset or 1) - 1,
-                        rule_id=PARSE_ERROR_ID,
-                        rule_name="parse-error",
-                        message=f"file does not parse: {exc.msg}",
-                    )
-                )
+                failures.append(parse_error(posix, exc))
                 continue
             directives = parse_suppressions(source)
             if suppressions == "all" and directives.file_disabled:

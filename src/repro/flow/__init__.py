@@ -50,8 +50,6 @@ from .manifest import (
 from .rules import (
     FLOW_RULES,
     FlowContext,
-    FlowReport,
-    FlowRule,
     build_flow_context,
     flow_rule_by_identifier,
     run_flow,
@@ -66,8 +64,6 @@ __all__ = [
     "DigestClass",
     "FLOW_RULES",
     "FlowContext",
-    "FlowReport",
-    "FlowRule",
     "FunctionFlow",
     "INFLUENCE_KINDS",
     "InfluenceSummary",

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..audit.project import MODULE_BODY, FunctionNode, ModuleRecord, Project
+from ..lint.rules.cachekeys import CACHE_METHODS, key_hazard
 
 __all__ = [
     "BoundCall",
@@ -50,9 +51,6 @@ __all__ = [
 #: Pseudo-target naming a function's returned value in derivations.
 RETURN = "<return>"
 
-#: ResultCache's key-consuming surface (kept in sync with RPL106).
-_CACHE_METHODS = frozenset({"get", "put", "key", "entry_path", "discard"})
-
 #: In-place mutators: ``base.append(v)`` derives ``base`` from ``v``.
 _MUTATOR_METHODS = frozenset(
     {"append", "extend", "add", "update", "insert", "setdefault", "appendleft"}
@@ -61,19 +59,7 @@ _MUTATOR_METHODS = frozenset(
 
 def hazard_of(record: ModuleRecord, node: ast.AST) -> Optional[str]:
     """Repr-instability hazard of one expression node (RPL106's set)."""
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return "set (iteration-order-dependent repr)"
-    if isinstance(node, ast.Lambda):
-        return "lambda (memory-address repr)"
-    if isinstance(node, ast.GeneratorExp):
-        return "generator (memory-address repr)"
-    if isinstance(node, ast.Call):
-        canonical = record.info.resolve(node.func)
-        if canonical in ("set", "frozenset"):
-            return f"{canonical}() (iteration-order-dependent repr)"
-        if canonical == "object":
-            return "object() (memory-address repr)"
-    return None
+    return key_hazard(record.info, node)
 
 
 @dataclass(frozen=True)
@@ -214,7 +200,7 @@ def _cache_call(
     receiver: Optional[str] = None
     if canonical and canonical.split(".")[-1] == "cache_key":
         desc = "cache_key()"
-    elif isinstance(func, ast.Attribute) and func.attr in _CACHE_METHODS:
+    elif isinstance(func, ast.Attribute) and func.attr in CACHE_METHODS:
         base = func.value
         if isinstance(base, ast.Call):
             base_canonical = record.info.resolve(base.func)

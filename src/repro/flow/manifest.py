@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+from ..audit.tier import ProjectReport, sanctioned_ledger
 from ..lint.manifest import diff_manifest, render_manifest
-from .rules import FLOW_RULE_IDS, FlowReport
+from .rules import FLOW_RULE_IDS
 
 __all__ = [
     "DEFAULT_MANIFEST",
@@ -38,14 +39,7 @@ DEFAULT_MANIFEST = "FLOW_MANIFEST.json"
 MANIFEST_SCHEMA_VERSION = 1
 
 
-def _function_of(report: FlowReport, path: str, line: int) -> str:
-    for record in report.context.project.modules.values():
-        if record.info.path == path:
-            return record.function_at_line(line).fq
-    return "<unknown>"
-
-
-def _sanctioned_params(report: FlowReport, fq: str) -> List[str]:
+def _sanctioned_params(report: ProjectReport, fq: str) -> List[str]:
     """Boundary params whose RPL401 findings are line-sanctioned."""
     boundary = report.context.boundaries[fq]
     lines = {
@@ -63,7 +57,7 @@ def _sanctioned_params(report: FlowReport, fq: str) -> List[str]:
     return sorted(params)
 
 
-def build_manifest(report: FlowReport) -> Dict[str, Any]:
+def build_manifest(report: ProjectReport) -> Dict[str, Any]:
     """The manifest payload, pure data, deterministically ordered."""
     boundaries: Dict[str, Any] = {}
     for fq in sorted(report.context.boundaries):
@@ -82,25 +76,9 @@ def build_manifest(report: FlowReport) -> Dict[str, Any]:
             "complete_by_construction": digest_cls.dynamic,
             "fields": sorted(digest_cls.fields),
         }
-    sanctioned: List[Dict[str, str]] = []
-    seen = set()
-    for finding in report.suppressed:
-        if finding.rule_id not in FLOW_RULE_IDS:
-            continue
-        entry = {
-            "rule": finding.rule_id,
-            "function": _function_of(report, finding.path, finding.line),
-            "detail": finding.message,
-        }
-        key = (entry["rule"], entry["function"], entry["detail"])
-        if key in seen:
-            continue
-        seen.add(key)
-        sanctioned.append(entry)
-    sanctioned.sort(key=lambda e: (e["rule"], e["function"], e["detail"]))
     return {
         "version": MANIFEST_SCHEMA_VERSION,
         "cache_boundaries": boundaries,
         "digest_classes": digests,
-        "sanctioned": sanctioned,
+        "sanctioned": sanctioned_ledger(report, FLOW_RULE_IDS),
     }

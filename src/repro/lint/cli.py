@@ -1,4 +1,4 @@
-"""``repro-lint`` console entry point.
+"""``repro-lint`` console entry point, and the front end every tier shares.
 
 Usage::
 
@@ -10,7 +10,9 @@ Usage::
     repro-lint --list-rules          # rule catalogue with rationale
 
 Exit codes: 0 clean, 1 findings, 2 usage error — so CI can gate on it
-directly.
+directly.  The whole-program tiers (``repro.audit.tier``) build on the
+parser, the ``--select``/``--ignore`` splitter, the path check and the
+catalogue renderer defined here, so all four CLIs agree on them.
 """
 
 from __future__ import annotations
@@ -18,62 +20,100 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from types import SimpleNamespace
+from typing import Any, Callable, List, Optional, Sequence
 
-from .core import lint_paths
-from .reporters import render_json, render_text
+from .core import PARSE_ERROR_ID, lint_paths
+from .reporters import render_report
 from .rules import RULES, rule_by_identifier
 
-__all__ = ["main"]
+__all__ = [
+    "UsageError",
+    "base_parser",
+    "existing_paths",
+    "main",
+    "render_rule_catalogue",
+    "split_rule_list",
+]
 
 _DEFAULT_PATHS = ["src", "benchmarks", "tests", "examples"]
 
+#: RPL900 as a catalogue row; it is not a rule object, so it cannot be
+#: selected, ignored or suppressed.
+_PARSE_ERROR_ROW = SimpleNamespace(
+    rule_id=PARSE_ERROR_ID,
+    name="parse-error",
+    summary="file does not parse (pseudo-rule)",
+    rationale=(
+        "Reported whenever a file fails to parse as Python: a file the "
+        "AST rejects can never be certified clean, so the run fails. Not "
+        "selectable via --select/--ignore and not suppressible — fix the "
+        "syntax error."
+    ),
+)
 
-def _split_rule_list(values: Optional[List[str]]) -> Optional[List[str]]:
-    if not values:
+
+class UsageError(Exception):
+    """A bad command line: reported as ``<prog>: error: ...``, exit 2."""
+
+
+def split_rule_list(
+    values: Optional[List[str]], option: str, lookup: Callable[[str], Any]
+) -> Optional[List[str]]:
+    """The rule names given to ``--select``/``--ignore``, each validated.
+
+    ``None`` when the option is absent.  A value that names no rule
+    (``--select ""``, ``--select ,``) is a usage error: it would
+    otherwise select nothing and pass vacuously.
+    """
+    if values is None:
         return None
-    names = [part.strip() for chunk in values for part in chunk.split(",")]
-    return [name for name in names if name]
+    names: List[str] = []
+    for value in values:
+        parts = [part.strip() for part in value.split(",") if part.strip()]
+        if not parts:
+            raise UsageError(f"{option} {value!r} names no rule")
+        names.extend(parts)
+    for name in names:
+        try:
+            lookup(name)
+        except KeyError as exc:
+            raise UsageError(exc.args[0]) from None
+    return names
 
 
-def _render_rule_list() -> str:
-    from .core import PARSE_ERROR_ID
+def existing_paths(
+    paths: Optional[List[str]], default_paths: Sequence[str]
+) -> List[str]:
+    """The positional paths (or the defaults), all of which must exist."""
+    paths = paths if paths else list(default_paths)
+    missing = [path for path in paths if not Path(path).exists()]
+    if missing:
+        raise UsageError(f"no such path(s): {', '.join(missing)}")
+    return paths
 
-    lines = ["repro-lint rules:"]
-    for rule in RULES:
-        lines.append(f"  {rule.rule_id}  {rule.name:<20} {rule.summary}")
+
+def render_rule_catalogue(header: str, rules: Sequence[Any], footer: str) -> str:
+    """``--list-rules`` output: one ID/name/summary row plus rationale per rule."""
+    width = max(len(rule.name) for rule in rules) + 2
+    lines = [header]
+    for rule in rules:
+        lines.append(f"  {rule.rule_id}  {rule.name:<{width}} {rule.summary}")
         lines.append(f"          {rule.rationale}")
-    lines.append(
-        f"  {PARSE_ERROR_ID}  {'parse-error':<20} "
-        "file does not parse (pseudo-rule)"
-    )
-    lines.append(
-        "          Reported whenever a file fails to parse as Python: a "
-        "file the AST rejects can never be certified clean, so the run "
-        "fails. Not selectable via --select/--ignore and not "
-        "suppressible — fix the syntax error."
-    )
-    lines.append(
-        "suppress a finding with `# repro-lint: disable=<ID> <reason>`; "
-        "skip a fixture file with a leading `# repro-lint: disable-file "
-        "<reason>` comment"
-    )
+    lines.append(footer)
     return "\n".join(lines)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-lint",
-        description=(
-            "AST-based determinism & parallel-safety linter for the repro "
-            "source tree (see the README section 'Determinism rules')."
-        ),
-    )
+def base_parser(
+    prog: str, description: str, paths_help: str, default_paths: Sequence[str]
+) -> argparse.ArgumentParser:
+    """The options every tier takes: paths, format, rule selection, catalogue."""
+    parser = argparse.ArgumentParser(prog=prog, description=description)
     parser.add_argument(
         "paths",
         nargs="*",
         default=None,
-        help=f"files or directories to lint (default: {' '.join(_DEFAULT_PATHS)})",
+        help=f"{paths_help} (default: {' '.join(default_paths)})",
     )
     parser.add_argument(
         "--format",
@@ -95,6 +135,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule IDs/names to skip",
     )
     parser.add_argument(
+        "--list-rules",
+        action="store_true",
+        help="print the rule catalogue and exit",
+    )
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = base_parser(
+        "repro-lint",
+        "AST-based determinism & parallel-safety linter for the repro "
+        "source tree (see the README section 'Determinism rules').",
+        "files or directories to lint",
+        _DEFAULT_PATHS,
+    )
+    parser.add_argument(
         "--jobs",
         "-j",
         type=int,
@@ -105,49 +161,36 @@ def build_parser() -> argparse.ArgumentParser:
             "the report is identical at any worker count"
         ),
     )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalogue and exit",
-    )
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
 
     if args.list_rules:
-        print(_render_rule_list())
+        print(
+            render_rule_catalogue(
+                "repro-lint rules:",
+                RULES + [_PARSE_ERROR_ROW],
+                "suppress a finding with `# repro-lint: disable=<ID> <reason>`; "
+                "skip a fixture file with a leading `# repro-lint: disable-file "
+                "<reason>` comment",
+            )
+        )
         return 0
 
-    select = _split_rule_list(args.select)
-    ignore = _split_rule_list(args.ignore)
     try:
-        for name in (select or []) + (ignore or []):
-            rule_by_identifier(name)
-    except KeyError as exc:
-        print(f"repro-lint: error: {exc.args[0]}", file=sys.stderr)
-        return 2
-
-    if args.jobs < 1:
-        print("repro-lint: error: --jobs must be >= 1", file=sys.stderr)
-        return 2
-
-    paths = args.paths if args.paths else list(_DEFAULT_PATHS)
-    missing = [path for path in paths if not Path(path).exists()]
-    if missing:
-        print(
-            f"repro-lint: error: no such path(s): {', '.join(missing)}",
-            file=sys.stderr,
-        )
+        select = split_rule_list(args.select, "--select", rule_by_identifier)
+        ignore = split_rule_list(args.ignore, "--ignore", rule_by_identifier)
+        if args.jobs < 1:
+            raise UsageError("--jobs must be >= 1")
+        paths = existing_paths(args.paths, _DEFAULT_PATHS)
+    except UsageError as exc:
+        print(f"repro-lint: error: {exc}", file=sys.stderr)
         return 2
 
     report = lint_paths(paths, select=select, ignore=ignore, jobs=args.jobs)
-    if args.format == "json":
-        print(render_json(report))
-    else:
-        print(render_text(report))
+    print(render_report(report, args.format))
     return 0 if report.ok else 1
 
 

@@ -45,6 +45,7 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "module_dotted_path",
+    "parse_error",
     "parse_suppressions",
 ]
 
@@ -292,19 +293,16 @@ class RunReport:
         return not self.findings
 
 
-def _select_rules(
-    select: Optional[Iterable[str]], ignore: Optional[Iterable[str]]
-) -> List[object]:
-    from .rules import RULES, rule_by_identifier
-
-    chosen = list(RULES)
-    if select is not None:
-        wanted = {rule_by_identifier(name).rule_id for name in select}
-        chosen = [rule for rule in chosen if rule.rule_id in wanted]
-    if ignore is not None:
-        dropped = {rule_by_identifier(name).rule_id for name in ignore}
-        chosen = [rule for rule in chosen if rule.rule_id not in dropped]
-    return chosen
+def parse_error(path: str, exc: SyntaxError) -> Finding:
+    """The RPL900 finding every tier reports for a file that does not parse."""
+    return Finding(
+        path=path,
+        line=exc.lineno or 1,
+        col=(exc.offset or 1) - 1,
+        rule_id=PARSE_ERROR_ID,
+        rule_name="parse-error",
+        message=f"file does not parse: {exc.msg}",
+    )
 
 
 def lint_source(
@@ -333,15 +331,7 @@ def lint_source(
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        finding = Finding(
-            path=path,
-            line=exc.lineno or 1,
-            col=(exc.offset or 1) - 1,
-            rule_id=PARSE_ERROR_ID,
-            rule_name="parse-error",
-            message=f"file does not parse: {exc.msg}",
-        )
-        return FileReport(path=path, findings=[finding], suppressed=[])
+        return FileReport(path=path, findings=[parse_error(path, exc)], suppressed=[])
 
     directives = parse_suppressions(source)
     if suppressions == "all" and directives.file_disabled:
@@ -354,8 +344,10 @@ def lint_source(
         imports=ImportMap(tree, module=module, is_package=is_package),
         module=module,
     )
+    from .rules import RULES, select_rules  # deferred: the rules import this module
+
     raw: List[Finding] = []
-    for rule in _select_rules(select, ignore):
+    for rule in select_rules(RULES, select, ignore):
         raw.extend(rule.check(module))
     raw.sort()
 

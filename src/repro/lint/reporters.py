@@ -12,7 +12,13 @@ from typing import Any, Dict
 
 from .core import RunReport
 
-__all__ = ["JSON_SCHEMA_VERSION", "render_json", "render_text", "summary_dict"]
+__all__ = [
+    "JSON_SCHEMA_VERSION",
+    "render_json",
+    "render_report",
+    "render_text",
+    "summary_dict",
+]
 
 #: Bump when the JSON envelope shape changes (consumed by CI tooling).
 JSON_SCHEMA_VERSION = 1
@@ -26,6 +32,11 @@ def summary_dict(report: RunReport) -> Dict[str, Any]:
         "suppressed": len(report.suppressed),
         "by_rule": report.counts_by_rule,
     }
+
+
+def render_report(report: RunReport, fmt: str, prog: str = "repro-lint") -> str:
+    """``report`` in a CLI's ``--format``: ``"json"`` or ``"text"``."""
+    return render_json(report) if fmt == "json" else render_text(report, prog=prog)
 
 
 def render_text(report: RunReport, prog: str = "repro-lint") -> str:

@@ -8,7 +8,7 @@ document it in README's "Determinism rules" table.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Any, Iterable, List, Optional, Sequence
 
 from .base import Rule
 from .cachekeys import CacheKeyRule
@@ -18,7 +18,15 @@ from .pickling import UnpicklableWorkerRule
 from .rng import GlobalRngRule
 from .state import GlobalStateRule
 
-__all__ = ["FAMILIES", "RULES", "Rule", "family_of", "rule_by_identifier"]
+__all__ = [
+    "FAMILIES",
+    "RULES",
+    "Rule",
+    "family_of",
+    "find_rule",
+    "rule_by_identifier",
+    "select_rules",
+]
 
 #: The four static-analysis tiers sharing the RPL namespace (plus the
 #: shared parse-error band).  Keyed by rule-ID prefix; every tool's
@@ -53,11 +61,33 @@ RULES: List[Rule] = sorted(
 )
 
 
-def rule_by_identifier(identifier: str) -> Rule:
-    """Look up a rule by ID (``RPL104``) or name (``set-order``)."""
+def find_rule(rules: Sequence[Any], identifier: str, kind: str = "rule") -> Any:
+    """A rule of ``rules`` by ID or name; ``kind`` words the KeyError."""
     needle = identifier.strip().lower()
-    for rule in RULES:
+    for rule in rules:
         if needle in (rule.rule_id.lower(), rule.name.lower()):
             return rule
-    known = ", ".join(f"{r.rule_id}/{r.name}" for r in RULES)
-    raise KeyError(f"unknown rule {identifier!r}; known rules: {known}")
+    known = ", ".join(f"{r.rule_id}/{r.name}" for r in rules)
+    raise KeyError(f"unknown {kind} {identifier!r}; known rules: {known}")
+
+
+def select_rules(
+    rules: Sequence[Any],
+    select: Optional[Iterable[str]],
+    ignore: Optional[Iterable[str]],
+    kind: str = "rule",
+) -> List[Any]:
+    """``rules`` narrowed to ``select`` (when given), minus ``ignore``."""
+    chosen = list(rules)
+    if select is not None:
+        wanted = {find_rule(rules, name, kind).rule_id for name in select}
+        chosen = [rule for rule in chosen if rule.rule_id in wanted]
+    if ignore is not None:
+        dropped = {find_rule(rules, name, kind).rule_id for name in ignore}
+        chosen = [rule for rule in chosen if rule.rule_id not in dropped]
+    return chosen
+
+
+def rule_by_identifier(identifier: str) -> Rule:
+    """Look up a rule by ID (``RPL104``) or name (``set-order``)."""
+    return find_rule(RULES, identifier)

@@ -19,12 +19,14 @@ from typing import List, Optional
 from ..core import Finding, ModuleInfo
 from .base import Rule
 
-__all__ = ["CacheKeyRule"]
+__all__ = ["CACHE_METHODS", "CacheKeyRule", "key_hazard"]
 
-_CACHE_METHODS = frozenset({"get", "put", "key", "entry_path", "discard"})
+#: ResultCache's key-consuming surface (RPL106 here, RPL4xx in repro.flow).
+CACHE_METHODS = frozenset({"get", "put", "key", "entry_path", "discard"})
 
 
-def _hazard(module: ModuleInfo, node: ast.AST) -> Optional[str]:
+def key_hazard(module: ModuleInfo, node: ast.AST) -> Optional[str]:
+    """Repr-instability hazard of one expression node, or None."""
     if isinstance(node, (ast.Set, ast.SetComp)):
         return "set (iteration-order-dependent repr)"
     if isinstance(node, ast.Lambda):
@@ -75,7 +77,7 @@ class CacheKeyRule(Rule):
                 call_desc = "cache_key()"
             elif (
                 isinstance(func, ast.Attribute)
-                and func.attr in _CACHE_METHODS
+                and func.attr in CACHE_METHODS
                 and _is_cache_receiver(module, func.value)
             ):
                 is_cache_call = True
@@ -85,7 +87,7 @@ class CacheKeyRule(Rule):
             arguments = list(node.args) + [kw.value for kw in node.keywords]
             for argument in arguments:
                 for sub in ast.walk(argument):
-                    reason = _hazard(module, sub)
+                    reason = key_hazard(module, sub)
                     if reason is not None:
                         findings.append(
                             self.finding(

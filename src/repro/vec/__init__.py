@@ -39,8 +39,6 @@ from .manifest import (
 from .rules import (
     VEC_RULES,
     VecContext,
-    VecReport,
-    VecRule,
     build_vec_context,
     run_vec,
     vec_rule_by_identifier,
@@ -56,8 +54,6 @@ __all__ = [
     "MANIFEST_SCHEMA_VERSION",
     "VEC_RULES",
     "VecContext",
-    "VecReport",
-    "VecRule",
     "build_manifest",
     "build_vec_context",
     "class_attribute_facts",

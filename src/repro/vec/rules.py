@@ -20,21 +20,31 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Pattern, Sequence, Set, Tuple, Union
 
 from ..lint.core import Finding
+from ..lint.rules import find_rule
 from ..audit.callgraph import (
     CallGraph,
     ClassHierarchy,
     build_call_graph,
     function_body_walk,
 )
-from ..audit.project import MODULE_BODY, FunctionNode, ModuleRecord, Project
+from ..audit.project import MODULE_BODY, FunctionNode, Project
+from ..audit.tier import (
+    ProjectContext,
+    ProjectReport,
+    ProjectRule,
+    run_rules,
+    short_trace,
+)
 from .facts import ArrayFact
 from .hot import HOT_MODULE_RE, hot_closure, hot_roots
 from .infer import (
     FunctionFacts,
+    _identifier_segments,
     class_attribute_facts,
     infer_function,
     module_uses_numpy,
@@ -43,8 +53,6 @@ from .infer import (
 __all__ = [
     "VEC_RULES",
     "VecContext",
-    "VecReport",
-    "VecRule",
     "build_vec_context",
     "run_vec",
     "vec_rule_by_identifier",
@@ -87,18 +95,10 @@ def _scale_name(identifier: str) -> bool:
     return any(word in _SCALE_WORDS for word in identifier.lower().split("_"))
 
 
-def _short_trace(trace: Tuple[str, ...], limit: int = 4) -> str:
-    chain = trace
-    if len(chain) > limit:
-        chain = chain[:2] + ("...",) + chain[-1:]
-    return " -> ".join(chain)
-
-
 @dataclass
-class VecContext:
+class VecContext(ProjectContext):
     """Everything an RPL3xx rule may inspect."""
 
-    project: Project
     graph: CallGraph
     hierarchy: ClassHierarchy
     #: fq -> interpreted facts, for every analyzed function.
@@ -107,40 +107,13 @@ class VecContext:
     hot: Dict[str, Tuple[str, ...]]
     roots: List[FunctionNode]
 
-    def record_of(self, fn: FunctionNode) -> ModuleRecord:
-        return self.project.modules[fn.module]
-
     def hot_facts(self) -> List[FunctionFacts]:
         return [
             self.facts[fq] for fq in sorted(self.hot) if fq in self.facts
         ]
 
 
-class VecRule:
-    """Base class mirroring the audit rule protocol."""
-
-    rule_id: str = ""
-    name: str = ""
-    summary: str = ""
-    rationale: str = ""
-
-    def check(self, context: VecContext) -> List[Finding]:
-        raise NotImplementedError
-
-    def finding(
-        self, record: ModuleRecord, line: int, col: int, message: str
-    ) -> Finding:
-        return Finding(
-            path=record.info.path,
-            line=line,
-            col=col,
-            rule_id=self.rule_id,
-            rule_name=self.name,
-            message=message,
-        )
-
-
-class EncodeOverflowRule(VecRule):
+class EncodeOverflowRule(ProjectRule):
     rule_id = "RPL301"
     name = "overflow-encode"
     summary = "integer encode (a * K + b) carried in a sub-64-bit dtype"
@@ -172,7 +145,7 @@ class EncodeOverflowRule(VecRule):
         return findings
 
 
-class SilentDowncastRule(VecRule):
+class SilentDowncastRule(ProjectRule):
     rule_id = "RPL302"
     name = "silent-downcast"
     summary = "implicit narrowing at a setitem or out= boundary"
@@ -203,7 +176,7 @@ class SilentDowncastRule(VecRule):
         return findings
 
 
-class ScatterDtypeRule(VecRule):
+class ScatterDtypeRule(ProjectRule):
     rule_id = "RPL303"
     name = "scatter-dtype-mismatch"
     summary = "np.<ufunc>.at scatter between mismatched dtypes"
@@ -244,7 +217,7 @@ class ScatterDtypeRule(VecRule):
         return findings
 
 
-class UnvalidatedCsrRule(VecRule):
+class UnvalidatedCsrRule(ProjectRule):
     rule_id = "RPL304"
     name = "unvalidated-csr"
     summary = "CSR arrays built without validation or a validating constructor"
@@ -282,7 +255,7 @@ class UnvalidatedCsrRule(VecRule):
                     for arg in list(node.args) + [
                         kw.value for kw in node.keywords
                     ]:
-                        for ident in _identifiers(arg):
+                        for ident in _identifier_segments(arg):
                             if _INDPTR_RE.search(ident):
                                 seen_indptr = True
                             if _INDICES_RE.search(ident):
@@ -298,13 +271,13 @@ class UnvalidatedCsrRule(VecRule):
                     if canonical in _VALIDATOR_CALLS and any(
                         _INDPTR_RE.search(ident)
                         for arg in node.args
-                        for ident in _identifiers(arg)
+                        for ident in _identifier_segments(arg)
                     ):
                         validated = True
                 elif isinstance(node, (ast.Assert, ast.If)):
                     test = node.test
                     if any(
-                        _INDPTR_RE.search(ident) for ident in _identifiers(test)
+                        _INDPTR_RE.search(ident) for ident in _identifier_segments(test)
                     ):
                         validated = True
             if not constructions or handoff or validated:
@@ -324,7 +297,7 @@ class UnvalidatedCsrRule(VecRule):
         return findings
 
 
-class HotPythonLoopRule(VecRule):
+class HotPythonLoopRule(ProjectRule):
     rule_id = "RPL311"
     name = "hot-python-loop"
     summary = "Python for/comprehension over node/edge-scale data in hot code"
@@ -361,7 +334,7 @@ class HotPythonLoopRule(VecRule):
                         event.col,
                         f"{event.kind} loop over '{event.iterable}' in hot "
                         f"function '{facts.fn.fq}' (hot via "
-                        f"{_short_trace(trace)}) iterates node/edge-scale "
+                        f"{short_trace(trace)}) iterates node/edge-scale "
                         "data in Python; vectorize or sanction with a "
                         "reason",
                     )
@@ -369,7 +342,7 @@ class HotPythonLoopRule(VecRule):
         return findings
 
 
-class HotLoopAllocRule(VecRule):
+class HotLoopAllocRule(ProjectRule):
     rule_id = "RPL312"
     name = "hot-loop-alloc"
     summary = "array construction inside a loop in hot code"
@@ -392,14 +365,14 @@ class HotLoopAllocRule(VecRule):
                         event.col,
                         f"array allocation '{event.what}' inside a loop in "
                         f"hot function '{facts.fn.fq}' (hot via "
-                        f"{_short_trace(trace)}); hoist the buffer out of "
+                        f"{short_trace(trace)}); hoist the buffer out of "
                         "the loop and reuse it",
                     )
                 )
         return findings
 
 
-class HotRebuildRule(VecRule):
+class HotRebuildRule(ProjectRule):
     rule_id = "RPL313"
     name = "hot-rebuild"
     summary = "CSR/neighbour-structure rebuild reachable from the step loop"
@@ -423,7 +396,7 @@ class HotRebuildRule(VecRule):
                         event.col,
                         f"'{event.callee}' rebuilds a topology structure "
                         f"inside hot function '{facts.fn.fq}' (hot via "
-                        f"{_short_trace(trace)}); structures are run "
+                        f"{short_trace(trace)}); structures are run "
                         "invariants — build once outside the step loop",
                     )
                 )
@@ -438,17 +411,7 @@ def _terminal_name(node: ast.expr) -> Optional[str]:
     return None
 
 
-def _identifiers(node: ast.expr) -> List[str]:
-    out: List[str] = []
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            out.append(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            out.append(sub.attr)
-    return out
-
-
-VEC_RULES: List[VecRule] = sorted(
+VEC_RULES: List[ProjectRule] = sorted(
     [
         EncodeOverflowRule(),
         SilentDowncastRule(),
@@ -465,40 +428,9 @@ VEC_RULES: List[VecRule] = sorted(
 LOOP_RULE_IDS = frozenset({"RPL311", "RPL312", "RPL313"})
 
 
-def vec_rule_by_identifier(identifier: str) -> VecRule:
+def vec_rule_by_identifier(identifier: str) -> ProjectRule:
     """Look up a vec rule by ID (``RPL311``) or name (``hot-python-loop``)."""
-    needle = identifier.strip().lower()
-    for rule in VEC_RULES:
-        if needle in (rule.rule_id.lower(), rule.name.lower()):
-            return rule
-    known = ", ".join(f"{r.rule_id}/{r.name}" for r in VEC_RULES)
-    raise KeyError(f"unknown vec rule {identifier!r}; known rules: {known}")
-
-
-@dataclass
-class VecReport:
-    """Outcome of one vec-analyzer run."""
-
-    context: VecContext
-    findings: List[Finding] = field(default_factory=list)
-    suppressed: List[Finding] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-
-def _select_vec_rules(
-    select: Optional[Sequence[str]], ignore: Optional[Sequence[str]]
-) -> List[VecRule]:
-    chosen = list(VEC_RULES)
-    if select is not None:
-        wanted = {vec_rule_by_identifier(name).rule_id for name in select}
-        chosen = [rule for rule in chosen if rule.rule_id in wanted]
-    if ignore is not None:
-        dropped = {vec_rule_by_identifier(name).rule_id for name in ignore}
-        chosen = [rule for rule in chosen if rule.rule_id not in dropped]
-    return chosen
+    return find_rule(VEC_RULES, identifier, "vec rule")
 
 
 def build_vec_context(
@@ -546,30 +478,11 @@ def run_vec(
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
     hot_module_re: Pattern = HOT_MODULE_RE,
-) -> VecReport:
+) -> ProjectReport:
     """Load, analyze, and apply every (selected) RPL3xx rule.
 
-    Suppression semantics follow the audit: ``"all"`` honours
-    ``disable-file`` headers, ``"line"`` looks inside them (fixture
-    trees); line suppressions on a finding's line move it to the
-    ``suppressed`` ledger in both modes.
+    Suppression semantics are those of :func:`repro.audit.tier.run_rules`;
+    ``hot_module_re`` picks the modules whose engines root the hot set.
     """
-    project = Project.load(paths, suppressions=suppressions)
-    context = build_vec_context(project, hot_module_re=hot_module_re)
-    raw: List[Finding] = []
-    for rule in _select_vec_rules(select, ignore):
-        raw.extend(rule.check(context))
-    raw.extend(project.parse_failures)
-    raw.sort()
-    by_path = {
-        record.info.path: record for record in project.modules.values()
-    }
-    findings: List[Finding] = []
-    suppressed: List[Finding] = []
-    for finding in raw:
-        record = by_path.get(finding.path)
-        if record is not None and record.suppressions.covers(finding):
-            suppressed.append(finding)
-        else:
-            findings.append(finding)
-    return VecReport(context=context, findings=findings, suppressed=suppressed)
+    context = partial(build_vec_context, hot_module_re=hot_module_re)
+    return run_rules(paths, VEC_RULES, "vec rule", context, suppressions, select, ignore)
