@@ -4,27 +4,26 @@ Times :class:`repro.netsim.graph.GraphSimulatorVec` on synthetic
 degree-calibrated topologies (Bitcoin's 8 outbound peers plus a Pareto
 tail, per the measured degree skew) over a 400-step attack scenario
 and writes ``BENCH_graph.json`` — the committed perf record for the
-CSR engine.  Each entry records the node count, edge count, reconcile
-kernel, RNG protocol, wall time, steps/sec, the per-phase split
+CSR engine.  Each entry records the node count, edge count, RNG
+protocol, wall time, steps/sec, the per-phase split
 (mine / communicate / collect) and the communicate sub-phases
 (draw / reconcile / adopt, plus queue on delayed graphs) from
 :class:`repro.parallel.PhaseTimingCollector`.
 
 Tiers:
 
-- the default sizes (10^3-10^5) time **both** reconcile kernels —
-  ``edge`` (the default batched kernel) and ``scatter`` (the
-  historical allocating dataflow, kept as the bit-identical baseline);
-- the 10^6-node tier runs the production configuration only
-  (``kernel="edge"``, ``rng_protocol=2`` — the versioned fast-draw
-  stream) and is RAM-guarded: it is skipped, with a note, when
-  ``/proc/meminfo`` reports less than :data:`HUGE_MIN_AVAILABLE_GB`
-  available.  ``--no-huge`` skips it unconditionally.
+- the default sizes (10^3-10^5) run RNG protocol 1;
+- the 10^6-node tier runs the production configuration
+  (``rng_protocol=2`` — the versioned fast-draw stream) and is
+  RAM-guarded: it is skipped, with a note, when ``/proc/meminfo``
+  reports less than :data:`HUGE_MIN_AVAILABLE_GB` available.
+  ``--no-huge`` skips it unconditionally.
 
 Regression floor: ``--floor-against BENCH_graph.json`` compares each
 timed tier's steps/sec against the committed record by benchmark name
 and exits 3 when any falls below ``--floor-ratio`` (default 0.5) of
-the committed throughput — the CI perf-smoke gate.
+the committed throughput, or when no timed tier has a committed
+counterpart to compare — the CI perf-smoke gate.
 
 Standalone (the committed record uses the defaults)::
 
@@ -84,19 +83,17 @@ def time_graph_engine(
     num_nodes: int,
     steps: int,
     seed: int,
-    kernel: str = "edge",
     rng_protocol: int = 1,
 ) -> Dict[str, object]:
     """One timed run; returns the BENCH record for the configuration."""
     build_start = time.perf_counter()
     config = _scenario(num_nodes, seed, rng_protocol=rng_protocol)
     phases = PhaseTimingCollector()
-    sim = GraphSimulatorVec(config, phase_metrics=phases, kernel=kernel)
+    sim = GraphSimulatorVec(config, phase_metrics=phases)
     build_seconds = time.perf_counter() - build_start
     start = time.perf_counter()
     sim.run(steps)
     seconds = time.perf_counter() - start
-    suffix = "" if kernel == "edge" else f"-{kernel}"
     phase_seconds = {
         phase: entry["seconds"] for phase, entry in phases.summary().items()
     }
@@ -105,9 +102,8 @@ def time_graph_engine(
         s for phase, s in phase_seconds.items() if "." not in phase
     )
     return {
-        "name": f"graph-n{num_nodes}{suffix}",
+        "name": f"graph-n{num_nodes}",
         "engine": "graph",
-        "kernel": kernel,
         "rng_protocol": rng_protocol,
         "nodes": num_nodes,
         "edges": config.spec.num_edges,
@@ -128,23 +124,14 @@ def run_benchmarks(
     steps: int,
     seed: int = 0,
     huge: bool = True,
-    kernels: bool = True,
 ) -> Dict[str, object]:
     """Time the graph engine at every size; returns the BENCH document.
 
-    ``kernels=True`` adds a ``scatter``-kernel run per default-tier
-    size (the per-kernel communicate comparison); ``huge=True``
-    appends the RAM-guarded 10^6 tier in its production configuration
-    (edge kernel, RNG protocol 2).
+    ``huge=True`` appends the RAM-guarded 10^6 tier in its production
+    configuration (RNG protocol 2).
     """
-    records: List[Dict[str, object]] = []
+    records = [time_graph_engine(num_nodes, steps, seed) for num_nodes in sizes]
     skipped: List[str] = []
-    for num_nodes in sizes:
-        records.append(time_graph_engine(num_nodes, steps, seed))
-        if kernels:
-            records.append(
-                time_graph_engine(num_nodes, steps, seed, kernel="scatter")
-            )
     if huge:
         ram = available_ram_gb()
         if ram is not None and ram < HUGE_MIN_AVAILABLE_GB:
@@ -176,19 +163,22 @@ def check_floor(
     """Steps/sec regressions vs. the committed record, by tier name.
 
     Returns one message per timed tier whose throughput fell below
-    ``ratio`` times the committed value; tiers absent from either side
+    ``ratio`` times the committed value.  Tiers absent from either side
     are ignored (the committed record may include the huge tier that a
-    small CI runner skips).
+    small CI runner skips), but a run that shares no tier with the
+    committed record fails: a floor that compared nothing gates
+    nothing.
     """
     baseline = {
         record["name"]: record["stats"]["steps_per_second"]
         for record in committed.get("benchmarks", [])
     }
+    timed = [r for r in document["benchmarks"] if r["name"] in baseline]
+    if not timed:
+        return ["no timed tier has a committed counterpart; nothing compared"]
     failures = []
-    for record in document["benchmarks"]:
+    for record in timed:
         name = record["name"]
-        if name not in baseline:
-            continue
         got = record["stats"]["steps_per_second"]
         floor = ratio * baseline[name]
         if got < floor:
@@ -235,17 +225,15 @@ def test_graph_engine_benchmark(benchmark, tmp_path):
     write_bench_json(document, str(out))
     print()
     print(_render(document))
-    edge, scatter = document["benchmarks"]
-    assert edge["kernel"] == "edge" and scatter["kernel"] == "scatter"
-    for record in (edge, scatter):
-        assert record["stats"]["wall_seconds"] > 0
-        assert record["forks_seen"] >= 1
-        assert {"mine", "communicate", "collect"} <= set(record["phases"])
-        assert {
-            "communicate.draw",
-            "communicate.reconcile",
-            "communicate.adopt",
-        } <= set(record["phases"])
+    (record,) = document["benchmarks"]
+    assert record["stats"]["wall_seconds"] > 0
+    assert record["forks_seen"] >= 1
+    assert {"mine", "communicate", "collect"} <= set(record["phases"])
+    assert {
+        "communicate.draw",
+        "communicate.reconcile",
+        "communicate.adopt",
+    } <= set(record["phases"])
 
 
 def main(argv=None) -> int:
@@ -257,10 +245,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--no-huge", action="store_true",
         help=f"skip the {HUGE_SIZE}-node tier (default: run it, RAM-guarded)",
-    )
-    parser.add_argument(
-        "--no-kernels", action="store_true",
-        help="skip the per-size scatter-kernel comparison runs",
     )
     parser.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     parser.add_argument("--seed", type=int, default=0)
@@ -276,11 +260,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     document = run_benchmarks(
-        list(args.sizes),
-        args.steps,
-        args.seed,
-        huge=not args.no_huge,
-        kernels=not args.no_kernels,
+        list(args.sizes), args.steps, args.seed, huge=not args.no_huge
     )
     write_bench_json(document, args.out)
     print(_render(document))

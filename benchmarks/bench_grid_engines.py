@@ -1,6 +1,7 @@
-"""Grid-engine performance trajectory: scalar vs vectorized.
+"""Grid-engine performance trajectory: scalar vs the vectorized bridge.
 
-Times both grid engines over the Figure 7 scenario at several sizes
+Times the scalar grid engine and the graph engine's grid bridge
+(``engine="graph"``) over the Figure 7 scenario at several sizes
 and writes ``BENCH_netsim.json`` — the repo's netsim perf record, so
 future optimizations are measured against a persisted baseline instead
 of anecdotes.  Each entry records the engine, grid size, wall time,
@@ -80,19 +81,19 @@ def run_benchmarks(
     benchmarks = []
     for size in sizes:
         scalar = time_engine("scalar", size, steps, seed)
-        vec = time_engine("vec", size, steps, seed)
-        vec["stats"]["speedup_vs_scalar"] = (
-            scalar["stats"]["wall_seconds"] / vec["stats"]["wall_seconds"]
+        graph = time_engine("graph", size, steps, seed)
+        graph["stats"]["speedup_vs_scalar"] = (
+            scalar["stats"]["wall_seconds"] / graph["stats"]["wall_seconds"]
         )
         seed_seconds = SEED_REFERENCE_SECONDS.get(size)
         if seed_seconds is not None and steps == DEFAULT_STEPS:
             scalar["stats"]["speedup_vs_seed"] = (
                 seed_seconds / scalar["stats"]["wall_seconds"]
             )
-            vec["stats"]["speedup_vs_seed"] = (
-                seed_seconds / vec["stats"]["wall_seconds"]
+            graph["stats"]["speedup_vs_seed"] = (
+                seed_seconds / graph["stats"]["wall_seconds"]
             )
-        benchmarks.extend([scalar, vec])
+        benchmarks.extend([scalar, graph])
     return {
         "suite": "netsim-grid-engines",
         "scenario": "figure7-attack",
@@ -137,8 +138,8 @@ def test_grid_engine_benchmark(benchmark, tmp_path):
     print(_render(document))
     by_engine = {record["engine"]: record for record in document["benchmarks"]}
     assert by_engine["scalar"]["stats"]["wall_seconds"] > 0
-    assert by_engine["vec"]["stats"]["wall_seconds"] > 0
-    assert by_engine["vec"]["forks_seen"] >= 1
+    assert by_engine["graph"]["stats"]["wall_seconds"] > 0
+    assert by_engine["graph"]["forks_seen"] >= 1
 
 
 def main(argv=None) -> int:

@@ -15,8 +15,8 @@ scenario-sweep subsystem.  Three tiers:
 
 Regression floor: ``--floor-against BENCH_sweeps.json`` compares each
 tier's specs/sec against the committed record and exits 3 when any
-falls below ``--floor-ratio`` (default 0.5) of it — the CI sweep-smoke
-gate.
+falls below ``--floor-ratio`` (default 0.5) of it, or when no tier has
+a committed counterpart to compare — the CI sweep-smoke gate.
 
 Standalone (the committed record uses the defaults)::
 
@@ -111,16 +111,22 @@ def check_floor(
     committed: Dict[str, object],
     ratio: float,
 ) -> List[str]:
-    """Specs/sec regressions vs. the committed record, by tier name."""
+    """Specs/sec regressions vs. the committed record, by tier name.
+
+    Tiers absent from either side are ignored, but a run that shares
+    no tier with the committed record fails: a floor that compared
+    nothing gates nothing.
+    """
     baseline = {
         record["name"]: record["stats"]["specs_per_second"]
         for record in committed.get("benchmarks", [])
     }
+    timed = [r for r in document["benchmarks"] if r["name"] in baseline]
+    if not timed:
+        return ["no timed tier has a committed counterpart; nothing compared"]
     failures = []
-    for record in document["benchmarks"]:
+    for record in timed:
         name = record["name"]
-        if name not in baseline:
-            continue
         got = record["stats"]["specs_per_second"]
         floor = ratio * baseline[name]
         if got < floor:

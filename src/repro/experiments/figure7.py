@@ -45,7 +45,7 @@ def run_simulation(
 ) -> Tuple[Any, Dict[int, Dict[str, float]]]:
     """Run the Figure 7 scenario; returns (sim, step -> fork fractions).
 
-    ``engine`` selects the grid engine (``"auto"``/``"scalar"``/``"vec"``,
+    ``engine`` selects the engine (``"auto"``/``"scalar"``/``"graph"``,
     see :func:`repro.netsim.grid.make_simulator`).  The published panel
     sizes (15 and 25) resolve to the scalar engine under ``"auto"``, so
     default outputs are bit-identical to the original implementation.

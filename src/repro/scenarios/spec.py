@@ -101,7 +101,7 @@ class ScenarioSpec:
         base_degree / tail_alpha / max_delay / rng_protocol: Power-law
             construction knobs (see
             :meth:`~repro.netsim.graph.GraphSpec.power_law`).
-        engine: ``"auto"``, ``"scalar"``, ``"vec"``, or ``"graph"``
+        engine: ``"auto"``, ``"scalar"``, or ``"graph"``
             (power-law topologies accept only ``"auto"``/``"graph"``).
         delay_model: Optional calibrated delay-model name from
             :data:`~repro.netsim.latency.DELAY_MODELS`; requires graph

@@ -64,7 +64,7 @@ def hot_closure(
 
     The trace starts at a root and ends at the function itself; it is
     what makes a finding reviewable ("hot via step -> _communicate ->
-    _push_pull_best").  Module bodies are skipped (import-time code is
+    _comm_reconcile").  Module bodies are skipped (import-time code is
     not per-step).
     """
     hot: Dict[str, Tuple[str, ...]] = {}

@@ -842,9 +842,8 @@ def class_attribute_facts(
     whose value has an array fact; conflicting dtypes within one class
     collapse to an unknown-dtype fact (still ndarray-like, so the loop
     census keeps seeing scale).  A subclass inherits its ancestors'
-    facts, nearest definition winning — this is what lets
-    ``GraphSimulatorVec._communicate`` know the dtype of ``self._hgt``
-    assigned in ``_VecEngineBase``.
+    facts, nearest definition winning — this is what lets a subclass's
+    kernel know the dtype of a ``self._hgt`` its base class assigned.
     """
     own: Dict[str, Dict[str, ArrayFact]] = {}
     for record in project.modules.values():

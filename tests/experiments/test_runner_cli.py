@@ -45,7 +45,7 @@ HELP_SNAPSHOT = textwrap.dedent(
       --no-cache           bypass the result cache even when --cache is given
       --csv DIR            directory to dump figure series as CSV files
       --engine ENGINE      simulation engine override for simulator-backed
-                           experiments (one of: auto, scalar, vec, graph)
+                           experiments (one of: auto, scalar, graph)
       --delay-model MODEL  calibrated propagation-delay model for simulator-backed
                            experiments (one of: calibrated; requires --engine
                            graph)
@@ -256,7 +256,7 @@ class TestValidationOrdering:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "unknown engine 'bogus'" in err
-        assert "auto, scalar, vec, graph" in err
+        assert "auto, scalar, graph" in err
 
     def test_bad_delay_model_alone_still_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

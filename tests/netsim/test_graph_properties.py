@@ -198,7 +198,7 @@ class TestOfferHeadroomGuard:
 
     def test_height_bound_formula(self):
         from repro.netsim.graph import offer_height_bound
-        from repro.netsim.grid import offer_source_bits
+        from repro.netsim.graph import offer_source_bits
 
         max_code = np.iinfo(np.int64).max
         n = 1_000_000
@@ -209,7 +209,7 @@ class TestOfferHeadroomGuard:
         assert (bound + 1) << bits > max_code
 
     def test_source_bits_cover_every_source(self):
-        from repro.netsim.grid import offer_source_bits
+        from repro.netsim.graph import offer_source_bits
 
         for n in (2, 3, 8, 9, 1 << 10, (1 << 10) + 1, 1_000_000):
             bits = offer_source_bits(n)
@@ -219,7 +219,7 @@ class TestOfferHeadroomGuard:
     def test_shift_encode_orders_like_multiply_encode(self):
         """The shift code is order-isomorphic to the historical
         multiply code, so the max-reduce picks identical winners."""
-        from repro.netsim.grid import offer_source_bits
+        from repro.netsim.graph import offer_source_bits
 
         n = 37
         bits = offer_source_bits(n)

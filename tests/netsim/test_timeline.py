@@ -197,7 +197,7 @@ def _graph_sim(num_nodes=24, protocol=1, failure_rate=0.1, seed=3):
     return GraphSimulatorVec(config)
 
 
-@pytest.mark.parametrize("engine", ["scalar", "vec"])
+@pytest.mark.parametrize("engine", ["scalar", "graph"])
 class TestGridEngineEvents:
     def _sim(self, engine):
         config = GridConfig(
@@ -235,14 +235,18 @@ class TestGridEngineEvents:
         assert sim.config.attacker_share == 0.45
         assert sim.timeline_fired == [0]
 
-    def test_partition_events_rejected(self, engine):
+    def test_partition_events_need_the_graph_engine(self, engine):
         sim = self._sim(engine)
         sim.attach_timeline(
             Timeline.from_schedules(partitions=[(1, 4, 0.5)])
         )
-        with pytest.raises(ConfigurationError):
-            for _ in range(2):
+        if engine == "scalar":
+            with pytest.raises(ConfigurationError):
                 sim.step()
+            return
+        base_edges = sim._num_edges
+        sim.step()  # step 1: the grid bridge cuts its edge set
+        assert sim._num_edges < base_edges
 
     def test_attach_after_first_step_rejected(self, engine):
         sim = self._sim(engine)

@@ -43,7 +43,7 @@ class TestRepoSelfVec:
         assert any(
             "GraphSimulatorVec._communicate" in fq for fq in hot
         )
-        assert any("_VecEngineBase._adopt_from" in fq for fq in hot)
+        assert any("GraphSimulatorVec._comm_adopt" in fq for fq in hot)
 
     def test_pass1_never_needs_suppressing(self):
         """Dtype findings are bugs, not style: none may be sanctioned."""
