@@ -241,9 +241,9 @@ class ConsensusDynamicsGenerator:
         For every (node, block) pair the sync time is
         ``block_time + scale * storm * lognormal``; the node's lag at a
         sample is the number of published blocks it has not yet synced.
-        The per-node synced-block counts are accumulated with a
-        bincount-style scatter over the sample grid, so the whole chunk
-        is a handful of vectorized passes.
+        The per-node synced-block counts are accumulated with one
+        ``np.bincount`` over the flattened (node, sample) grid, so the
+        whole chunk is a handful of vectorized passes.
         """
         p = self.params
         chunk = node_scale.shape[0]
@@ -257,9 +257,10 @@ class ConsensusDynamicsGenerator:
         # Scatter each sync event into the first sample index at which
         # the node counts as synced for that block.
         positions = np.searchsorted(sample_times, sync_times, side="left")
-        counts = np.zeros((chunk, num_samples + 1), dtype=np.int32)
-        rows = np.repeat(np.arange(chunk), num_blocks)
-        np.add.at(counts, (rows, positions.ravel()), 1)
+        positions += np.arange(chunk)[:, None] * (num_samples + 1)
+        counts = np.bincount(
+            positions.ravel(), minlength=chunk * (num_samples + 1)
+        ).reshape(chunk, num_samples + 1)
         synced_by = np.cumsum(counts[:, :num_samples], axis=1)  # (chunk, samples)
 
         lag = arrived[None, :] - synced_by
