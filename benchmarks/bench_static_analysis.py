@@ -2,7 +2,8 @@
 
 ``repro-vec --check-manifest`` runs on every push; the gate is only
 viable while a full analysis of ``src`` — both passes plus the manifest
-derivation and drift check — finishes well inside interactive time.
+section derivation and drift check against ``ANALYSIS_MANIFEST.json``
+— finishes well inside interactive time.
 This benchmark times exactly that analysis and asserts it lands under a
 30 s budget, so a quadratic blow-up in the call-graph closure or the
 dtype interpreter fails loudly here instead of slowly rotting CI.  The
@@ -13,6 +14,10 @@ Runnable from tier-1 environments without pytest::
 
     PYTHONPATH=src python benchmarks/bench_static_analysis.py \
         --out BENCH_static_analysis.json
+
+or, as CI's static-analysis job runs the two budget checks::
+
+    python -m pytest -m bench -q benchmarks/bench_static_analysis.py
 """
 
 from __future__ import annotations
@@ -24,18 +29,18 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.audit import run_audit
-from repro.flow import (
-    build_manifest as build_flow_manifest,
-    diff_manifest as diff_flow_manifest,
-    run_flow,
-)
+from repro.flow import run_flow
+from repro.flow.rules import build_flow_section
 from repro.lint import lint_paths
-from repro.vec import build_manifest, diff_manifest, run_vec
+from repro.lint.manifest import MANIFEST_FILE, diff_section
+from repro.vec import run_vec
+from repro.vec.rules import build_vec_section
 
 __all__ = ["main", "time_analyzers"]
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
+MANIFEST = REPO_ROOT / MANIFEST_FILE
 
 #: Wall-clock budget for one full ``repro-vec`` analysis of ``src``.
 VEC_BUDGET_SECONDS = 30.0
@@ -49,8 +54,8 @@ FLOW_BUDGET_SECONDS = 30.0
 def _timed_vec() -> Dict[str, object]:
     start = time.perf_counter()
     report = run_vec([SRC])
-    manifest = build_manifest(report)
-    drift = diff_manifest(manifest, REPO_ROOT / "VEC_MANIFEST.json")
+    manifest = build_vec_section(report)
+    drift = diff_section("vec", manifest, MANIFEST)
     elapsed = time.perf_counter() - start
     return {
         "seconds": elapsed,
@@ -64,8 +69,8 @@ def _timed_vec() -> Dict[str, object]:
 def _timed_flow() -> Dict[str, object]:
     start = time.perf_counter()
     report = run_flow([SRC])
-    manifest = build_flow_manifest(report)
-    drift = diff_flow_manifest(manifest, REPO_ROOT / "FLOW_MANIFEST.json")
+    manifest = build_flow_section(report)
+    drift = diff_section("flow", manifest, MANIFEST)
     elapsed = time.perf_counter() - start
     return {
         "seconds": elapsed,

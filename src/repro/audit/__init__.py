@@ -5,8 +5,9 @@ isolation; this package certifies the *composition*: it resolves the
 full intra-repo import graph, builds a symbol table and call graph
 over the source tree, infers impurity effects inter-procedurally, and
 holds every trial/entry worker to the purity bar the result cache and
-the trial ensemble assume.  The committed ``AUDIT_MANIFEST.json`` is
-the CI-gated ledger of each worker's effect surface.
+the trial ensemble assume.  The ``audit`` section of the committed
+``ANALYSIS_MANIFEST.json`` is the CI-gated ledger of each worker's role
+and effect surface.
 
 Public surface::
 
@@ -26,13 +27,6 @@ from .callgraph import (
     function_body_walk,
 )
 from .effects import Effect, EffectClosure, TracedEffect, direct_effects, effect_closure
-from .manifest import (
-    DEFAULT_MANIFEST,
-    MANIFEST_SCHEMA_VERSION,
-    build_manifest,
-    diff_manifest,
-    render_manifest,
-)
 from .project import ClassNode, FunctionNode, MODULE_BODY, ModuleRecord, Project
 from .rules import (
     AUDIT_RULES,
@@ -49,11 +43,9 @@ __all__ = [
     "CallSite",
     "ClassHierarchy",
     "ClassNode",
-    "DEFAULT_MANIFEST",
     "Effect",
     "EffectClosure",
     "FunctionNode",
-    "MANIFEST_SCHEMA_VERSION",
     "MODULE_BODY",
     "ModuleRecord",
     "Project",
@@ -61,12 +53,9 @@ __all__ = [
     "Worker",
     "audit_rule_by_identifier",
     "build_call_graph",
-    "build_manifest",
-    "diff_manifest",
     "direct_effects",
     "effect_closure",
     "find_workers",
     "function_body_walk",
-    "render_manifest",
     "run_audit",
 ]

@@ -229,8 +229,9 @@ def build_call_graph(project: Project, inheritance: bool = False) -> CallGraph:
     class has no such method, and *downward* to every subclass override
     (at runtime ``self`` may be any subclass instance).  The default
     keeps the original same-class-only behavior so existing audit
-    output — including ``AUDIT_MANIFEST.json`` — is unchanged; the
-    ``repro-vec`` hot-path pass opts in.
+    output — including the ``audit`` section of
+    ``ANALYSIS_MANIFEST.json`` — is unchanged; the ``repro-vec``
+    hot-path pass opts in.
     """
     hierarchy = ClassHierarchy(project) if inheritance else None
     graph = CallGraph()

@@ -4,7 +4,7 @@ Usage::
 
     repro-audit                        # audit src, report findings
     repro-audit --check-manifest       # CI gate: findings OR manifest drift fail
-    repro-audit --write-manifest       # regenerate AUDIT_MANIFEST.json
+    repro-audit --write-manifest       # rewrite the audit section of ANALYSIS_MANIFEST.json
     repro-audit --format json          # machine-readable report
     repro-audit --select RPL203        # one rule family member
     repro-audit --list-rules           # RPL2xx catalogue with rationale
@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import sys
 
-from .manifest import DEFAULT_MANIFEST, build_manifest
-from .rules import AUDIT_RULES, audit_rule_by_identifier, run_audit
+from .rules import AUDIT_RULES, audit_rule_by_identifier, build_audit_section, run_audit
 from .tier import DEFAULT_PATHS as _DEFAULT_PATHS, Tier  # noqa: F401  (default root, pinned by tests)
 
 __all__ = ["TIER", "main"]
@@ -33,12 +32,13 @@ TIER = Tier(
     rules=AUDIT_RULES,
     lookup=audit_rule_by_identifier,
     run=run_audit,
-    build_manifest=lambda report: build_manifest(report.context),
-    default_manifest=DEFAULT_MANIFEST,
+    section="audit",
+    build_section=build_audit_section,
     sanction_hint=(
         "sanction a deliberate effect on its line with `# repro-lint: "
         "disable=<rule-or-effect-kind> <reason>`; sanctioned effects "
-        "raise no findings but stay in the audit manifest"
+        "raise no findings but stay in the audit section of the analysis "
+        "manifest"
     ),
 )
 

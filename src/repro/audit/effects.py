@@ -19,8 +19,8 @@ Direct (per-function) impurity effects come from three detectors:
 An effect whose line carries a ``# repro-lint: disable=`` directive
 naming the matching per-file rule, the effect kind, or an RPL2xx audit
 rule is *sanctioned*: declared intentional with a reason.  Sanctioned
-effects never produce findings but stay in the audit manifest, which
-is how the purity ledger records them.
+effects never produce findings but stay in the audit manifest section,
+which is how the purity ledger records them.
 
 :func:`effect_closure` then propagates effects transitively: BFS over
 the call graph from a worker, collecting every reached function's
@@ -129,7 +129,6 @@ class EffectClosure:
     """Everything transitively reachable from one worker."""
 
     worker: str
-    functions: Tuple[str, ...]  # sorted reached fq ids
     modules: Tuple[str, ...]  # sorted reached module names
     effects: Tuple[TracedEffect, ...]  # sorted by effect
 
@@ -379,7 +378,6 @@ def effect_closure(
     )
     return EffectClosure(
         worker=worker_fq,
-        functions=tuple(sorted(parents)),
         modules=tuple(modules),
         effects=tuple(traced),
     )

@@ -32,7 +32,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..lint.core import Finding
 from ..lint.rules import find_rule
@@ -53,6 +53,7 @@ __all__ = [
     "AUDIT_RULES",
     "AuditContext",
     "audit_rule_by_identifier",
+    "build_audit_section",
     "run_audit",
 ]
 
@@ -367,3 +368,33 @@ def run_audit(
     return run_rules(
         paths, AUDIT_RULES, "audit rule", build_context, suppressions, select, ignore
     )
+
+
+def build_audit_section(report: ProjectReport) -> Dict[str, Any]:
+    """The audit's manifest section: each worker's role and effect surface.
+
+    Effects are keyed line-free (kind, site, sanctioned) so pure code
+    motion does not churn the ledger; sanctioned effects raise no
+    findings but stay listed, so a reviewer sees which impurities were
+    declared intentional and where.
+    """
+    context = report.context
+    workers: Dict[str, Any] = {}
+    for worker in context.workers:
+        effects = {
+            (traced.effect.kind, traced.effect.site, traced.effect.sanctioned)
+            for traced in context.closures[worker.fq].effects
+        }
+        workers[worker.fq] = {
+            "role": worker.role,
+            "artifact": worker.artifact,
+            "dispatched_from": worker.dispatch_module,
+            "effects": [
+                {"kind": kind, "site": site, "sanctioned": sanctioned}
+                for kind, site, sanctioned in sorted(effects)
+            ],
+        }
+    artifacts = sorted(
+        {w.artifact for w in context.workers if w.artifact is not None}
+    )
+    return {"artifacts": artifacts, "workers": workers}

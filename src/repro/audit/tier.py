@@ -1,12 +1,12 @@
 """One driver for the whole-program tiers: ``repro-audit``, ``-vec``, ``-flow``.
 
 The tiers differ only in what they infer about a project and what their
-manifests record.  Everything else lives here once: the context and
-rule bases, the run loop (load, analyze, check, partition suppressed
-findings), the report adapter for the lint reporters, the sanctioned
-ledger the manifests commit, and the command line (:class:`Tier`).
-Adding a tier means declaring its rules, a context builder and a
-manifest builder.
+sections of the shared manifest record.  Everything else lives here
+once: the context and rule bases, the run loop (load, analyze, check,
+partition suppressed findings), the report adapter for the lint
+reporters, the sanctioned ledger the sections commit, and the command
+line (:class:`Tier`).  Adding a tier means declaring its rules, a
+context builder and a section builder.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from ..lint.cli import (
     split_rule_list,
 )
 from ..lint.core import FileReport, Finding, RunReport
-from ..lint.manifest import diff_manifest, render_manifest
+from ..lint.manifest import MANIFEST_FILE, diff_section, write_section
 from ..lint.reporters import render_report
 from ..lint.rules import family_of, select_rules
 from .project import FunctionNode, ModuleRecord, Project
@@ -207,8 +207,9 @@ class Tier:
     rules: Sequence[ProjectRule]
     lookup: Callable[[str], ProjectRule]
     run: Callable[..., ProjectReport]
-    build_manifest: Callable[[ProjectReport], Dict[str, Any]]
-    default_manifest: str
+    #: The tier's key in the shared manifest (its name in ``repro.check.TOOLS``).
+    section: str
+    build_section: Callable[[ProjectReport], Dict[str, Any]]
     #: Closing line of ``--list-rules``: how to sanction a finding.
     sanction_hint: str
 
@@ -218,20 +219,14 @@ class Tier:
             self.prog, self.description, "directories to analyze", DEFAULT_PATHS
         )
         parser.add_argument(
-            "--manifest",
-            default=self.default_manifest,
-            metavar="PATH",
-            help=f"manifest location (default: {self.default_manifest})",
-        )
-        parser.add_argument(
             "--write-manifest",
             action="store_true",
-            help="regenerate the manifest from source and write it",
+            help=f"regenerate this tier's section of {MANIFEST_FILE} from source",
         )
         parser.add_argument(
             "--check-manifest",
             action="store_true",
-            help="fail (exit 1) when the committed manifest has drifted",
+            help="fail (exit 1) when the committed section has drifted",
         )
         args = parser.parse_args(argv)
 
@@ -248,6 +243,10 @@ class Tier:
             select = split_rule_list(args.select, "--select", self.lookup)
             ignore = split_rule_list(args.ignore, "--ignore", self.lookup)
             paths = existing_paths(args.paths, DEFAULT_PATHS)
+            if args.write_manifest and args.check_manifest:
+                raise UsageError(
+                    "--write-manifest and --check-manifest are mutually exclusive"
+                )
         except UsageError as exc:
             print(f"{self.prog}: error: {exc}", file=sys.stderr)
             return 2
@@ -257,21 +256,22 @@ class Tier:
 
         status = 0 if report.ok else 1
         if args.write_manifest:
-            Path(args.manifest).write_text(
-                render_manifest(self.build_manifest(report)), encoding="utf-8"
-            )
-            print(f"{self.prog}: wrote {args.manifest}")
+            write_section(self.section, self.build_section(report))
+            print(f"{self.prog}: wrote {MANIFEST_FILE} [{self.section}]")
         elif args.check_manifest:
-            drift = diff_manifest(self.build_manifest(report), args.manifest)
+            drift = diff_section(self.section, self.build_section(report))
             if drift is not None:
                 print(
-                    f"{self.prog}: manifest drift — {args.manifest} no longer "
-                    "matches the analyzed source; regenerate with "
-                    "--write-manifest and commit the result",
+                    f"{self.prog}: manifest drift — {MANIFEST_FILE} "
+                    f"[{self.section}] no longer matches the analyzed source; "
+                    "regenerate with --write-manifest and commit the result",
                     file=sys.stderr,
                 )
                 sys.stderr.write(drift)
                 status = 1
             else:
-                print(f"{self.prog}: manifest {args.manifest} is current")
+                print(
+                    f"{self.prog}: manifest {MANIFEST_FILE} [{self.section}] "
+                    "is current"
+                )
         return status

@@ -8,9 +8,9 @@ certifies the numeric kernel layer (RPL3xx); this package certifies the
 cached result is part of its key, every declared spec field enters the
 digest, every module a worker can execute is fingerprinted, signature
 gates raise instead of silently defaulting, and nothing repr-unstable
-flows into key material through a helper.  The committed
-``FLOW_MANIFEST.json`` is the CI-gated ledger of the cache surface and
-every sanctioned exception.
+flows into key material through a helper.  The ``flow`` section of the
+committed ``ANALYSIS_MANIFEST.json`` is the CI-gated ledger of the cache
+surface and every sanctioned exception.
 
 Public surface::
 
@@ -40,13 +40,6 @@ from .influence import (
     build_flows,
     build_influence,
 )
-from .manifest import (
-    DEFAULT_MANIFEST,
-    MANIFEST_SCHEMA_VERSION,
-    build_manifest,
-    diff_manifest,
-    render_manifest,
-)
 from .rules import (
     FLOW_RULES,
     FlowContext,
@@ -59,7 +52,6 @@ __all__ = [
     "Boundary",
     "BoundCall",
     "CacheCall",
-    "DEFAULT_MANIFEST",
     "Derivation",
     "DigestClass",
     "FLOW_RULES",
@@ -67,19 +59,15 @@ __all__ = [
     "FunctionFlow",
     "INFLUENCE_KINDS",
     "InfluenceSummary",
-    "MANIFEST_SCHEMA_VERSION",
     "RETURN",
     "backward_closure",
     "build_flow_context",
     "build_flows",
     "build_influence",
-    "build_manifest",
     "collect_flow",
-    "diff_manifest",
     "effective_derivations",
     "find_boundaries",
     "find_digest_classes",
     "flow_rule_by_identifier",
-    "render_manifest",
     "run_flow",
 ]

@@ -4,7 +4,7 @@ Usage::
 
     repro-flow                         # analyze src, report findings
     repro-flow --check-manifest        # CI gate: findings OR manifest drift fail
-    repro-flow --write-manifest        # regenerate FLOW_MANIFEST.json
+    repro-flow --write-manifest        # rewrite the flow section of ANALYSIS_MANIFEST.json
     repro-flow --format json           # machine-readable report
     repro-flow --select RPL401         # one rule family member
     repro-flow --list-rules            # RPL4xx catalogue with rationale
@@ -19,8 +19,7 @@ from __future__ import annotations
 import sys
 
 from ..audit.tier import Tier
-from .manifest import DEFAULT_MANIFEST, build_manifest
-from .rules import FLOW_RULES, flow_rule_by_identifier, run_flow
+from .rules import FLOW_RULES, build_flow_section, flow_rule_by_identifier, run_flow
 
 __all__ = ["TIER", "main"]
 
@@ -33,12 +32,12 @@ TIER = Tier(
     rules=FLOW_RULES,
     lookup=flow_rule_by_identifier,
     run=run_flow,
-    build_manifest=build_manifest,
-    default_manifest=DEFAULT_MANIFEST,
+    section="flow",
+    build_section=build_flow_section,
     sanction_hint=(
         "sanction a reviewed exception on its line with `# repro-lint: "
         "disable=<rule-id> <reason>`; sanctioned entries raise no findings "
-        "but stay in FLOW_MANIFEST.json"
+        "but stay in the flow section of the analysis manifest"
     ),
 )
 

@@ -33,15 +33,15 @@ artifact.
 Findings reuse the lint engine's :class:`~repro.lint.core.Finding`
 shape and suppression directives: a reviewed exception is sanctioned on
 its line with ``# repro-lint: disable=RPL4xx <reason>`` and then
-appears in the committed ``FLOW_MANIFEST.json`` ledger instead of
-failing the run.
+appears in the ``flow`` section of the committed
+``ANALYSIS_MANIFEST.json`` ledger instead of failing the run.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..audit.callgraph import CallGraph, build_call_graph, function_body_walk
 from ..audit.project import MODULE_BODY, ModuleRecord, Project
@@ -51,6 +51,7 @@ from ..audit.tier import (
     ProjectReport,
     ProjectRule,
     run_rules,
+    sanctioned_ledger,
     short_trace,
 )
 from ..audit.workers import Worker, find_workers
@@ -66,6 +67,7 @@ __all__ = [
     "FLOW_RULE_IDS",
     "FlowContext",
     "build_flow_context",
+    "build_flow_section",
     "flow_rule_by_identifier",
     "run_flow",
 ]
@@ -474,7 +476,7 @@ FLOW_RULES: List[ProjectRule] = sorted(
     key=lambda rule: rule.rule_id,
 )
 
-#: The manifest's sanction ledger covers the whole family.
+#: The manifest section's sanction ledger covers the whole family.
 FLOW_RULE_IDS = frozenset(rule.rule_id for rule in FLOW_RULES)
 
 
@@ -513,3 +515,55 @@ def run_flow(
     return run_rules(
         paths, FLOW_RULES, "flow rule", build_flow_context, suppressions, select, ignore
     )
+
+
+def _sanctioned_params(report: ProjectReport, fq: str) -> List[str]:
+    """Boundary params whose RPL401 findings are line-sanctioned."""
+    boundary = report.context.boundaries[fq]
+    lines = {
+        line: param for param, line in boundary.flow.param_lines.items()
+    }
+    params = set()
+    for finding in report.suppressed:
+        if finding.rule_id != "RPL401":
+            continue
+        if finding.path != boundary.record.info.path:
+            continue
+        param = lines.get(finding.line)
+        if param is not None and param in boundary.influencing:
+            params.add(param)
+    return sorted(params)
+
+
+def build_flow_section(report: ProjectReport) -> Dict[str, Any]:
+    """The flow manifest section: the cache surface and its sanctions.
+
+    Every cache boundary with its influencing parameters (and their
+    kinds), the parameters its key covers and those sanctioned on their
+    signature line; every digest-bearing spec class with its field
+    coverage; and the line-free sanction ledger for the RPL4xx family.
+    A new result-influencing knob, or a change to what a key covers,
+    must land in the same commit as the section update.
+    """
+    boundaries: Dict[str, Any] = {}
+    for fq in sorted(report.context.boundaries):
+        boundary = report.context.boundaries[fq]
+        boundaries[fq] = {
+            "influencing": {
+                param: sorted(kinds)
+                for param, kinds in sorted(boundary.influencing.items())
+            },
+            "key_params": sorted(boundary.key_params),
+            "sanctioned_params": _sanctioned_params(report, fq),
+        }
+    digests: Dict[str, Any] = {}
+    for digest_cls in report.context.digest_classes:
+        digests[digest_cls.cls.fq] = {
+            "complete_by_construction": digest_cls.dynamic,
+            "fields": sorted(digest_cls.fields),
+        }
+    return {
+        "cache_boundaries": boundaries,
+        "digest_classes": digests,
+        "sanctioned": sanctioned_ledger(report, FLOW_RULE_IDS),
+    }

@@ -142,30 +142,14 @@ def base_parser(
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = base_parser(
+def main(argv: Optional[List[str]] = None) -> int:
+    args = base_parser(
         "repro-lint",
         "AST-based determinism & parallel-safety linter for the repro "
         "source tree (see the README section 'Determinism rules').",
         "files or directories to lint",
         _DEFAULT_PATHS,
-    )
-    parser.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "worker processes for the per-file analysis (default: 1); "
-            "the report is identical at any worker count"
-        ),
-    )
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    ).parse_args(argv)
 
     if args.list_rules:
         print(
@@ -182,14 +166,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         select = split_rule_list(args.select, "--select", rule_by_identifier)
         ignore = split_rule_list(args.ignore, "--ignore", rule_by_identifier)
-        if args.jobs < 1:
-            raise UsageError("--jobs must be >= 1")
         paths = existing_paths(args.paths, _DEFAULT_PATHS)
     except UsageError as exc:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
         return 2
 
-    report = lint_paths(paths, select=select, ignore=ignore, jobs=args.jobs)
+    report = lint_paths(paths, select=select, ignore=ignore)
     print(render_report(report, args.format))
     return 0 if report.ok else 1
 

@@ -415,44 +415,18 @@ def iter_python_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
     return [path for _, path in collected]
 
 
-def _lint_file_task(
-    task: Tuple[Path, Optional[List[str]], Optional[List[str]], str]
-) -> FileReport:
-    """Module-level pool worker (picklable by reference, RPL105-clean)."""
-    path, select, ignore, suppressions = task
-    return lint_file(path, select=select, ignore=ignore, suppressions=suppressions)
-
-
 def lint_paths(
     paths: Sequence[Union[str, Path]],
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
     suppressions: str = "all",
-    jobs: int = 1,
 ) -> RunReport:
-    """Lint every ``*.py`` under ``paths``; the main library entry point.
-
-    ``jobs > 1`` fans the per-file analysis over a process pool.  Files
-    are analyzed independently and reassembled in discovery order, so
-    the report — and its rendered text/JSON — is identical to the
-    serial run regardless of worker count or scheduling.
-    """
-    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
-        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
-    files = iter_python_files(paths)
+    """Lint every ``*.py`` under ``paths``; the main library entry point."""
     select = list(select) if select is not None else None
     ignore = list(ignore) if ignore is not None else None
-    if jobs > 1 and len(files) > 1:
-        import multiprocessing
-
-        tasks = [(path, select, ignore, suppressions) for path in files]
-        with multiprocessing.Pool(processes=min(jobs, len(files))) as pool:
-            reports = pool.map(_lint_file_task, tasks)
-    else:
-        reports = [
-            lint_file(
-                path, select=select, ignore=ignore, suppressions=suppressions
-            )
-            for path in files
+    return RunReport(
+        files=[
+            lint_file(path, select=select, ignore=ignore, suppressions=suppressions)
+            for path in iter_python_files(paths)
         ]
-    return RunReport(files=reports)
+    )

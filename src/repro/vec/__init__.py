@@ -8,8 +8,8 @@ silent narrowing at array boundaries, validated CSR structures, and —
 via the inheritance-aware call closure of the engines' ``step``/
 ``communicate`` entry points — no per-node Python loops, in-loop
 allocation, or per-step structure rebuilds hiding in hot code.  The
-committed ``VEC_MANIFEST.json`` is the CI-gated ledger of the hot
-surface and every sanctioned scalar loop.
+``vec`` section of the committed ``ANALYSIS_MANIFEST.json`` is the
+CI-gated ledger of the hot surface and every sanctioned scalar loop.
 
 Public surface::
 
@@ -29,13 +29,6 @@ from .infer import (
     infer_function,
     module_uses_numpy,
 )
-from .manifest import (
-    DEFAULT_MANIFEST,
-    MANIFEST_SCHEMA_VERSION,
-    build_manifest,
-    diff_manifest,
-    render_manifest,
-)
 from .rules import (
     VEC_RULES,
     VecContext,
@@ -46,25 +39,20 @@ from .rules import (
 
 __all__ = [
     "ArrayFact",
-    "DEFAULT_MANIFEST",
     "DType",
     "FunctionFacts",
     "HOT_ENTRY_METHODS",
     "HOT_MODULE_RE",
-    "MANIFEST_SCHEMA_VERSION",
     "VEC_RULES",
     "VecContext",
-    "build_manifest",
     "build_vec_context",
     "class_attribute_facts",
-    "diff_manifest",
     "hot_closure",
     "hot_roots",
     "infer_function",
     "module_uses_numpy",
     "parse_dtype",
     "promote",
-    "render_manifest",
     "run_vec",
     "vec_rule_by_identifier",
 ]

@@ -4,7 +4,7 @@ Usage::
 
     repro-vec                          # analyze src, report findings
     repro-vec --check-manifest         # CI gate: findings OR manifest drift fail
-    repro-vec --write-manifest         # regenerate VEC_MANIFEST.json
+    repro-vec --write-manifest         # rewrite the vec section of ANALYSIS_MANIFEST.json
     repro-vec --format json            # machine-readable report
     repro-vec --select RPL311          # one rule family member
     repro-vec --list-rules             # RPL3xx catalogue with rationale
@@ -19,8 +19,7 @@ from __future__ import annotations
 import sys
 
 from ..audit.tier import Tier
-from .manifest import DEFAULT_MANIFEST, build_manifest
-from .rules import VEC_RULES, run_vec, vec_rule_by_identifier
+from .rules import VEC_RULES, build_vec_section, run_vec, vec_rule_by_identifier
 
 __all__ = ["TIER", "main"]
 
@@ -33,12 +32,12 @@ TIER = Tier(
     rules=VEC_RULES,
     lookup=vec_rule_by_identifier,
     run=run_vec,
-    build_manifest=build_manifest,
-    default_manifest=DEFAULT_MANIFEST,
+    section="vec",
+    build_section=build_vec_section,
     sanction_hint=(
         "sanction a reviewed scalar loop on its line with `# repro-lint: "
         "disable=<rule-id> <reason>`; sanctioned loops raise no findings "
-        "but stay in VEC_MANIFEST.json"
+        "but stay in the vec section of the analysis manifest"
     ),
 )
 

@@ -12,8 +12,8 @@ hot loops, no per-step structure rebuilds.
 Findings reuse the lint engine's :class:`~repro.lint.core.Finding`
 shape and suppression directives: a reviewed scalar loop is sanctioned
 on its line with ``# repro-lint: disable=RPL311 <reason>`` and then
-appears in the committed ``VEC_MANIFEST.json`` ledger instead of
-failing the run.
+appears in the ``vec`` section of the committed
+``ANALYSIS_MANIFEST.json`` ledger instead of failing the run.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import ast
 import re
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Pattern, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Pattern, Sequence, Set, Tuple, Union
 
 from ..lint.core import Finding
 from ..lint.rules import find_rule
@@ -38,6 +38,7 @@ from ..audit.tier import (
     ProjectReport,
     ProjectRule,
     run_rules,
+    sanctioned_ledger,
     short_trace,
 )
 from .facts import ArrayFact
@@ -54,6 +55,7 @@ __all__ = [
     "VEC_RULES",
     "VecContext",
     "build_vec_context",
+    "build_vec_section",
     "run_vec",
     "vec_rule_by_identifier",
 ]
@@ -306,7 +308,8 @@ class HotPythonLoopRule(ProjectRule):
         "turns an O(steps) vectorized kernel back into O(steps x nodes) "
         "interpreter time — the exact regression the vec engines "
         "exist to remove. Sanction a reviewed, bounded loop on its "
-        "line with a reason; it then lives in VEC_MANIFEST.json."
+        "line with a reason; it then lives in the vec section of "
+        "ANALYSIS_MANIFEST.json."
     )
 
     def check(self, context: VecContext) -> List[Finding]:
@@ -424,7 +427,7 @@ VEC_RULES: List[ProjectRule] = sorted(
     key=lambda rule: rule.rule_id,
 )
 
-#: The manifest's ledger covers the hot-path (pass 2) family.
+#: The manifest section's ledger covers the hot-path (pass 2) family.
 LOOP_RULE_IDS = frozenset({"RPL311", "RPL312", "RPL313"})
 
 
@@ -486,3 +489,16 @@ def run_vec(
     """
     context = partial(build_vec_context, hot_module_re=hot_module_re)
     return run_rules(paths, VEC_RULES, "vec rule", context, suppressions, select, ignore)
+
+
+def build_vec_section(report: ProjectReport) -> Dict[str, Any]:
+    """The vec manifest section: the hot surface and its sanctioned loops.
+
+    A new hot loop, a sanction added or removed, or a change to what is
+    hot must land in the same commit as the section update.
+    """
+    return {
+        "hot_roots": sorted(fn.fq for fn in report.context.roots),
+        "hot_functions": sorted(report.context.hot),
+        "sanctioned_loops": sanctioned_ledger(report, LOOP_RULE_IDS),
+    }

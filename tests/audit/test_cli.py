@@ -4,12 +4,13 @@ import json
 
 import pytest
 
-from repro.audit import AUDIT_RULES, DEFAULT_MANIFEST
+from repro.audit import AUDIT_RULES
 from repro.audit.cli import _DEFAULT_PATHS, main
+from repro.lint.manifest import MANIFEST_FILE
 
 from .conftest import FIXTURES
 
-GOOD_TREE = str(FIXTURES / "rpl204_good")
+GOOD_TREE = str((FIXTURES / "rpl204_good").resolve())
 
 
 @pytest.fixture
@@ -80,7 +81,7 @@ class TestDefaults:
         assert _DEFAULT_PATHS == ["src"]
 
     def test_default_manifest_name_pinned(self):
-        assert DEFAULT_MANIFEST == "AUDIT_MANIFEST.json"
+        assert MANIFEST_FILE == "ANALYSIS_MANIFEST.json"
 
 
 class TestJsonFormat:
@@ -103,28 +104,29 @@ class TestJsonFormat:
 
 
 class TestManifestFlow:
-    def test_write_then_check_roundtrip(self, tmp_path, capsys):
-        manifest = tmp_path / "m.json"
-        assert main([GOOD_TREE, "--manifest", str(manifest), "--write-manifest"]) == 0
-        assert manifest.exists()
+    def test_write_then_check_roundtrip(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([GOOD_TREE, "--write-manifest"]) == 0
+        assert (tmp_path / MANIFEST_FILE).exists()
         capsys.readouterr()
-        assert main([GOOD_TREE, "--manifest", str(manifest), "--check-manifest"]) == 0
+        assert main([GOOD_TREE, "--check-manifest"]) == 0
         assert "is current" in capsys.readouterr().out
 
-    def test_check_fails_on_drift_with_diff(self, tmp_path, capsys):
-        manifest = tmp_path / "m.json"
-        main([GOOD_TREE, "--manifest", str(manifest), "--write-manifest"])
+    def test_check_fails_on_drift_with_diff(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        manifest = tmp_path / MANIFEST_FILE
+        main([GOOD_TREE, "--write-manifest"])
         capsys.readouterr()
         stale = json.loads(manifest.read_text(encoding="utf-8"))
-        stale["artifacts"] = []
+        stale["audit"]["artifacts"] = []
         manifest.write_text(json.dumps(stale, indent=2, sort_keys=True) + "\n")
-        assert main([GOOD_TREE, "--manifest", str(manifest), "--check-manifest"]) == 1
+        assert main([GOOD_TREE, "--check-manifest"]) == 1
         err = capsys.readouterr().err
         assert "manifest drift" in err and "--write-manifest" in err
 
-    def test_check_fails_when_manifest_missing(self, tmp_path, capsys):
-        manifest = tmp_path / "absent.json"
-        assert main([GOOD_TREE, "--manifest", str(manifest), "--check-manifest"]) == 1
+    def test_check_fails_when_manifest_missing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([GOOD_TREE, "--check-manifest"]) == 1
         capsys.readouterr()
 
     def test_committed_manifest_passes_check(self, capsys):

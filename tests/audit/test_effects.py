@@ -142,18 +142,22 @@ class TestClosure:
         root = make_package(
             "pkg",
             {
-                "m.py": (
+                "h.py": (
                     "def helper(x):\n"
                     "    return x + 1\n"
+                ),
+                "m.py": (
+                    "from .h import helper\n"
                     "\n"
                     "\n"
                     "def entry(x):\n"
                     "    return helper(x)\n"
-                )
+                ),
             },
         )
         project = Project.load([root])
         graph = build_call_graph(project)
         closure = effect_closure(graph, direct_effects(project), "pkg.m.entry")
         assert closure.effects == ()
-        assert "pkg.m.helper" in closure.functions
+        # The helper's module is reached only through the call.
+        assert "pkg.h" in closure.modules

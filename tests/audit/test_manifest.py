@@ -1,31 +1,31 @@
-"""Manifest determinism, drift detection, and churn resistance."""
+"""The audit manifest section: determinism, shape, and churn resistance.
+
+Drift detection for every tier's section lives in
+``tests/check/test_manifest.py``.
+"""
 
 import json
 
-from repro.audit import (
-    DEFAULT_MANIFEST,
-    build_manifest,
-    diff_manifest,
-    render_manifest,
-    run_audit,
-)
+from repro.audit import run_audit
+from repro.audit.rules import build_audit_section
+from repro.lint.manifest import MANIFEST_FILE, diff_section, render_manifest
 
 from .conftest import FIXTURES
 
 
-def _context(tree):
-    return run_audit([tree], suppressions="line").context
+def _section(tree):
+    return build_audit_section(run_audit([tree], suppressions="line"))
 
 
 class TestDeterminism:
     def test_two_builds_render_identically(self):
         tree = FIXTURES / "rpl204_good"
-        first = render_manifest(build_manifest(_context(tree)))
-        second = render_manifest(build_manifest(_context(tree)))
+        first = render_manifest(_section(tree))
+        second = render_manifest(_section(tree))
         assert first == second
 
     def test_rendered_form_is_sorted_json_with_trailing_newline(self):
-        manifest = build_manifest(_context(FIXTURES / "rpl204_good"))
+        manifest = _section(FIXTURES / "rpl204_good")
         rendered = render_manifest(manifest)
         assert rendered.endswith("\n")
         assert rendered == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -33,7 +33,7 @@ class TestDeterminism:
     def test_effect_entries_carry_no_line_numbers(self):
         """Line numbers would churn the committed manifest on every
         pure-motion refactor; entries pin (kind, site, sanctioned)."""
-        manifest = build_manifest(_context(FIXTURES / "rpl201_bad"))
+        manifest = _section(FIXTURES / "rpl201_bad")
         worker = manifest["workers"]["rpl201_bad.app._trial"]
         (effect,) = worker["effects"]
         assert set(effect) == {"kind", "site", "sanctioned"}
@@ -43,47 +43,25 @@ class TestDeterminism:
 
 class TestShape:
     def test_workers_and_artifacts_sections(self):
-        manifest = build_manifest(_context(FIXTURES / "rpl204_good"))
+        manifest = _section(FIXTURES / "rpl204_good")
         assert manifest["artifacts"] == ["t1"]
         worker = manifest["workers"]["rpl204_good.work.run"]
         assert worker["role"] == "entry"
         assert worker["artifact"] == "t1"
-        assert "rpl204_good.extra" in worker["modules"]
-        assert "rpl204_good.extra.enrich" in worker["functions"]
-
-
-class TestDrift:
-    def test_matching_manifest_yields_no_diff(self, tmp_path):
-        manifest = build_manifest(_context(FIXTURES / "rpl204_good"))
-        committed = tmp_path / DEFAULT_MANIFEST
-        committed.write_text(render_manifest(manifest), encoding="utf-8")
-        assert diff_manifest(manifest, committed) is None
-
-    def test_drift_yields_unified_diff(self, tmp_path):
-        manifest = build_manifest(_context(FIXTURES / "rpl204_good"))
-        committed = tmp_path / DEFAULT_MANIFEST
-        stale = dict(manifest, artifacts=["t1", "ghost"])
-        committed.write_text(render_manifest(stale), encoding="utf-8")
-        drift = diff_manifest(manifest, committed)
-        assert drift is not None
-        assert "ghost" in drift
-        assert "(committed)" in drift and "(derived from source)" in drift
-
-    def test_missing_manifest_diffs_against_empty(self, tmp_path):
-        manifest = build_manifest(_context(FIXTURES / "rpl204_good"))
-        drift = diff_manifest(manifest, tmp_path / "absent.json")
-        assert drift is not None and '"workers"' in drift
+        # Closure lists stay in memory (RPL204 reads them there); the
+        # ledger keeps only what the rules decide on.
+        assert set(worker) == {"role", "artifact", "dispatched_from", "effects"}
 
 
 class TestCommittedManifest:
     def test_committed_manifest_is_current(self):
-        """CI's contract: AUDIT_MANIFEST.json matches the source tree."""
-        report = run_audit(["src"])
-        manifest = build_manifest(report.context)
-        assert diff_manifest(manifest, DEFAULT_MANIFEST) is None
+        """CI's contract: the audit section matches the source tree."""
+        section = build_audit_section(run_audit(["src"]))
+        assert diff_section("audit", section) is None
 
     def test_committed_manifest_covers_all_artifacts(self):
-        committed = json.loads(open(DEFAULT_MANIFEST).read())
+        with open(MANIFEST_FILE, encoding="utf-8") as handle:
+            committed = json.load(handle)["audit"]
         assert len(committed["artifacts"]) == 13
         entry_workers = [
             w for w in committed["workers"].values() if w["role"] == "entry"

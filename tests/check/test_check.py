@@ -1,11 +1,15 @@
 """``repro-check`` umbrella: one gate over all four analysis tiers."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 import repro.check as check
 from repro.check import main
+from repro.lint.manifest import MANIFEST_FILE, MANIFEST_VERSION
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _fake_tool(exit_code, seen):
@@ -23,6 +27,12 @@ class TestToolRegistry:
         assert names == ["lint", "audit", "vec", "flow"]
         gated = {name for name, _e, _b, gated in check.TOOLS if gated}
         assert gated == {"audit", "vec", "flow"}
+        # One committed manifest, one section per gated tier.
+        committed = json.loads(
+            (REPO_ROOT / MANIFEST_FILE).read_text(encoding="utf-8")
+        )
+        assert committed["version"] == MANIFEST_VERSION
+        assert set(committed) - {"version"} == gated
 
 
 class TestArgvValidation:

@@ -3,7 +3,8 @@
 ``repro-lint`` and the whole-program tiers (``repro-audit``,
 ``repro-vec``, ``repro-flow``, driven by ``repro.audit.tier``) parse
 ``--select``/``--ignore`` and render ``--list-rules`` through one
-implementation; these cases hold all four to it.
+implementation; these cases hold all four to it, and the three
+whole-program tiers to one set of manifest flags.
 """
 
 import re
@@ -95,3 +96,17 @@ def test_list_rules_names_exactly_the_tier_rules(name, capsys):
     listed = re.findall(r"^  (RPL\d{3})  ", out, flags=re.MULTILINE)
     assert sorted(listed) == sorted(ids)
     assert out.splitlines()[0].startswith(f"repro-{name} rules")
+
+
+@pytest.mark.parametrize("name", sorted(ONLY_FIRING))
+def test_write_and_check_manifest_together_is_a_usage_error(
+    name, tmp_path, monkeypatch, capsys
+):
+    main, _ids, tree = CLIS[name]
+    monkeypatch.chdir(tmp_path)
+    assert main([str(tree), "--write-manifest", "--check-manifest"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"repro-{name}: error: ")
+    assert "mutually exclusive" in captured.err
+    assert list(tmp_path.iterdir()) == []

@@ -2,8 +2,10 @@
 
 import json
 
-from repro.flow import build_manifest, render_manifest, run_flow
+from repro.flow import run_flow
 from repro.flow.cli import main
+from repro.flow.rules import build_flow_section
+from repro.lint.manifest import MANIFEST_FILE, write_section
 
 from .conftest import FIXTURES
 
@@ -56,29 +58,28 @@ class TestJsonFormat:
 
 
 class TestManifestGate:
-    def test_write_then_check_roundtrips(self, tmp_path, capsys):
-        manifest = tmp_path / "FLOW_MANIFEST.json"
-        tree = str(FIXTURES / "sanctioned")
-        assert main([tree, "--manifest", str(manifest), "--write-manifest"]) == 0
+    TREE = str((FIXTURES / "sanctioned").resolve())
+
+    def test_write_then_check_roundtrips(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([self.TREE, "--write-manifest"]) == 0
         capsys.readouterr()
-        assert main([tree, "--manifest", str(manifest), "--check-manifest"]) == 0
+        assert main([self.TREE, "--check-manifest"]) == 0
         out = capsys.readouterr().out
         assert "is current" in out
 
-    def test_drift_fails_the_gate_with_a_diff(self, tmp_path, capsys):
-        manifest = tmp_path / "FLOW_MANIFEST.json"
-        tree = str(FIXTURES / "sanctioned")
-        report = run_flow([tree])
-        payload = build_manifest(report)
+    def test_drift_fails_the_gate_with_a_diff(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        payload = build_flow_section(run_flow([self.TREE]))
         payload["sanctioned"] = []
-        manifest.write_text(render_manifest(payload), encoding="utf-8")
-        assert main([tree, "--manifest", str(manifest), "--check-manifest"]) == 1
+        write_section("flow", payload)
+        assert main([self.TREE, "--check-manifest"]) == 1
         captured = capsys.readouterr()
         assert "manifest drift" in captured.err
         assert "RPL401" in captured.err
 
-    def test_missing_manifest_fails_the_gate(self, tmp_path, capsys):
-        manifest = tmp_path / "FLOW_MANIFEST.json"
-        tree = str(FIXTURES / "sanctioned")
-        assert main([tree, "--manifest", str(manifest), "--check-manifest"]) == 1
+    def test_missing_manifest_fails_the_gate(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert not (tmp_path / MANIFEST_FILE).exists()
+        assert main([self.TREE, "--check-manifest"]) == 1
         capsys.readouterr()

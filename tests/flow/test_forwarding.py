@@ -11,7 +11,8 @@ without keying or sanctioning ``foo`` fails here, not in production.
 
 import ast
 
-from repro.flow import build_manifest, run_flow
+from repro.flow import run_flow
+from repro.flow.rules import build_flow_section
 
 from .conftest import REPO_ROOT
 
@@ -51,7 +52,7 @@ class TestRunnerForwarding:
 
     def test_every_forwarded_param_is_keyed_sanctioned_or_a_handle(self):
         report = run_flow([REPO_ROOT / "src"])
-        manifest = build_manifest(report)
+        manifest = build_flow_section(report)
         boundary = manifest["cache_boundaries"][
             "repro.experiments.run_experiment"
         ]

@@ -1,12 +1,12 @@
-"""FLOW_MANIFEST ledger tests: payload, determinism, drift detection."""
+"""The flow manifest section: payload and determinism.
 
-from repro.flow import (
-    MANIFEST_SCHEMA_VERSION,
-    build_manifest,
-    diff_manifest,
-    render_manifest,
-    run_flow,
-)
+Drift detection for every tier's section lives in
+``tests/check/test_manifest.py``.
+"""
+
+from repro.lint.manifest import render_manifest
+from repro.flow import run_flow
+from repro.flow.rules import build_flow_section
 
 from .conftest import FIXTURES
 
@@ -17,24 +17,22 @@ def _sanctioned_report():
 
 class TestBuildManifest:
     def test_envelope_shape(self):
-        manifest = build_manifest(_sanctioned_report())
-        assert manifest["version"] == MANIFEST_SCHEMA_VERSION
+        manifest = build_flow_section(_sanctioned_report())
         assert set(manifest) == {
-            "version",
             "cache_boundaries",
             "digest_classes",
             "sanctioned",
         }
 
     def test_sanctioned_param_lands_on_the_ledger(self):
-        manifest = build_manifest(_sanctioned_report())
+        manifest = build_flow_section(_sanctioned_report())
         (entry,) = manifest["sanctioned"]
         assert entry["rule"] == "RPL401"
         assert entry["function"].endswith("run_model")
         assert "'jobs'" in entry["detail"]
 
     def test_boundary_account_is_complete(self):
-        manifest = build_manifest(_sanctioned_report())
+        manifest = build_flow_section(_sanctioned_report())
         (fq,) = manifest["cache_boundaries"]
         assert fq.endswith("run_model")
         boundary = manifest["cache_boundaries"][fq]
@@ -44,30 +42,7 @@ class TestBuildManifest:
         assert boundary["influencing"]["jobs"] == ["return"]
 
     def test_rebuild_is_deterministic(self):
-        first = render_manifest(build_manifest(_sanctioned_report()))
-        second = render_manifest(build_manifest(_sanctioned_report()))
+        first = render_manifest(build_flow_section(_sanctioned_report()))
+        second = render_manifest(build_flow_section(_sanctioned_report()))
         assert first == second
 
-
-class TestDriftGate:
-    def test_matching_manifest_yields_no_diff(self, tmp_path):
-        manifest = build_manifest(_sanctioned_report())
-        target = tmp_path / "FLOW_MANIFEST.json"
-        target.write_text(render_manifest(manifest), encoding="utf-8")
-        assert diff_manifest(manifest, target) is None
-
-    def test_drift_produces_a_unified_diff(self, tmp_path):
-        manifest = build_manifest(_sanctioned_report())
-        target = tmp_path / "FLOW_MANIFEST.json"
-        stale = render_manifest(manifest).replace("RPL401", "RPL499")
-        target.write_text(stale, encoding="utf-8")
-        drift = diff_manifest(manifest, target)
-        assert drift is not None
-        assert "(committed)" in drift and "(derived from source)" in drift
-        assert "+" in drift and "-" in drift
-
-    def test_missing_manifest_diffs_against_empty(self, tmp_path):
-        manifest = build_manifest(_sanctioned_report())
-        drift = diff_manifest(manifest, tmp_path / "absent.json")
-        assert drift is not None
-        assert "cache_boundaries" in drift

@@ -3,8 +3,9 @@
 ``repro-flow src --check-manifest`` must exit 0 on this tree — every
 result-influencing parameter of every cache boundary is either key
 material or carries a reasoned line sanction, every spec field enters
-the digest, and the committed ``FLOW_MANIFEST.json`` matches what the
-analyzer derives from source.
+the digest, and the ``flow`` section of the committed
+``ANALYSIS_MANIFEST.json`` matches what the analyzer derives from
+source.
 
 The mutation self-check proves the analyzer earns its keep: deleting
 the one line that folds ``engine`` into the cache config (the literal
@@ -13,7 +14,9 @@ PR 8 fix) must make RPL401 fire naming ``engine``.
 
 import shutil
 
-from repro.flow import build_manifest, diff_manifest, run_flow
+from repro.flow import run_flow
+from repro.flow.rules import build_flow_section
+from repro.lint.manifest import MANIFEST_FILE, diff_section
 
 from .conftest import REPO_ROOT
 
@@ -35,8 +38,8 @@ class TestRepoSelfFlow:
 
     def test_committed_manifest_is_current(self):
         report = _src_report()
-        drift = diff_manifest(
-            build_manifest(report), REPO_ROOT / "FLOW_MANIFEST.json"
+        drift = diff_section(
+            "flow", build_flow_section(report), REPO_ROOT / MANIFEST_FILE
         )
         assert drift is None, drift
 
@@ -51,7 +54,7 @@ class TestRepoSelfFlow:
         )
 
     def test_run_experiment_boundary_account(self):
-        manifest = build_manifest(_src_report())
+        manifest = build_flow_section(_src_report())
         boundary = manifest["cache_boundaries"][
             "repro.experiments.run_experiment"
         ]
@@ -60,7 +63,7 @@ class TestRepoSelfFlow:
         assert boundary["sanctioned_params"] == ["jobs", "policy"]
 
     def test_scenario_spec_digest_is_complete_by_construction(self):
-        manifest = build_manifest(_src_report())
+        manifest = build_flow_section(_src_report())
         spec = manifest["digest_classes"]["repro.scenarios.spec.ScenarioSpec"]
         assert spec["complete_by_construction"] is True
         assert "engine" in spec["fields"]

@@ -168,46 +168,3 @@ class TestListRules:
         ids = [line.split()[0] for line in body[::2]]
         assert ids == [rule.rule_id for rule in RULES] + ["RPL900"]
         assert lines[-1].startswith("suppress a finding with")
-
-
-class TestParallelJobs:
-    """--jobs N must change wall-clock only, never the report."""
-
-    def test_jobs_report_matches_serial(self, tree):
-        from pathlib import Path
-
-        from repro.lint import lint_paths
-        from repro.lint.reporters import render_json, render_text
-
-        fixtures = Path(__file__).parent / "fixtures"
-        targets = [tree, fixtures]
-        serial = lint_paths(targets, suppressions="line")
-        parallel = lint_paths(targets, suppressions="line", jobs=4)
-        assert render_json(serial) == render_json(parallel)
-        assert render_text(serial) == render_text(parallel)
-
-    def test_jobs_preserves_discovery_order(self, tree):
-        from repro.lint import lint_paths
-
-        serial = lint_paths([tree])
-        parallel = lint_paths([tree], jobs=2)
-        assert [f.path for f in serial.files] == [
-            f.path for f in parallel.files
-        ]
-
-    def test_cli_jobs_same_exit_and_output(self, tree, capsys):
-        assert main([str(tree)]) == 1
-        serial_out = capsys.readouterr().out
-        assert main([str(tree), "--jobs", "4"]) == 1
-        parallel_out = capsys.readouterr().out
-        assert serial_out == parallel_out
-
-    def test_invalid_jobs_rejected(self, tree, capsys):
-        import pytest as _pytest
-
-        from repro.lint import lint_paths
-
-        assert main([str(tree), "--jobs", "0"]) == 2
-        assert "--jobs" in capsys.readouterr().err
-        with _pytest.raises(ValueError):
-            lint_paths([tree], jobs=0)

@@ -1,12 +1,12 @@
-"""VEC_MANIFEST ledger tests: payload, determinism, drift detection."""
+"""The vec manifest section: payload and determinism.
 
-from repro.vec import (
-    MANIFEST_SCHEMA_VERSION,
-    build_manifest,
-    diff_manifest,
-    render_manifest,
-    run_vec,
-)
+Drift detection for every tier's section lives in
+``tests/check/test_manifest.py``.
+"""
+
+from repro.lint.manifest import render_manifest
+from repro.vec import run_vec
+from repro.vec.rules import build_vec_section
 
 from .conftest import FIXTURES
 
@@ -17,24 +17,22 @@ def _sanctioned_report():
 
 class TestBuildManifest:
     def test_envelope_shape(self):
-        manifest = build_manifest(_sanctioned_report())
-        assert manifest["version"] == MANIFEST_SCHEMA_VERSION
+        manifest = build_vec_section(_sanctioned_report())
         assert set(manifest) == {
-            "version",
             "hot_roots",
             "hot_functions",
             "sanctioned_loops",
         }
 
     def test_sanctioned_loop_lands_on_the_ledger(self):
-        manifest = build_manifest(_sanctioned_report())
+        manifest = build_vec_section(_sanctioned_report())
         (entry,) = manifest["sanctioned_loops"]
         assert entry["rule"] == "RPL311"
         assert entry["function"].endswith("Engine.step")
         assert "cells" in entry["detail"]
 
     def test_hot_surface_is_recorded_sorted(self):
-        manifest = build_manifest(_sanctioned_report())
+        manifest = build_vec_section(_sanctioned_report())
         assert manifest["hot_roots"] == sorted(manifest["hot_roots"])
         assert manifest["hot_functions"] == sorted(
             manifest["hot_functions"]
@@ -44,30 +42,7 @@ class TestBuildManifest:
         )
 
     def test_rebuild_is_deterministic(self):
-        first = render_manifest(build_manifest(_sanctioned_report()))
-        second = render_manifest(build_manifest(_sanctioned_report()))
+        first = render_manifest(build_vec_section(_sanctioned_report()))
+        second = render_manifest(build_vec_section(_sanctioned_report()))
         assert first == second
 
-
-class TestDriftGate:
-    def test_matching_manifest_yields_no_diff(self, tmp_path):
-        manifest = build_manifest(_sanctioned_report())
-        target = tmp_path / "VEC_MANIFEST.json"
-        target.write_text(render_manifest(manifest), encoding="utf-8")
-        assert diff_manifest(manifest, target) is None
-
-    def test_drift_produces_a_unified_diff(self, tmp_path):
-        manifest = build_manifest(_sanctioned_report())
-        target = tmp_path / "VEC_MANIFEST.json"
-        stale = render_manifest(manifest).replace("RPL311", "RPL399")
-        target.write_text(stale, encoding="utf-8")
-        drift = diff_manifest(manifest, target)
-        assert drift is not None
-        assert "(committed)" in drift and "(derived from source)" in drift
-        assert "+" in drift and "-" in drift
-
-    def test_missing_manifest_diffs_against_empty(self, tmp_path):
-        manifest = build_manifest(_sanctioned_report())
-        drift = diff_manifest(manifest, tmp_path / "absent.json")
-        assert drift is not None
-        assert "hot_roots" in drift

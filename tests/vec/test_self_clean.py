@@ -2,12 +2,14 @@
 
 ``repro-vec src --check-manifest`` must exit 0 on this tree — every
 pass-1 dtype finding gets fixed (never suppressed), every standing
-scalar loop in hot code carries a reasoned sanction, and the committed
-``VEC_MANIFEST.json`` matches what the analyzer derives from source.
+scalar loop in hot code carries a reasoned sanction, and the ``vec``
+section of the committed ``ANALYSIS_MANIFEST.json`` matches what the
+analyzer derives from source.
 """
 
-from repro.vec import build_manifest, diff_manifest, run_vec
-from repro.vec.rules import LOOP_RULE_IDS
+from repro.lint.manifest import MANIFEST_FILE, diff_section
+from repro.vec import run_vec
+from repro.vec.rules import LOOP_RULE_IDS, build_vec_section
 
 from .conftest import REPO_ROOT
 
@@ -26,8 +28,8 @@ class TestRepoSelfVec:
 
     def test_committed_manifest_is_current(self):
         report = _src_report()
-        drift = diff_manifest(
-            build_manifest(report), REPO_ROOT / "VEC_MANIFEST.json"
+        drift = diff_section(
+            "vec", build_vec_section(report), REPO_ROOT / MANIFEST_FILE
         )
         assert drift is None, drift
 
@@ -37,7 +39,7 @@ class TestRepoSelfVec:
         assert {f.rule_id for f in report.suppressed} <= LOOP_RULE_IDS
 
     def test_hot_surface_covers_both_engines(self):
-        manifest = build_manifest(_src_report())
+        manifest = build_vec_section(_src_report())
         hot = manifest["hot_functions"]
         assert any("netsim.grid" in fq and ".step" in fq for fq in hot)
         assert any(
