@@ -8,7 +8,9 @@ Edges are *may-call* over-approximations, built per function node:
   the moment it is bound, so any of its methods may run — this is what
   lets a worker that builds a generator object inherit the generator's
   entire effect surface, including the original ``MiningPool`` bug;
-- ``self.method()`` inside a class resolves to the sibling method;
+- ``self.method()`` inside a class resolves to the sibling method (or,
+  lacking one, the nearest inherited definition) and to every subclass
+  override;
 - every function implicitly depends on its own module's ``<module>``
   body (import-time code runs before any call), and a module body
   depends on the module bodies of everything it imports.
@@ -48,9 +50,11 @@ class CallSite:
 class CallGraph:
     """Adjacency over fully qualified function ids."""
 
-    def __init__(self) -> None:
+    def __init__(self, hierarchy: ClassHierarchy) -> None:
         self.edges: Dict[str, List[CallSite]] = {}
         self.nodes: Dict[str, FunctionNode] = {}
+        #: The project's class relations the ``self`` edges were resolved by.
+        self.hierarchy = hierarchy
 
     def add_node(self, fn: FunctionNode) -> None:
         self.nodes[fn.fq] = fn
@@ -78,18 +82,10 @@ def function_body_walk(record: ModuleRecord, fn: FunctionNode):
     included.  For a real function it is the full subtree, nested defs
     included: a nested function is part of its owner's behavior.
     """
-    tree = record.info.tree
-    if fn.qualname != MODULE_BODY:
-        for stmt in tree.body:
-            for node in ast.walk(stmt):
-                if (
-                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.lineno == fn.lineno
-                ):
-                    yield from ast.walk(node)
-                    return
+    if fn.node is not None:
+        yield from ast.walk(fn.node)
         return
-    stack: List[ast.AST] = list(tree.body)
+    stack: List[ast.AST] = list(record.info.tree.body)
     while stack:
         node = stack.pop()
         yield node
@@ -221,20 +217,45 @@ class ClassHierarchy:
         return out
 
 
-def build_call_graph(project: Project, inheritance: bool = False) -> CallGraph:
+def _add_self_call_edges(
+    graph: CallGraph,
+    record: ModuleRecord,
+    fn: FunctionNode,
+    own_class: str,
+    method: str,
+    line: int,
+) -> bool:
+    """Edges for ``self.<method>()`` inside ``own_class``; whether any resolved."""
+    hierarchy = graph.hierarchy
+    own_fq = f"{record.name}.{own_class}"
+    sibling = record.functions.get(f"{own_class}.{method}")
+    if sibling is not None:
+        graph.add_edge(CallSite(fn.fq, sibling.fq, line, f"self.{method}"))
+    else:
+        sibling = hierarchy.resolve_method(own_fq, method)
+        if sibling is not None:
+            graph.add_edge(
+                CallSite(fn.fq, sibling.fq, line, f"self.{method} (inherited)")
+            )
+    overrides = hierarchy.overriding_methods(own_fq, method)
+    for override in overrides:
+        graph.add_edge(
+            CallSite(fn.fq, override.fq, line, f"self.{method} (override)")
+        )
+    return sibling is not None or bool(overrides)
+
+
+def build_call_graph(project: Project) -> CallGraph:
     """Resolve every call site in every module into the graph.
 
-    With ``inheritance=True``, ``self.method()`` calls additionally
-    resolve *upward* to the nearest base-class definition when the own
-    class has no such method, and *downward* to every subclass override
-    (at runtime ``self`` may be any subclass instance).  The default
-    keeps the original same-class-only behavior so existing audit
-    output — including the ``audit`` section of
-    ``ANALYSIS_MANIFEST.json`` — is unchanged; the ``repro-vec``
-    hot-path pass opts in.
+    ``self.method()`` calls resolve to the own class's definition, else
+    *upward* to the nearest base-class definition, and also *downward*
+    to every subclass override (at runtime ``self`` may be any subclass
+    instance).  The hierarchy this needs stays on the graph for every
+    later pass that reasons about classes.
     """
-    hierarchy = ClassHierarchy(project) if inheritance else None
-    graph = CallGraph()
+    hierarchy = ClassHierarchy(project)
+    graph = CallGraph(hierarchy)
     for record in project.modules.values():
         for fn in record.functions.values():
             graph.add_node(fn)
@@ -256,47 +277,16 @@ def build_call_graph(project: Project, inheritance: bool = False) -> CallGraph:
                     continue
                 line = getattr(node, "lineno", fn.lineno)
                 func = node.func
-                # self.method() within the same class
                 if (
                     own_class is not None
                     and isinstance(func, ast.Attribute)
                     and isinstance(func.value, ast.Name)
                     and func.value.id == "self"
+                    and _add_self_call_edges(
+                        graph, record, fn, own_class, func.attr, line
+                    )
                 ):
-                    sibling = record.functions.get(f"{own_class}.{func.attr}")
-                    if sibling is not None:
-                        graph.add_edge(
-                            CallSite(fn.fq, sibling.fq, line, f"self.{func.attr}")
-                        )
-                    resolved_self = sibling is not None
-                    if hierarchy is not None:
-                        own_fq = f"{record.name}.{own_class}"
-                        if sibling is None:
-                            inherited = hierarchy.resolve_method(own_fq, func.attr)
-                            if inherited is not None:
-                                graph.add_edge(
-                                    CallSite(
-                                        fn.fq,
-                                        inherited.fq,
-                                        line,
-                                        f"self.{func.attr} (inherited)",
-                                    )
-                                )
-                                resolved_self = True
-                        for override in hierarchy.overriding_methods(
-                            own_fq, func.attr
-                        ):
-                            graph.add_edge(
-                                CallSite(
-                                    fn.fq,
-                                    override.fq,
-                                    line,
-                                    f"self.{func.attr} (override)",
-                                )
-                            )
-                            resolved_self = True
-                    if resolved_self:
-                        continue
+                    continue
                 canonical = record.info.resolve(func)
                 if canonical is None:
                     continue

@@ -46,6 +46,7 @@ __all__ = [
     "ModuleRecord",
     "Project",
     "Target",
+    "signature_args",
 ]
 
 #: Qualname of the per-module pseudo-function holding import-time code.
@@ -61,6 +62,11 @@ class FunctionNode:
     params: Tuple[str, ...]
     lineno: int
     end_lineno: int
+    #: The ``def`` statement (``None`` for ``<module>``); the one place
+    #: downstream passes get a function's syntax tree from.
+    node: Optional[Union[ast.FunctionDef, ast.AsyncFunctionDef]] = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def fq(self) -> str:
@@ -77,6 +83,8 @@ class ClassNode:
     methods: Tuple[str, ...]  # method qualnames (``Class.m``)
     init_params: Tuple[str, ...]  # explicit ``__init__`` params or dataclass fields
     lineno: int
+    #: The ``class`` statement this node describes.
+    node: ast.ClassDef = field(compare=False, repr=False)
     #: Canonical dotted names of the base-class expressions, as resolved
     #: by the module's import map (project-level resolution happens in
     #: :class:`~repro.audit.callgraph.ClassHierarchy`).
@@ -120,48 +128,44 @@ class ModuleRecord:
 Target = Tuple[str, object]
 
 
-def _param_names(fn: ast.AST) -> Tuple[str, ...]:
+def signature_args(
+    fn: Union[ast.FunctionDef, ast.AsyncFunctionDef]
+) -> List[ast.arg]:
+    """Named parameters in signature order (``*args``/``**kwargs`` excluded)."""
     args = fn.args
-    names = [
-        a.arg
-        for a in (
-            list(getattr(args, "posonlyargs", [])) + list(args.args) + list(args.kwonlyargs)
-        )
-    ]
-    return tuple(names)
+    return args.posonlyargs + args.args + args.kwonlyargs
 
 
-def _function_span(fn: ast.AST) -> Tuple[int, int]:
-    end = getattr(fn, "end_lineno", None)
-    if end is None:  # pragma: no cover - py3.8+ always sets end_lineno
-        end = max(getattr(n, "lineno", fn.lineno) for n in ast.walk(fn))
-    return fn.lineno, end
+def _function_node(
+    module: str, qualname: str, stmt: Union[ast.FunctionDef, ast.AsyncFunctionDef]
+) -> FunctionNode:
+    return FunctionNode(
+        module=module,
+        qualname=qualname,
+        params=tuple(a.arg for a in signature_args(stmt)),
+        lineno=stmt.lineno,
+        end_lineno=stmt.end_lineno,
+        node=stmt,
+    )
 
 
-def _build_record(name: str, info: ModuleInfo) -> ModuleRecord:
+def _build_record(
+    name: str, info: ModuleInfo, suppressions: Suppressions
+) -> ModuleRecord:
     record = ModuleRecord(
         name=name,
         info=info,
-        suppressions=parse_suppressions(info.source),
+        suppressions=suppressions,
         mutables=module_mutables(info),
     )
     tree = info.tree
-    module_end = getattr(tree, "end_lineno", None) or max(
-        [getattr(n, "lineno", 1) for n in ast.walk(tree)] or [1]
-    )
+    module_end = max((stmt.end_lineno for stmt in tree.body), default=1)
     record.functions[MODULE_BODY] = FunctionNode(
         module=name, qualname=MODULE_BODY, params=(), lineno=1, end_lineno=module_end
     )
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            lineno, end = _function_span(stmt)
-            record.functions[stmt.name] = FunctionNode(
-                module=name,
-                qualname=stmt.name,
-                params=_param_names(stmt),
-                lineno=lineno,
-                end_lineno=end,
-            )
+            record.functions[stmt.name] = _function_node(name, stmt.name, stmt)
         elif isinstance(stmt, ast.ClassDef):
             methods: List[str] = []
             fields: List[str] = []
@@ -174,18 +178,11 @@ def _build_record(name: str, info: ModuleInfo) -> ModuleRecord:
             for item in stmt.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     qualname = f"{stmt.name}.{item.name}"
-                    lineno, end = _function_span(item)
-                    record.functions[qualname] = FunctionNode(
-                        module=name,
-                        qualname=qualname,
-                        params=_param_names(item),
-                        lineno=lineno,
-                        end_lineno=end,
-                    )
+                    record.functions[qualname] = _function_node(name, qualname, item)
                     methods.append(qualname)
                     if item.name == "__init__":
                         # drop ``self``
-                        init_params = _param_names(item)[1:]
+                        init_params = record.functions[qualname].params[1:]
                 elif isinstance(item, ast.AnnAssign) and isinstance(
                     item.target, ast.Name
                 ):
@@ -200,6 +197,7 @@ def _build_record(name: str, info: ModuleInfo) -> ModuleRecord:
                 init_params=init_params,
                 lineno=stmt.lineno,
                 bases=tuple(bases),
+                node=stmt,
             )
     return record
 
@@ -265,7 +263,7 @@ class Project:
                 module=dotted,
             )
             if dotted not in modules:  # first spelling wins (paths are sorted)
-                modules[dotted] = _build_record(dotted, info)
+                modules[dotted] = _build_record(dotted, info, directives)
         return cls(modules, failures, skipped)
 
     # ------------------------------------------------------------------

@@ -59,7 +59,6 @@ from ..parallel import (
     ResultCache,
     TrialExecutionError,
     TrialFailure,
-    resolve_jobs,
 )
 from ..reporting.figures import series_to_csv
 from ..sweeps import compute_frontier, load_specfile, run_sweep
@@ -171,6 +170,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_run_flags(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> None:
+    """Reject the worker and failure-budget values the runners would refuse.
+
+    A usage error (exit 2) rather than a ``ConfigurationError`` from the
+    engine: exit 1 means a trial failed.
+    """
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
+    if args.retries < 0:
+        parser.error("--retries must be >= 0")
+    if args.trial_timeout is not None and not args.trial_timeout > 0:
+        parser.error("--trial-timeout must be > 0")
+    if args.max_failures is not None and args.max_failures < 0:
+        parser.error("--max-failures must be >= 0")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -187,7 +204,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if unknown:
         parser.error(f"unknown experiment ids: {', '.join(unknown)}")
 
-    jobs = resolve_jobs(args.jobs)
     if args.engine is not None and args.engine not in ENGINES:
         parser.error(
             f"unknown engine '{args.engine}' (choose from {', '.join(ENGINES)})"
@@ -199,10 +215,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     if args.delay_model is not None and args.engine != "graph":
         parser.error("--delay-model requires --engine graph")
-    if args.retries < 0:
-        parser.error("--retries must be >= 0")
-    if args.max_failures is not None and args.max_failures < 0:
-        parser.error("--max-failures must be >= 0")
+    _check_run_flags(parser, args)
     # Registry artifacts aggregate over *all* trials, so experiments run
     # in raise mode (recovering via retries/timeouts); --max-failures is
     # a sweep-level budget applied across experiments below.
@@ -231,7 +244,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 experiment_id,
                 seed=args.seed,
                 fast=args.fast,
-                jobs=jobs,
+                jobs=args.jobs,
                 cache=cache,
                 policy=policy,
                 engine=args.engine,
@@ -260,7 +273,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             else:
                 workers = len({record.worker for record in new_records})
                 detail = (
-                    f"{len(new_records)} trial(s), {workers} worker(s), jobs={jobs}"
+                    f"{len(new_records)} trial(s), {workers} worker(s), "
+                    f"jobs={args.jobs}"
                 )
             new_failed = METRICS.failed() - failed_before
             if new_failed:
@@ -364,11 +378,7 @@ def build_sweep_parser() -> argparse.ArgumentParser:
 def _sweep_main(argv: List[str]) -> int:
     parser = build_sweep_parser()
     args = parser.parse_args(argv)
-    if args.retries < 0:
-        parser.error("--retries must be >= 0")
-    if args.max_failures is not None and args.max_failures < 0:
-        parser.error("--max-failures must be >= 0")
-    jobs = resolve_jobs(args.jobs)
+    _check_run_flags(parser, args)
     try:
         plan = load_specfile(args.specfile)
     except ConfigurationError as exc:
@@ -394,7 +404,7 @@ def _sweep_main(argv: List[str]) -> int:
     start = time.perf_counter()
     try:
         result = run_sweep(
-            plan.specs, root_seed=seed, jobs=jobs, cache=cache, policy=policy
+            plan.specs, root_seed=seed, jobs=args.jobs, cache=cache, policy=policy
         )
     except ExcessiveFailuresError as exc:
         print(f"[FAIL] sweep '{plan.name}': {exc}", file=sys.stderr)

@@ -31,7 +31,13 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..audit.project import MODULE_BODY, FunctionNode, ModuleRecord, Project
+from ..audit.project import (
+    MODULE_BODY,
+    FunctionNode,
+    ModuleRecord,
+    Project,
+    signature_args,
+)
 from ..lint.rules.cachekeys import CACHE_METHODS, key_hazard
 
 __all__ = [
@@ -44,7 +50,6 @@ __all__ = [
     "collect_flow",
     "effective_derivations",
     "hazard_of",
-    "param_linenos",
     "resolve_call",
 ]
 
@@ -333,23 +338,6 @@ def _derive(
     )
 
 
-def param_linenos(record: ModuleRecord, fn: FunctionNode) -> Dict[str, int]:
-    """Source line of each parameter in the function's signature."""
-    for stmt in ast.walk(record.info.tree):
-        if (
-            isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and stmt.lineno == fn.lineno
-        ):
-            args = stmt.args
-            every = (
-                list(getattr(args, "posonlyargs", []))
-                + list(args.args)
-                + list(args.kwonlyargs)
-            )
-            return {a.arg: a.lineno for a in every}
-    return {}
-
-
 def collect_flow(
     project: Project, record: ModuleRecord, fn: FunctionNode
 ) -> FunctionFlow:
@@ -357,9 +345,9 @@ def collect_flow(
     from ..audit.callgraph import function_body_walk
 
     own_class = _class_of(fn)
-    flow = FunctionFlow(
-        fn=fn, record=record, param_lines=param_linenos(record, fn)
-    )
+    flow = FunctionFlow(fn=fn, record=record)
+    if fn.node is not None:
+        flow.param_lines = {a.arg: a.lineno for a in signature_args(fn.node)}
 
     def add(
         targets: Set[str],

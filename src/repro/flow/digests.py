@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from ..audit.callgraph import function_body_walk
 from ..audit.project import ClassNode, FunctionNode, ModuleRecord, Project
@@ -53,13 +53,6 @@ class DigestClass:
         if self.dynamic:
             return []
         return sorted(f for f in self.fields if f not in self.mentioned)
-
-
-def _class_def(record: ModuleRecord, cls: ClassNode) -> Optional[ast.ClassDef]:
-    for stmt in record.info.tree.body:
-        if isinstance(stmt, ast.ClassDef) and stmt.name == cls.name:
-            return stmt
-    return None
 
 
 def _annotated_fields(classdef: ast.ClassDef) -> Dict[str, int]:
@@ -114,10 +107,7 @@ def find_digest_classes(project: Project) -> List[DigestClass]:
             cls = record.classes[cls_name]
             if f"{cls.name}.digest" not in record.functions:
                 continue
-            classdef = _class_def(record, cls)
-            if classdef is None:
-                continue
-            fields = _annotated_fields(classdef)
+            fields = _annotated_fields(cls.node)
             if not fields:
                 continue  # not dataclass-shaped; nothing to enumerate
             closure = _digest_closure(record, cls)

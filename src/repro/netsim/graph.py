@@ -491,26 +491,6 @@ class GraphSpec:
             )
         return spec
 
-    @classmethod
-    def synthetic(
-        cls,
-        num_nodes: int,
-        base_degree: int = 8,
-        tail_alpha: float = 2.0,
-        max_extra_degree: int = 120,
-        max_delay: int = 0,
-        seed: int = 0,
-    ) -> "GraphSpec":
-        """Historical name for :meth:`power_law` (same draws, same spec)."""
-        return cls.power_law(
-            num_nodes,
-            base_degree=base_degree,
-            tail_alpha=tail_alpha,
-            max_extra_degree=max_extra_degree,
-            max_delay=max_delay,
-            seed=seed,
-        )
-
     # ------------------------------------------------------------------
     def with_delay_model(
         self,

@@ -28,8 +28,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..audit.callgraph import ClassHierarchy, function_body_walk
-from ..audit.project import MODULE_BODY, FunctionNode, ModuleRecord, Project
+from ..audit.callgraph import ClassHierarchy
+from ..audit.project import FunctionNode, ModuleRecord, Project
 from .facts import ArrayFact, BOOL, DType, FLOAT64, INT64, parse_dtype, promote
 
 __all__ = [
@@ -302,22 +302,9 @@ class _Inferencer:
 
     # -- entry ---------------------------------------------------------
     def run(self) -> FunctionFacts:
-        body = self._function_body()
-        if body is not None:
-            self._exec_block(body)
+        # ``<module>`` has no def: its body is the module's statements.
+        self._exec_block((self.fn.node or self.record.info.tree).body)
         return self.facts
-
-    def _function_body(self) -> Optional[List[ast.stmt]]:
-        tree = self.record.info.tree
-        if self.fn.qualname == MODULE_BODY:
-            return list(tree.body)
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node.lineno == self.fn.lineno
-            ):
-                return list(node.body)
-        return None
 
     # -- statements ----------------------------------------------------
     def _exec_block(self, stmts: List[ast.stmt]) -> None:
@@ -884,7 +871,3 @@ def infer_function(
 ) -> FunctionFacts:
     """Interpret one function and return its facts + event streams."""
     return _Inferencer(record, fn, attr_facts=attr_facts).run()
-
-
-# re-exported for the rules' convenience
-function_body_walk = function_body_walk

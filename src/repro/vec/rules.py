@@ -26,12 +26,7 @@ from typing import Any, Dict, List, Optional, Pattern, Sequence, Set, Tuple, Uni
 
 from ..lint.core import Finding
 from ..lint.rules import find_rule
-from ..audit.callgraph import (
-    CallGraph,
-    ClassHierarchy,
-    build_call_graph,
-    function_body_walk,
-)
+from ..audit.callgraph import CallGraph, build_call_graph, function_body_walk
 from ..audit.project import MODULE_BODY, FunctionNode, Project
 from ..audit.tier import (
     ProjectContext,
@@ -102,7 +97,6 @@ class VecContext(ProjectContext):
     """Everything an RPL3xx rule may inspect."""
 
     graph: CallGraph
-    hierarchy: ClassHierarchy
     #: fq -> interpreted facts, for every analyzed function.
     facts: Dict[str, FunctionFacts]
     #: hot fq -> call trace from an engine root.
@@ -447,9 +441,8 @@ def build_vec_context(
     helpers).  Module bodies are not interpreted: import-time code is
     one-shot.
     """
-    graph = build_call_graph(project, inheritance=True)
-    hierarchy = ClassHierarchy(project)
-    attr_facts = class_attribute_facts(project, hierarchy)
+    graph = build_call_graph(project)
+    attr_facts = class_attribute_facts(project, graph.hierarchy)
     roots = hot_roots(project, module_re=hot_module_re)
     hot = hot_closure(graph, roots)
     facts: Dict[str, FunctionFacts] = {}
@@ -468,7 +461,6 @@ def build_vec_context(
     return VecContext(
         project=project,
         graph=graph,
-        hierarchy=hierarchy,
         facts=facts,
         hot=hot,
         roots=roots,

@@ -255,16 +255,9 @@ class TestInheritanceResolution:
         ),
     }
 
-    def test_default_graph_sees_only_the_sibling(self, make_package):
-        root = make_package("pkg", dict(self.ENGINE_TREE))
-        graph = build_call_graph(Project.load([root]))
-        callees = _callees(graph, "pkg.base._EngineBase.step")
-        assert "pkg.base._EngineBase._kernel" in callees
-        assert "pkg.vec.VecEngine._kernel" not in callees
-
     def test_inheritance_graph_adds_override_edges(self, make_package):
         root = make_package("pkg", dict(self.ENGINE_TREE))
-        graph = build_call_graph(Project.load([root]), inheritance=True)
+        graph = build_call_graph(Project.load([root]))
         callees = _callees(graph, "pkg.base._EngineBase.step")
         assert "pkg.base._EngineBase._kernel" in callees
         assert "pkg.vec.VecEngine._kernel" in callees
@@ -292,7 +285,7 @@ class TestInheritanceResolution:
                 ),
             },
         )
-        graph = build_call_graph(Project.load([root]), inheritance=True)
+        graph = build_call_graph(Project.load([root]))
         # VecEngine has no _shared of its own: the call must resolve to
         # the inherited definition on the base.
         assert "pkg.base._EngineBase._shared" in _callees(

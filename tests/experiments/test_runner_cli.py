@@ -1,7 +1,7 @@
 """CLI tests for the runner's parallel/caching/failure flags.
 
-Covers ``--jobs`` (including the ConfigurationError rejection of zero
-and negative worker counts), ``--cache`` round trips, the ``--no-cache``
+Covers ``--jobs`` (including the usage-error rejection of zero and
+negative worker counts), ``--cache`` round trips, the ``--no-cache``
 bypass, the failure-semantics flags (``--retries``, ``--trial-timeout``,
 ``--max-failures`` — driven end-to-end with a registry-injected faulty
 experiment), and a snapshot of the ``--help`` text so flag/wording
@@ -13,7 +13,6 @@ import textwrap
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.experiments import REGISTRY
 from repro.experiments.base import ExperimentResult
 from repro.experiments.runner import main
@@ -71,9 +70,13 @@ class TestJobsFlag:
         assert "jobs=2" in out
 
     @pytest.mark.parametrize("bad", ["0", "-1", "-4"])
-    def test_zero_and_negative_jobs_rejected(self, bad):
-        with pytest.raises(ConfigurationError):
+    def test_zero_and_negative_jobs_rejected(self, bad, capsys):
+        # A usage error (exit 2), not an engine traceback: exit 1 is
+        # reserved for failed trials.
+        with pytest.raises(SystemExit) as excinfo:
             main(["--fast", "--jobs", bad, "table6"])
+        assert excinfo.value.code == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err
 
     def test_default_is_serial(self, capsys):
         assert main(["--fast", "table6"]) == 0
@@ -184,6 +187,13 @@ class TestFailureFlags:
         assert excinfo.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("bad", ["0", "-1", "nan"])
+    def test_non_positive_trial_timeout_rejected(self, bad, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--fast", "--trial-timeout", bad, "table6"])
+        assert excinfo.value.code == 2
+        assert "--trial-timeout must be > 0" in capsys.readouterr().err
+
     def test_retries_recover_a_flaky_experiment(self, faulty_registry, capsys):
         assert main(["--fast", "--retries", "2", "flaky"]) == 0
         out = capsys.readouterr().out
@@ -264,6 +274,17 @@ class TestValidationOrdering:
         assert excinfo.value.code == 2
         assert "unknown delay model 'warp'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--jobs", "0"), ("--trial-timeout", "-1")]
+    )
+    def test_unknown_id_reported_before_bad_worker_flag(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["nope", flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown experiment ids: nope" in err
+        assert flag not in err.splitlines()[-1]
+
     def test_delay_model_still_requires_graph_engine(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["table6", "--delay-model", "calibrated"])
@@ -339,6 +360,24 @@ class TestSweepSubcommand:
             main(["sweep", str(tmp_path / "missing.json")])
         assert excinfo.value.code == 2
         assert "unreadable sweep spec file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--jobs", "0", "--jobs must be >= 1"),
+            ("--jobs", "-3", "--jobs must be >= 1"),
+            ("--trial-timeout", "0", "--trial-timeout must be > 0"),
+            ("--trial-timeout", "-1", "--trial-timeout must be > 0"),
+        ],
+    )
+    def test_sweep_bad_worker_flag_exits_2(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        plan = _write_plan(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", str(plan), flag, value])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_sweep_negative_retries_rejected(self, tmp_path, capsys):
         plan = _write_plan(tmp_path)

@@ -72,6 +72,40 @@ class TestBadTreesFire:
         assert "SweepSpec" in finding.message
         assert "digest" in finding.message
 
+    def test_rpl402_reads_the_class_a_reused_name_binds(self, tmp_path):
+        # The second ``Spec`` rebinds the name: its fields are the ones
+        # that reach the digest, the shadowed class's are not checked.
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        (pkg / "__init__.py").write_text("", encoding="utf-8")
+        (pkg / "spec.py").write_text(
+            "from dataclasses import dataclass\n"
+            "\n"
+            "\n"
+            "@dataclass\n"
+            "class Spec:\n"
+            "    a: int\n"
+            "    shadowed: int\n"
+            "\n"
+            "    def digest(self):\n"
+            "        return str(self.a)\n"
+            "\n"
+            "\n"
+            "@dataclass\n"
+            "class Spec:\n"
+            "    a: int\n"
+            "    live: int\n"
+            "\n"
+            "    def digest(self):\n"
+            "        return str(self.a)\n",
+            encoding="utf-8",
+        )
+        report = run_flow([tmp_path], suppressions="line")
+        (finding,) = report.findings
+        assert finding.rule_id == "RPL402"
+        assert finding.line == 16
+        assert "'live'" in finding.message
+
     def test_rpl403_names_the_module_worker_and_trace(self):
         report = run_flow([FIXTURES / "rpl403_bad"], suppressions="line")
         (finding,) = report.findings

@@ -56,7 +56,7 @@ def _star_spec(num_leaves: int = 63) -> GraphSpec:
 
 
 def _two_cluster_spec() -> GraphSpec:
-    spec = GraphSpec.synthetic(120, seed=21)
+    spec = GraphSpec.power_law(120, seed=21)
     mask = np.arange(spec.num_nodes) < spec.num_nodes // 2
     return spec.partitioned(mask)
 
@@ -116,7 +116,7 @@ def build_config(name: str) -> GraphConfig:
         )
     if name == "delayed_edges":
         return GraphConfig(
-            spec=GraphSpec.synthetic(200, max_delay=3, seed=9),
+            spec=GraphSpec.power_law(200, max_delay=3, seed=9),
             seed=13,
             failure_rate=0.10,
             steps_per_block=15,

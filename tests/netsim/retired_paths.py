@@ -62,7 +62,7 @@ def grid_config(seed: int, size: int = 15) -> GridConfig:
 
 def delayed_config(seed: int) -> GraphConfig:
     return GraphConfig(
-        spec=GraphSpec.synthetic(96, max_delay=3, seed=17),
+        spec=GraphSpec.power_law(96, max_delay=3, seed=17),
         seed=seed,
         failure_rate=0.12,
         steps_per_block=10,
@@ -74,7 +74,7 @@ def delayed_config(seed: int) -> GraphConfig:
 
 
 def partitioned_config(seed: int) -> GraphConfig:
-    spec = GraphSpec.synthetic(96, seed=23)
+    spec = GraphSpec.power_law(96, seed=23)
     mask = np.arange(spec.num_nodes) % 2 == 0
     return GraphConfig(
         spec=spec.partitioned(mask),

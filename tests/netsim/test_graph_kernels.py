@@ -75,7 +75,7 @@ class TestDelayedOfferStore:
     def test_bounded_queue_invariant(self, seed, max_delay, steps):
         """A stepping run never holds more than 2*N*max_delay offers."""
         config = GraphConfig(
-            spec=GraphSpec.synthetic(48, max_delay=max_delay, seed=seed % 7),
+            spec=GraphSpec.power_law(48, max_delay=max_delay, seed=seed % 7),
             seed=seed,
             failure_rate=0.1,
             steps_per_block=8,
@@ -200,12 +200,7 @@ class TestRngProtocol2:
 
 
 class TestPowerLawSpec:
-    """``power_law`` is ``synthetic``'s name — identical draws."""
-
-    def test_synthetic_delegates_to_power_law(self):
-        old = GraphSpec.synthetic(150, max_delay=2, seed=21)
-        new = GraphSpec.power_law(150, max_delay=2, seed=21)
-        assert graph_scenarios.spec_digest(old) == graph_scenarios.spec_digest(new)
+    """Delay sources of the degree-calibrated power-law topology."""
 
     def test_delay_model_and_max_delay_are_exclusive(self):
         with pytest.raises(ConfigurationError):

@@ -1,6 +1,6 @@
 """Hot-path classification tests: roots, closure, inherited dispatch."""
 
-from repro.audit.callgraph import build_call_graph
+from repro.audit.callgraph import ClassHierarchy, build_call_graph
 from repro.audit.project import Project
 from repro.vec import run_vec
 from repro.vec.hot import HOT_MODULE_RE, hot_closure, hot_roots
@@ -36,7 +36,7 @@ class TestHotRoots:
 class TestHotClosure:
     def test_closure_reaches_helpers_with_a_trace(self):
         project = _load("rpl311_good")
-        graph = build_call_graph(project, inheritance=True)
+        graph = build_call_graph(project)
         hot = hot_closure(graph, hot_roots(project))
         shuffle = [fq for fq in hot if fq.endswith("._shuffle")]
         assert shuffle, sorted(hot)
@@ -46,13 +46,13 @@ class TestHotClosure:
 
     def test_cold_observation_helpers_stay_out(self):
         project = _load("rpl311_good")
-        graph = build_call_graph(project, inheritance=True)
+        graph = build_call_graph(project)
         hot = hot_closure(graph, hot_roots(project))
         assert not any(fq.endswith(".observed_heights") for fq in hot)
 
     def test_module_bodies_are_never_hot(self):
         project = _load("rpl311_bad")
-        graph = build_call_graph(project, inheritance=True)
+        graph = build_call_graph(project)
         hot = hot_closure(graph, hot_roots(project))
         assert not any(fq.endswith(".<module>") for fq in hot)
 
@@ -68,14 +68,22 @@ class TestInheritedDispatch:
         want = {(line, rid) for (_, line, rid) in expected_findings(tree)}
         assert got == want
 
-    def test_without_inheritance_the_override_is_cold(self):
-        project = _load("override")
-        flat = build_call_graph(project)  # inheritance=False default
-        hot = hot_closure(flat, hot_roots(project))
-        assert not any(fq.endswith("VecEngine._kernel") for fq in hot)
-
     def test_with_inheritance_the_override_is_hot(self):
         project = _load("override")
-        graph = build_call_graph(project, inheritance=True)
+        graph = build_call_graph(project)
         hot = hot_closure(graph, hot_roots(project))
         assert any(fq.endswith("VecEngine._kernel") for fq in hot)
+
+    def test_vec_run_builds_one_class_hierarchy(self, monkeypatch):
+        # The attribute-fact merge reads the hierarchy the call graph
+        # already resolved dispatch with, not a second one.
+        built = []
+        real_init = ClassHierarchy.__init__
+
+        def counting_init(self, project):
+            built.append(project)
+            real_init(self, project)
+
+        monkeypatch.setattr(ClassHierarchy, "__init__", counting_init)
+        run_vec([FIXTURES / "override"], suppressions="line")
+        assert len(built) == 1
