@@ -185,7 +185,8 @@ class ResultCache:
         key mismatch from a renamed file) is deleted so the caller's
         recompute will overwrite it with a good copy.
         """
-        path = self.entry_path(experiment_id, config, seed)
+        key = self.key(experiment_id, config, seed)
+        path = self.directory / f"{key}.json"
         if not path.exists():
             self.misses += 1
             return None
@@ -194,14 +195,14 @@ class ResultCache:
             if (
                 not isinstance(envelope, dict)
                 or envelope.get("schema") != _SCHEMA_VERSION
-                or envelope.get("key") != self.key(experiment_id, config, seed)
+                or envelope.get("key") != key
                 or not isinstance(envelope.get("payload"), dict)
             ):
                 raise ValueError("bad cache envelope")
         except (ValueError, OSError):
             self.corrupt_entries += 1
             self.misses += 1
-            self.discard(experiment_id, config, seed)
+            path.unlink(missing_ok=True)
             return None
         self.hits += 1
         return envelope["payload"]
@@ -214,10 +215,11 @@ class ResultCache:
         payload: Mapping[str, Any],
     ) -> Path:
         """Atomically store ``payload`` for the given content key."""
-        path = self.entry_path(experiment_id, config, seed)
+        key = self.key(experiment_id, config, seed)
+        path = self.directory / f"{key}.json"
         envelope = {
             "schema": _SCHEMA_VERSION,
-            "key": self.key(experiment_id, config, seed),
+            "key": key,
             "experiment_id": experiment_id,
             "seed": seed,
             "config": dict(config),

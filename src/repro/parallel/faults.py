@@ -12,13 +12,20 @@ This module is the layer that fixes that bug class:
   with the *same seed*, so a retried success is bit-identical to a
   first-try success (trial functions draw all randomness from
   ``trial.seed``, the engine's standing contract);
-- per-trial timeouts detect hung workers and dead worker processes are
-  noticed via liveness checks; either way the pool is respawned and
-  only the unfinished trials are re-dispatched;
+- the pool sends trials to its workers in chunks, k trials per round
+  trip, with k sized from the measured per-trial cost, yet every fault
+  is still charged to one trial: workers announce each trial as they
+  start it, per-trial timeouts run from that announcement, and a dead
+  or hung worker costs only the trial it had announced; the pool is
+  respawned and every other unfinished trial is re-dispatched
+  uncharged;
 - a :class:`FailurePolicy` chooses between fail-fast (``"raise"``),
   degrade-and-report (``"skip"``), and a bounded failure budget
   (``max_failures=N``), and the engine returns partial results plus
-  the full failure roster in a :class:`BatchResult`.
+  the full failure roster in a :class:`BatchResult`;
+- an optional ``on_success(trial, payload)`` callback sees each
+  success as it lands, so callers can store results while the workers
+  are still computing.
 
 The bottom of the module is a deterministic fault-injection harness
 (:func:`inject` / :class:`FaultPlan`): crash, hang, error, and
@@ -45,6 +52,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -70,10 +78,15 @@ __all__ = [
 #: cadence of the checks that no result announces.
 _POLL_INTERVAL = 0.02
 
-#: Attempts kept dispatched per worker.  The pool's task queue holds
-#: the surplus, so a worker that finishes one trial picks up the next
+#: Chunks kept dispatched per worker.  The pool's task queue holds
+#: the surplus, so a worker that finishes one chunk picks up the next
 #: without waiting for the parent's round trip.
 _PREFETCH = 4
+
+#: Target compute time of one chunk (seconds).  A chunk holds as many
+#: trials as the batch's measured per-trial cost fits in this time, so
+#: a trial that takes this long or longer travels alone.
+_CHUNK_SECONDS = 0.01
 
 #: Exit code used by injected crashes (visible in worker exitcodes).
 CRASH_EXIT_CODE = 87
@@ -335,9 +348,16 @@ def _worker_init(announce: Any) -> None:
     _WORKER_ANNOUNCE = announce
 
 
-def _run_attempt(task: Tuple[Callable[..., Any], Any, int]) -> _Attempt:
-    """Worker entry point: announce ownership, run, capture any error."""
-    fn, trial, attempt = task
+def _run_chunk(
+    task: Tuple[Callable[..., Any], Tuple[Tuple[Any, int], ...]]
+) -> List[_Attempt]:
+    """Worker entry point: run a chunk's ``(trial, attempt)`` pairs in order."""
+    fn, items = task
+    return [_run_attempt(fn, trial, attempt) for trial, attempt in items]
+
+
+def _run_attempt(fn: Callable[..., Any], trial: Any, attempt: int) -> _Attempt:
+    """Announce ownership of one trial, run it, capture any error."""
     pid = os.getpid()
     announce = _WORKER_ANNOUNCE
     if announce is not None:
@@ -397,8 +417,15 @@ _ExecResult = Tuple[
 ]
 
 
+#: Called in the parent with ``(trial, payload)`` as each success lands.
+_OnSuccess = Optional[Callable[[Any, Any], None]]
+
+
 def _run_serial(
-    fn: Callable[..., Any], batch: Sequence[Any], policy: FailurePolicy
+    fn: Callable[..., Any],
+    batch: Sequence[Any],
+    policy: FailurePolicy,
+    on_success: _OnSuccess = None,
 ) -> _ExecResult:
     """Inline execution with retries; timeouts are not preemptible here."""
     successes: Dict[int, _Attempt] = {}
@@ -423,6 +450,8 @@ def _run_serial(
                 seconds=time.perf_counter() - start,
                 worker=pid,
             )
+            if on_success is not None:
+                on_success(trial, payload)
             break
         else:
             assert last_exc is not None
@@ -444,20 +473,21 @@ def _run_serial(
 # ----------------------------------------------------------------------
 @dataclass
 class _InFlight:
-    """Bookkeeping for one dispatched-but-unfinished attempt.
+    """Bookkeeping for one dispatched-but-unfinished chunk of attempts.
 
     The pool's result-handler thread calls :meth:`landed` or
     :meth:`raised`.  Both record the outcome *before* setting ``wake``,
     and the parent clears ``wake`` before it scans for outcomes, so no
-    landing is ever slept through.
+    landing is ever slept through.  ``running`` names the trial its
+    worker last announced and ``deadline`` is that trial's timeout.
     """
 
-    trial: Any
-    attempt: int
+    trials: Tuple[Any, ...]
+    attempts: Dict[int, int]  # trial index -> attempt number
     wake: threading.Event
     outcome: Optional[Tuple[bool, Any]] = None
     deadline: Optional[float] = None
-    started: bool = False
+    running: Optional[int] = None
 
     def landed(self, value: Any) -> None:
         self.outcome = (True, value)
@@ -471,16 +501,27 @@ class _InFlight:
 class _PoolExecutor:
     """Runs one batch over a worker pool with fault recovery.
 
-    Up to ``_PREFETCH * workers`` attempts are dispatched at once; the
-    ones no worker has picked up yet wait in the pool's FIFO task
-    queue.  Every landing result wakes the parent loop, which otherwise
-    sleeps at most ``_POLL_INTERVAL`` between timeout and liveness
-    checks.  An attempt's ``trial_timeout`` clock starts when its worker
-    announces the pickup, so time spent queued never counts against it.
-    A hung attempt (deadline exceeded) or a dead worker poisons only its
-    own trial's attempt count: the pool is torn down, respawned, and
-    every *other* unfinished trial is re-dispatched without being
-    charged an attempt.
+    Trials travel in chunks: each round trip carries k trials, with k
+    sized so a chunk takes about ``_CHUNK_SECONDS`` at the batch's mean
+    measured per-trial cost.  Until a first result lands k is 1, and k
+    never exceeds a ``2 * workers``-th of the pending trials, so the
+    tail still spreads over every worker.  Up to ``_PREFETCH * workers``
+    chunks are dispatched at once; the ones no worker has picked up yet
+    wait in the pool's FIFO task queue.  Every landing result wakes the
+    parent loop, which otherwise sleeps at most ``_POLL_INTERVAL``
+    between timeout and liveness checks.
+
+    Faults are charged per trial, never per chunk.  A worker announces
+    each trial as it starts it; the trial's ``trial_timeout`` clock runs
+    from that announcement until the same worker announces its next
+    trial or the chunk lands, so neither queueing nor chunk-mates count
+    against it.  A hung trial (deadline exceeded) or a dead worker
+    poisons only the announced trial's attempt count: the pool is torn
+    down, respawned, and every *other* unfinished trial, chunk-mates
+    included, is re-dispatched without being charged an attempt.  A
+    chunk whose result cannot cross the process boundary is re-sent one
+    trial per task, uncharged, so the payload failure lands on the
+    trial that caused it.
     """
 
     def __init__(
@@ -489,18 +530,25 @@ class _PoolExecutor:
         batch: Sequence[Any],
         jobs: int,
         policy: FailurePolicy,
+        on_success: _OnSuccess = None,
     ) -> None:
         self._fn = fn
         self._order = sorted(batch, key=lambda t: t.index)
         self._workers = max(1, min(jobs, len(self._order)))
         self._window = _PREFETCH * self._workers
         self._policy = policy
+        self._on_success = on_success
         self._wake = threading.Event()
         self._pending: Deque[Any] = deque(self._order)
-        # Dicts keep insertion order, so this one iterates in dispatch order.
+        self._solo: Set[int] = set()  # trials that must travel alone
+        # Keyed by each chunk's first trial index; dicts keep insertion
+        # order, so this one iterates in dispatch order.
         self._inflight: Dict[int, _InFlight] = {}
+        self._holder: Dict[int, _InFlight] = {}  # trial index -> its chunk
         self._failed_attempts: Dict[int, int] = {t.index: 0 for t in self._order}
-        self._owner: Dict[int, int] = {}  # worker pid -> in-flight trial index
+        self._owner: Dict[int, int] = {}  # worker pid -> announced trial index
+        self._measured = 0  # attempts whose run time has landed
+        self._measured_seconds = 0.0
         self._successes: Dict[int, _Attempt] = {}
         self._failures: Dict[int, TrialFailure] = {}
         self._causes: Dict[int, BaseException] = {}
@@ -527,7 +575,7 @@ class _PoolExecutor:
         return self._successes, self._failures, self._causes
 
     def _idle_wait(self) -> bool:
-        """Sleep until an attempt lands or ``_POLL_INTERVAL`` passes.
+        """Sleep until a chunk lands or ``_POLL_INTERVAL`` passes.
 
         Returns ``True`` when a landing woke the loop, ``False`` when
         the interval ran out.
@@ -566,23 +614,62 @@ class _PoolExecutor:
                 pass
 
     # -- scheduling ----------------------------------------------------
+    def _chunk_size(self) -> int:
+        """Trials for the next chunk: the target time over the mean cost,
+        capped so the pending trials still make ``2 * workers`` chunks."""
+        if not self._measured:
+            return 1
+        tail_cap = len(self._pending) // (2 * self._workers)
+        per_trial = self._measured_seconds / self._measured
+        if per_trial * tail_cap <= _CHUNK_SECONDS:
+            return max(1, tail_cap)
+        return max(1, int(_CHUNK_SECONDS / per_trial))
+
+    def _take_chunk(self) -> List[Any]:
+        """Pop the next chunk off the pending queue (at least one trial)."""
+        size = self._chunk_size()
+        chunk = [self._pending.popleft()]
+        if chunk[0].index in self._solo:
+            return chunk
+        while (
+            len(chunk) < size
+            and self._pending
+            and self._pending[0].index not in self._solo
+        ):
+            chunk.append(self._pending.popleft())
+        return chunk
+
     def _dispatch(self) -> None:
         assert self._pool is not None
         while self._pending and len(self._inflight) < self._window:
-            trial = self._pending.popleft()
-            flight = _InFlight(trial, self._failed_attempts[trial.index], self._wake)
+            trials = tuple(self._take_chunk())
+            flight = _InFlight(
+                trials,
+                {t.index: self._failed_attempts[t.index] for t in trials},
+                self._wake,
+            )
             self._pool.apply_async(
-                _run_attempt,
-                ((self._fn, trial, flight.attempt),),
+                _run_chunk,
+                ((self._fn, tuple((t, flight.attempts[t.index]) for t in trials)),),
                 callback=flight.landed,
                 error_callback=flight.raised,
             )
-            self._inflight[trial.index] = flight
+            self._track(flight)
 
-    def _requeue_unfinished(self, flights: Sequence[_InFlight]) -> None:
-        """Re-dispatch innocent casualties of a pool restart, uncharged."""
-        for flight in sorted(flights, key=lambda f: f.trial.index, reverse=True):
-            self._pending.appendleft(flight.trial)
+    def _track(self, flight: _InFlight) -> None:
+        self._inflight[flight.trials[0].index] = flight
+        for trial in flight.trials:
+            self._holder[trial.index] = flight
+
+    def _untrack(self, flight: _InFlight) -> None:
+        del self._inflight[flight.trials[0].index]
+        for trial in flight.trials:
+            del self._holder[trial.index]
+
+    def _requeue(self, trials: Sequence[Any]) -> None:
+        """Put trials back at the head of the queue in index order, uncharged."""
+        for trial in sorted(trials, key=lambda t: t.index, reverse=True):
+            self._pending.appendleft(trial)
 
     # -- progress ------------------------------------------------------
     def _drain_announcements(self) -> None:
@@ -592,14 +679,18 @@ class _PoolExecutor:
         try:
             while not announce.empty():
                 pid, index, attempt = announce.get()
-                flight = self._inflight.get(index)
-                if flight is None or flight.attempt != attempt:
+                # The worker has moved past the trial it announced
+                # before: that trial's clock stops here.
+                previous = self._holder.get(self._owner.pop(pid, None))
+                if previous is not None:
+                    previous.deadline = None
+                flight = self._holder.get(index)
+                if flight is None or flight.attempts[index] != attempt:
                     # That attempt landed before its announcement was
                     # read: the worker has moved on to an unnamed trial.
-                    self._owner.pop(pid, None)
                     continue
                 self._owner[pid] = index
-                flight.started = True
+                flight.running = index
                 if self._policy.trial_timeout is not None:
                     flight.deadline = time.perf_counter() + self._policy.trial_timeout
         except (OSError, EOFError):  # pragma: no cover - queue torn down mid-read
@@ -608,70 +699,71 @@ class _PoolExecutor:
     def _collect_landed(self) -> bool:
         landed = [f for f in self._inflight.values() if f.outcome is not None]
         for flight in landed:
-            index = flight.trial.index
-            del self._inflight[index]
+            self._untrack(flight)
             ok, value = flight.outcome
-            if not ok:
+            indices = set(flight.attempts)
+            if ok:
+                for trial, attempt in zip(flight.trials, value):
+                    self._attempt_landed(trial, attempt)
+            elif len(flight.trials) > 1:
+                # One of these payloads cannot cross the process
+                # boundary; sent alone, each trial answers for its own.
+                self._solo.update(indices)
+                self._requeue(flight.trials)
+            else:
                 # The attempt ran but its outcome could not cross the
                 # process boundary (e.g. an unpicklable payload raised
                 # MaybeEncodingError in the pool's result handler).
+                trial = flight.trials[0]
                 self._attempt_failed(
-                    flight,
+                    trial,
                     kind="payload",
                     error_type=type(value).__name__,
                     message=str(value),
                     traceback_text="",
-                    worker=self._pid_running(index),
-                )
-            elif value.ok:
-                self._successes[index] = value
-            else:
-                self._attempt_failed(
-                    flight,
-                    kind="error",
-                    error_type=value.error_type,
-                    message=value.message,
-                    traceback_text=value.traceback_text,
-                    worker=value.worker,
+                    worker=self._pid_running(trial.index),
                 )
             self._owner = {
-                pid: owned for pid, owned in self._owner.items() if owned != index
+                pid: owned for pid, owned in self._owner.items() if owned not in indices
             }
         return bool(landed)
+
+    def _attempt_landed(self, trial: Any, attempt: _Attempt) -> None:
+        self._measured += 1
+        self._measured_seconds += attempt.seconds
+        if not attempt.ok:
+            self._attempt_failed(
+                trial,
+                kind="error",
+                error_type=attempt.error_type,
+                message=attempt.message,
+                traceback_text=attempt.traceback_text,
+                worker=attempt.worker,
+            )
+            return
+        self._successes[trial.index] = attempt
+        if self._on_success is not None:
+            self._on_success(trial, attempt.payload)
 
     def _reap_timeouts(self) -> bool:
         if self._policy.trial_timeout is None or not self._inflight:
             return False
+        # A trial finished just now may have stopped its own clock.
+        self._drain_announcements()
         now = time.perf_counter()
         expired = [
-            flight
+            flight.running
             for flight in self._inflight.values()
             if flight.deadline is not None and now > flight.deadline
         ]
         if not expired:
             return False
-        expired_indices = {flight.trial.index for flight in expired}
-        survivors = [
-            flight
-            for index, flight in self._inflight.items()
-            if index not in expired_indices
-        ]
-        self._inflight.clear()
-        for flight in expired:
-            self._attempt_failed(
-                flight,
-                kind="timeout",
-                error_type="TimeoutError",
-                message=(
-                    f"trial exceeded trial_timeout={self._policy.trial_timeout:g}s"
-                ),
-                traceback_text="",
-                worker=self._pid_running(flight.trial.index),
-            )
-        self._requeue_unfinished(survivors)
-        # The hung worker still occupies a slot; reclaim it by
-        # respawning the pool (the next loop iteration recreates it).
-        self._restart_pool()
+        self._recover(
+            expired,
+            kind="timeout",
+            error_type="TimeoutError",
+            message=f"trial exceeded trial_timeout={self._policy.trial_timeout:g}s",
+        )
         return True
 
     def _reap_dead_workers(self) -> bool:
@@ -681,41 +773,53 @@ class _PoolExecutor:
         # A pickup announced just before the death names its victim.
         self._drain_announcements()
         victims = [
-            self._inflight[index]
+            index
             for index in (self._owner.get(proc.pid) for proc in dead)
-            if index in self._inflight
+            if index in self._holder
         ]
         # A worker that died before announcing had taken the oldest
-        # unclaimed task from the pool's FIFO queue: charge one attempt
-        # per such death, earliest-dispatched first, and no more.
+        # unstarted chunk from the pool's FIFO queue and died in its
+        # first trial: charge one attempt per such death, to the first
+        # trial of each oldest unstarted chunk, and no more.
         ownerless = len(dead) - len(victims)
-        unannounced = [f for f in self._inflight.values() if not f.started]
-        victims.extend(unannounced[:ownerless])
-        victim_indices = {flight.trial.index for flight in victims}
+        unstarted = [f for f in self._inflight.values() if f.running is None]
+        victims.extend(flight.trials[0].index for flight in unstarted[:ownerless])
         exitcodes = sorted({proc.exitcode for proc in dead if proc.exitcode})
-        survivors = [
-            flight
-            for index, flight in self._inflight.items()
-            if index not in victim_indices
-        ]
-        self._inflight.clear()
-        for flight in sorted(victims, key=lambda f: f.trial.index):
-            self._attempt_failed(
-                flight,
-                kind="worker-death",
-                error_type="WorkerDeath",
-                message=(
-                    "worker process died mid-trial"
-                    + (f" (exitcode(s) {exitcodes})" if exitcodes else "")
-                ),
-                traceback_text="",
-                worker=self._pid_running(flight.trial.index),
-            )
-        self._requeue_unfinished(survivors)
-        self._restart_pool()
+        self._recover(
+            victims,
+            kind="worker-death",
+            error_type="WorkerDeath",
+            message=(
+                "worker process died mid-trial"
+                + (f" (exitcode(s) {exitcodes})" if exitcodes else "")
+            ),
+        )
         return True
 
-    def _restart_pool(self) -> None:
+    def _recover(
+        self, victims: Sequence[int], kind: str, error_type: str, message: str
+    ) -> None:
+        """Charge ``victims`` one attempt each, requeue every other
+        unfinished trial uncharged, and respawn the pool."""
+        charged = set(victims)
+        unfinished = [
+            trial for flight in self._inflight.values() for trial in flight.trials
+        ]
+        self._inflight.clear()
+        self._holder.clear()
+        self._requeue([t for t in unfinished if t.index not in charged])
+        for trial in sorted(unfinished, key=lambda t: t.index):
+            if trial.index in charged:
+                self._attempt_failed(
+                    trial,
+                    kind=kind,
+                    error_type=error_type,
+                    message=message,
+                    traceback_text="",
+                    worker=self._pid_running(trial.index),
+                )
+        # A hung worker still occupies a slot; reclaim it by respawning
+        # the pool (the next loop iteration recreates it).
         self._teardown_pool()
 
     # -- bookkeeping ---------------------------------------------------
@@ -727,14 +831,13 @@ class _PoolExecutor:
 
     def _attempt_failed(
         self,
-        flight: _InFlight,
+        trial: Any,
         kind: str,
         error_type: str,
         message: str,
         traceback_text: str,
         worker: Optional[int],
     ) -> None:
-        trial = flight.trial
         self._failed_attempts[trial.index] += 1
         if self._failed_attempts[trial.index] <= self._policy.retries:
             self._pending.append(trial)
@@ -758,21 +861,30 @@ def execute_batch(
     batch: Sequence[Any],
     jobs: int,
     policy: FailurePolicy,
+    on_success: _OnSuccess = None,
 ) -> _ExecResult:
     """Run a batch under a policy; returns (successes, failures, causes).
 
     Serial execution handles ``jobs == 1`` and — unless a timeout needs
     process isolation to be enforceable — single-trial batches.  The
     pool path adds timeout and worker-death recovery on top of the
-    shared retry semantics.  It keeps a window of ``_PREFETCH`` attempts
-    per worker dispatched, wakes as each result lands, and starts a
-    trial's timeout clock when a worker picks it up, not when it is
-    queued.
+    shared retry semantics.  It sends trials in chunks sized from their
+    measured cost (about ``_CHUNK_SECONDS`` of work per round trip; a
+    trial that costs that much travels alone), keeps ``_PREFETCH``
+    chunks per worker dispatched and wakes as each chunk lands.  Each
+    trial's timeout clock runs from its worker's announcement of it,
+    not from when its chunk was queued, and every fault is charged to
+    one trial, not to its chunk.
+
+    ``on_success(trial, payload)``, when given, is called in this
+    process once per successful trial as soon as its result is back:
+    after each trial inline, as each chunk lands in the pool.  It is
+    never called for a failed attempt.
     """
     use_pool = jobs > 1 and (len(batch) > 1 or policy.trial_timeout is not None)
     if use_pool:
-        return _PoolExecutor(fn, batch, jobs, policy).run()
-    return _run_serial(fn, batch, policy)
+        return _PoolExecutor(fn, batch, jobs, policy, on_success).run()
+    return _run_serial(fn, batch, policy, on_success)
 
 
 # ----------------------------------------------------------------------

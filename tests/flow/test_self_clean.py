@@ -47,11 +47,10 @@ class TestRepoSelfFlow:
         report = _src_report()
         assert report.suppressed, "run_experiment keeps reviewed sanctions"
         assert {f.rule_id for f in report.suppressed} == {"RPL401"}
-        assert len(report.suppressed) == 2
-        assert all(
-            f.path.endswith("experiments/__init__.py")
-            for f in report.suppressed
-        )
+        # jobs and policy on the two boundaries that run trials.
+        assert len(report.suppressed) == 4
+        for module in ("experiments/__init__.py", "sweeps/driver.py"):
+            assert sum(f.path.endswith(module) for f in report.suppressed) == 2
 
     def test_run_experiment_boundary_account(self):
         manifest = build_flow_section(_src_report())
@@ -60,6 +59,12 @@ class TestRepoSelfFlow:
         ]
         for param in ("experiment_id", "seed", "fast", "engine", "delay_model"):
             assert param in boundary["key_params"]
+        assert boundary["sanctioned_params"] == ["jobs", "policy"]
+
+    def test_run_sweep_boundary_account(self):
+        manifest = build_flow_section(_src_report())
+        boundary = manifest["cache_boundaries"]["repro.sweeps.driver.run_sweep"]
+        assert boundary["key_params"] == ["root_seed", "specs"]
         assert boundary["sanctioned_params"] == ["jobs", "policy"]
 
     def test_scenario_spec_digest_is_complete_by_construction(self):

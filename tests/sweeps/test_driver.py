@@ -3,9 +3,12 @@
 The heart of this module is the acceptance triangle: a 64-spec sweep
 is bit-identical between ``jobs=1`` and ``jobs=4``, a warm re-run
 executes zero trials, and the warm artifact equals the cold one byte
-for byte.  The cache-collision regression pins the satellite fix —
-sweep cache keys carry the full spec digest, so two specs differing in
-any single field can never share an entry.
+for byte.  The cache-collision regression pins that sweep cache keys
+carry the full spec digest, so two specs differing in any single field
+can never share an entry.  The streamed-store tests pin that results
+are cached as they land: the cache a cold sweep leaves is the same at
+any ``jobs``, each success is stored once, and a sweep that aborts
+keeps what finished before the failure.
 """
 
 from __future__ import annotations
@@ -16,7 +19,16 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.parallel import FailurePolicy, ResultCache
+from repro.parallel import (
+    FailurePolicy,
+    FaultPlan,
+    ResultCache,
+    TrialEngine,
+    TrialExecutionError,
+    TrialMetricsCollector,
+    inject,
+    make_trials,
+)
 from repro.scenarios import ScenarioSpec
 from repro.sweeps import (
     SWEEP_EXPERIMENT_ID,
@@ -27,6 +39,7 @@ from repro.sweeps import (
     sample_random,
     sweep_seed,
 )
+from repro.sweeps.driver import _sweep_worker
 
 BASE = {
     "topology": "grid",
@@ -125,6 +138,78 @@ class TestCaching:
 
 def _boom(trial):  # pragma: no cover - runs in workers
     raise RuntimeError("boom")
+
+
+#: Position of the spec :func:`_fail_doomed` refuses to run.
+DOOMED = 3
+
+
+def _fail_doomed(trial):
+    """Sweep worker that fails on spec ``DOOMED`` (picklable for pools)."""
+    if trial.index == DOOMED:
+        raise RuntimeError("injected")
+    return _sweep_worker(trial)
+
+
+def _indexed(trial):
+    return {"index": trial.index, "seed": trial.seed}
+
+
+def _cache_files(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+class TestStreamedStores:
+    def test_cold_cache_is_identical_across_jobs(self, tmp_path):
+        specs = _grid64()
+        for jobs in (1, 2):
+            run_sweep(
+                specs, root_seed=7, jobs=jobs, cache=ResultCache(tmp_path / f"j{jobs}")
+            )
+        serial = _cache_files(tmp_path / "j1")
+        assert len(serial) == len(specs)
+        assert _cache_files(tmp_path / "j2") == serial
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_on_success_fires_once_per_success(self, jobs):
+        # 2 and 5 fail once and recover; 7 never recovers.
+        plan = FaultPlan(error=(2, 5, 7), recover_after=1)
+        flaky = inject(_indexed, FaultPlan(error=(7,), recover_after=99))
+        calls = []
+        engine = TrialEngine(
+            jobs=jobs,
+            collector=TrialMetricsCollector(),
+            policy=FailurePolicy(mode="skip", retries=1),
+        )
+        batch = engine.run(
+            inject(flaky, plan),
+            make_trials("streamed", 0, count=12),
+            on_success=lambda trial, payload: calls.append((trial.index, payload)),
+        )
+        assert batch.failed_indices == frozenset({7})
+        assert sorted(calls) == sorted(batch.completed().items())
+        assert len(calls) == 11
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raise_keeps_what_finished_and_rerun_runs_the_rest(
+        self, jobs, tmp_path, monkeypatch
+    ):
+        import repro.sweeps.driver as driver
+
+        specs = _grid64()[:8]
+        cache = ResultCache(tmp_path / "cache")
+        monkeypatch.setattr(driver, "_sweep_worker", _fail_doomed)
+        with pytest.raises(TrialExecutionError):
+            driver.run_sweep(specs, root_seed=1, jobs=jobs, cache=cache)
+        stored = cache.stores
+        if jobs == 1:
+            # Inline execution stops at the failure: everything before it.
+            assert stored == DOOMED
+        monkeypatch.setattr(driver, "_sweep_worker", _sweep_worker)
+        rerun = driver.run_sweep(specs, root_seed=1, jobs=jobs, cache=cache)
+        assert rerun.cached == stored
+        assert rerun.executed == len(specs) - stored
+        assert rerun.summaries == run_sweep(specs, root_seed=1).summaries
 
 
 class TestFailures:
