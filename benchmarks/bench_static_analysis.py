@@ -8,8 +8,11 @@ This benchmark times exactly that analysis and asserts it lands under a
 30 s budget, so a quadratic blow-up in the call-graph closure or the
 dtype interpreter fails loudly here instead of slowly rotting CI.  The
 lint and audit runs are timed alongside for context (informational, no
-budget).  Over ``src`` on a 2-vCPU Xeon VM (Python 3.11) one run takes
-about: lint 2.6 s, audit 3.1 s, vec 1.2 s, flow 2.5 s.
+budget).  Over ``src`` on a 2-vCPU VM (Python 3.11) one run of each
+tool on its own takes about: lint 2.9 s, audit 3.2 s, vec 1.0 s, flow
+2.6 s.  ``repro-check`` shares one parse and one project among all four
+(``repro-check --check-manifests``: about 8-9 s for all four tiers over
+their default paths, lint's including ``tests`` and ``benchmarks``).
 
 Runnable from tier-1 environments without pytest::
 

@@ -141,7 +141,9 @@ class ClassHierarchy:
     """
 
     def __init__(self, project: Project) -> None:
-        self._project = project
+        # The modules, not the project: the project caches its call graph,
+        # and a reference back would keep every parsed tree in a cycle.
+        self._modules = project.modules
         #: class fq -> direct base class fqs (declaration order)
         self.bases: Dict[str, Tuple[str, ...]] = {}
         #: class fq -> sorted direct subclass fqs
@@ -160,7 +162,7 @@ class ClassHierarchy:
 
     def class_node(self, class_fq: str) -> Optional[ClassNode]:
         module, _, name = class_fq.rpartition(".")
-        record = self._project.modules.get(module)
+        record = self._modules.get(module)
         if record is None:
             return None
         return record.classes.get(name)
@@ -197,7 +199,7 @@ class ClassHierarchy:
             node = self.class_node(ancestor)
             if node is None:
                 continue
-            record = self._project.modules[node.module]
+            record = self._modules[node.module]
             fn = record.functions.get(f"{node.name}.{method}")
             if fn is not None:
                 return fn
@@ -210,7 +212,7 @@ class ClassHierarchy:
             node = self.class_node(descendant)
             if node is None:
                 continue
-            record = self._project.modules[node.module]
+            record = self._modules[node.module]
             fn = record.functions.get(f"{node.name}.{method}")
             if fn is not None:
                 out.append(fn)

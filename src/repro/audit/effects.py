@@ -2,11 +2,12 @@
 
 Direct (per-function) impurity effects come from three detectors:
 
-1. the per-file lint rules, re-run over each module and mapped to
-   effect kinds (RPL101 -> ``global-rng``, RPL102 -> ``global-state``,
-   RPL103 -> ``wall-clock``, RPL104 -> ``unordered-iter``) — so the
-   audit and the linter can never disagree about what a primitive
-   impurity is;
+1. the per-file lint rules' findings on each module, shared with lint
+   (``ModuleInfo.findings``: under ``repro-check`` each rule checks a
+   module once) and mapped to effect kinds (RPL101 -> ``global-rng``,
+   RPL102 -> ``global-state``, RPL103 -> ``wall-clock``, RPL104 ->
+   ``unordered-iter``) — so the audit and the linter can never disagree
+   about what a primitive impurity is;
 2. an I/O detector the per-file rules don't have (``filesystem``,
    ``env``, ``network``): canonical-name matching over ``open``/
    ``os``/``shutil``/``tempfile``/``socket``/``urllib``/... calls plus
@@ -147,7 +148,7 @@ def _sanction_tokens(kind: str, rule_id: str) -> Set[str]:
 def _is_sanctioned(
     record: ModuleRecord, line: int, kind: str, rule_id: str = ""
 ) -> bool:
-    present = record.suppressions.lines.get(line)
+    present = record.info.suppressions.lines.get(line)
     if not present:
         return False
     return bool(present & _sanction_tokens(kind, rule_id))
@@ -157,7 +158,7 @@ def _rule_effects(record: ModuleRecord) -> List[Effect]:
     effects: List[Effect] = []
     for rule_id, kind in _RULE_EFFECTS:
         rule = rule_by_identifier(rule_id)
-        for finding in rule.check(record.info):
+        for finding in record.info.findings(rule):
             fn = record.function_at_line(finding.line)
             effects.append(
                 Effect(

@@ -5,7 +5,8 @@ Where :mod:`repro.lint` sees one file at a time, the audit engine loads
 
 - each file becomes a :class:`ModuleRecord` keyed by its dotted import
   path (derived from ``__init__.py`` markers, so ``src/repro/rng.py``
-  is ``repro.rng``);
+  is ``repro.rng``), around the :class:`~repro.lint.core.ModuleInfo`
+  the lint front end parsed;
 - each module's top-level functions, methods, and classes become
   :class:`FunctionNode`/:class:`ClassNode` symbols, plus one
   ``<module>`` pseudo-function per module holding its import-time
@@ -18,26 +19,31 @@ Where :mod:`repro.lint` sees one file at a time, the audit engine loads
 
 Everything downstream (call graph, effect inference, the RPL2xx rules)
 works on this structure; nothing below this layer re-parses source.
+The project also owns what every tier derives from it alike, its call
+graph and its worker list, each built once on first use.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..lint.core import (
+    FileReport,
     Finding,
-    ImportMap,
     ModuleInfo,
-    Suppressions,
     iter_python_files,
+    load_file,
     module_dotted_path,
-    parse_error,
-    parse_suppressions,
 )
 from ..lint.rules.state import module_mutables
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .callgraph import CallGraph
+    from .workers import Worker
 
 __all__ = [
     "ClassNode",
@@ -101,7 +107,6 @@ class ModuleRecord:
 
     name: str
     info: ModuleInfo
-    suppressions: Suppressions
     functions: Dict[str, FunctionNode] = field(default_factory=dict)
     classes: Dict[str, ClassNode] = field(default_factory=dict)
     mutables: Dict[str, Tuple[int, str]] = field(default_factory=dict)
@@ -149,15 +154,8 @@ def _function_node(
     )
 
 
-def _build_record(
-    name: str, info: ModuleInfo, suppressions: Suppressions
-) -> ModuleRecord:
-    record = ModuleRecord(
-        name=name,
-        info=info,
-        suppressions=suppressions,
-        mutables=module_mutables(info),
-    )
+def _build_record(name: str, info: ModuleInfo) -> ModuleRecord:
+    record = ModuleRecord(name=name, info=info, mutables=module_mutables(info))
     tree = info.tree
     module_end = max((stmt.end_lineno for stmt in tree.body), default=1)
     record.functions[MODULE_BODY] = FunctionNode(
@@ -223,6 +221,7 @@ class Project:
         cls,
         paths: Sequence[Union[str, Path]],
         suppressions: str = "all",
+        files: Optional[Dict[str, FileReport]] = None,
     ) -> "Project":
         """Parse every ``*.py`` under ``paths`` into a project.
 
@@ -233,6 +232,10 @@ class Project:
         Files outside any package (no ``__init__.py`` chain, e.g. the
         ``examples/`` scripts) have no importable dotted path, cannot
         appear in any worker's import graph, and are skipped.
+
+        ``files`` maps posix paths to files already loaded under the
+        same ``suppressions`` mode (a lint run's reports): those are not
+        parsed again.
         """
         if suppressions not in ("all", "line"):
             raise ValueError(f"unknown suppressions mode: {suppressions!r}")
@@ -241,30 +244,33 @@ class Project:
         skipped: List[str] = []
         for file_path in iter_python_files(paths):
             posix = file_path.as_posix()
-            dotted, is_package = module_dotted_path(file_path)
-            if dotted is None:
+            loaded = (files or {}).get(posix) or load_file(file_path, suppressions)
+            info = loaded.info
+            if (
+                info is None
+                and not loaded.file_suppressed
+                and module_dotted_path(file_path)[0] is not None
+            ):
+                failures.extend(loaded.findings)  # the file does not parse
+            elif info is None or info.module is None:
                 skipped.append(posix)
-                continue
-            source = file_path.read_text(encoding="utf-8")
-            try:
-                tree = ast.parse(source, filename=posix)
-            except SyntaxError as exc:
-                failures.append(parse_error(posix, exc))
-                continue
-            directives = parse_suppressions(source)
-            if suppressions == "all" and directives.file_disabled:
-                skipped.append(posix)
-                continue
-            info = ModuleInfo(
-                path=posix,
-                source=source,
-                tree=tree,
-                imports=ImportMap(tree, module=dotted, is_package=is_package),
-                module=dotted,
-            )
-            if dotted not in modules:  # first spelling wins (paths are sorted)
-                modules[dotted] = _build_record(dotted, info, directives)
+            elif info.module not in modules:  # first spelling wins (paths are sorted)
+                modules[info.module] = _build_record(info.module, info)
         return cls(modules, failures, skipped)
+
+    @cached_property
+    def call_graph(self) -> "CallGraph":
+        """Every tier's call graph of this project."""
+        from . import callgraph  # deferred: callgraph imports this module
+
+        return callgraph.build_call_graph(self)
+
+    @cached_property
+    def workers(self) -> List["Worker"]:
+        """Every tier's worker list of this project."""
+        from . import workers as discovery  # deferred: it imports this module
+
+        return discovery.find_workers(self)
 
     # ------------------------------------------------------------------
     def module_of(self, canonical: str) -> Optional[Tuple[str, List[str]]]:

@@ -32,11 +32,10 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..lint.core import Finding
-from ..lint.rules import find_rule
-from .callgraph import CallGraph, build_call_graph, function_body_walk
+from .callgraph import CallGraph, function_body_walk
 from .effects import (
     Effect,
     EffectClosure,
@@ -46,12 +45,13 @@ from .effects import (
     effect_closure,
 )
 from .project import MODULE_BODY, FunctionNode, ModuleRecord, Project
-from .tier import ProjectContext, ProjectReport, ProjectRule, run_rules, short_trace
-from .workers import Worker, find_workers
+from .tier import ProjectContext, ProjectReport, ProjectRule, Tier, short_trace
+from .workers import Worker
 
 __all__ = [
     "AUDIT_RULES",
     "AuditContext",
+    "TIER",
     "audit_rule_by_identifier",
     "build_audit_section",
     "run_audit",
@@ -332,41 +332,20 @@ AUDIT_RULES: List[ProjectRule] = sorted(
 )
 
 
-def audit_rule_by_identifier(identifier: str) -> ProjectRule:
-    """Look up an audit rule by ID (``RPL201``) or name (``seed-drop``)."""
-    return find_rule(AUDIT_RULES, identifier, "audit rule")
-
-
 def build_context(project: Project) -> AuditContext:
     """Call graph, effects, workers, and per-worker closures."""
-    graph = build_call_graph(project)
+    graph = project.call_graph
     effects = direct_effects(project)
-    workers = find_workers(project)
     closures = {
         worker.fq: effect_closure(graph, effects, worker.fq)
-        for worker in workers
+        for worker in project.workers
     }
     return AuditContext(
         project=project,
         graph=graph,
         effects=effects,
-        workers=workers,
+        workers=project.workers,
         closures=closures,
-    )
-
-
-def run_audit(
-    paths: Sequence[Union[str, "Path"]],
-    suppressions: str = "all",
-    select: Optional[Sequence[str]] = None,
-    ignore: Optional[Sequence[str]] = None,
-) -> ProjectReport:
-    """Load, analyze, and apply every (selected) RPL2xx rule.
-
-    Suppression semantics are those of :func:`repro.audit.tier.run_rules`.
-    """
-    return run_rules(
-        paths, AUDIT_RULES, "audit rule", build_context, suppressions, select, ignore
     )
 
 
@@ -398,3 +377,27 @@ def build_audit_section(report: ProjectReport) -> Dict[str, Any]:
         {w.artifact for w in context.workers if w.artifact is not None}
     )
     return {"artifacts": artifacts, "workers": workers}
+
+
+TIER = Tier(
+    prog="repro-audit",
+    description=(
+        "Whole-program seed-flow & effect audit over the repro source "
+        "tree (see the README section 'Static analysis')."
+    ),
+    rules=AUDIT_RULES,
+    kind="audit rule",
+    build_context=build_context,
+    section="audit",
+    build_section=build_audit_section,
+    sanction_hint=(
+        "sanction a deliberate effect on its line with `# repro-lint: "
+        "disable=<rule-or-effect-kind> <reason>`; sanctioned effects "
+        "raise no findings but stay in the audit section of the analysis "
+        "manifest"
+    ),
+)
+
+#: The library entry points: ``run_audit(["src"])``, a rule by ID or name.
+run_audit = TIER.run
+audit_rule_by_identifier = TIER.lookup

@@ -2,31 +2,44 @@
 
 The tiers differ only in what they infer about a project and what their
 sections of the shared manifest record.  Everything else lives here
-once: the context and rule bases, the run loop (load, analyze, check,
-partition suppressed findings), the report adapter for the lint
-reporters, the sanctioned ledger the sections commit, and the command
+once: the context, rule and report bases, the check loop, the
+sanctioned ledger the sections commit, the manifest gate and the command
 line (:class:`Tier`).  Adding a tier means declaring its rules, a
-context builder and a section builder.
+context builder and a section builder.  :meth:`Tier.check` leaves the
+project it is given as it was, so ``repro-check`` gives all three one.
+
+Usage, for ``repro-audit`` (RPL2xx), ``repro-vec`` (RPL3xx) and
+``repro-flow`` (RPL4xx) alike::
+
+    repro-vec                      # analyze src, report findings
+    repro-vec --check-manifest     # CI gate: findings OR manifest drift fail
+    repro-vec --write-manifest     # rewrite the tier's ANALYSIS_MANIFEST.json section
+    repro-vec --format json        # machine-readable report
+    repro-vec --select RPL311      # one rule of the tier's family
+    repro-vec --list-rules         # the family's catalogue with rationale
+
+Exit codes: 0 clean, 1 findings (or manifest drift under
+``--check-manifest``), 2 usage error.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..lint.cli import (
     UsageError,
     base_parser,
     existing_paths,
+    finish,
     render_rule_catalogue,
     split_rule_list,
 )
 from ..lint.core import FileReport, Finding, RunReport
 from ..lint.manifest import MANIFEST_FILE, diff_section, write_section
-from ..lint.reporters import render_report
-from ..lint.rules import family_of, select_rules
+from ..lint.rules import family_of, find_rule, select_rules
 from .project import FunctionNode, ModuleRecord, Project
 
 __all__ = [
@@ -35,9 +48,7 @@ __all__ = [
     "ProjectReport",
     "ProjectRule",
     "Tier",
-    "as_run_report",
     "function_of",
-    "run_rules",
     "sanctioned_ledger",
     "short_trace",
 ]
@@ -82,79 +93,12 @@ class ProjectRule:
 
 
 @dataclass
-class ProjectReport:
-    """Outcome of one whole-program run; ``context`` is the tier's own."""
+class ProjectReport(RunReport):
+    """Outcome of one whole-program run: one ``FileReport`` per analyzed
+    module (plus any unparseable file), so the lint reporters and their
+    pinned schema serve every tier; ``context`` is the tier's own."""
 
     context: ProjectContext
-    findings: List[Finding] = field(default_factory=list)
-    suppressed: List[Finding] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-
-def run_rules(
-    paths: Sequence[Union[str, Path]],
-    rules: Sequence[ProjectRule],
-    kind: str,
-    build_context: Callable[[Project], ProjectContext],
-    suppressions: str = "all",
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-) -> ProjectReport:
-    """Load, analyze, and apply every (selected) rule of one tier.
-
-    ``suppressions`` follows the lint convention: ``"all"`` honours
-    ``disable-file`` headers (production), ``"line"`` looks inside
-    them (the tiers' own fixture trees).  Line suppressions on a
-    finding's reported line are honoured in both modes; suppressed
-    findings are retained separately so reports and manifests can
-    show them.
-    """
-    chosen = select_rules(rules, select, ignore, kind)
-    project = Project.load(paths, suppressions=suppressions)
-    context = build_context(project)
-    raw: List[Finding] = []
-    for rule in chosen:
-        raw.extend(rule.check(context))
-    raw.extend(project.parse_failures)
-    raw.sort()
-    by_path = {
-        record.info.path: record for record in project.modules.values()
-    }
-    findings: List[Finding] = []
-    suppressed: List[Finding] = []
-    for finding in raw:
-        record = by_path.get(finding.path)
-        if record is not None and record.suppressions.covers(finding):
-            suppressed.append(finding)
-        else:
-            findings.append(finding)
-    return ProjectReport(context=context, findings=findings, suppressed=suppressed)
-
-
-def as_run_report(report: ProjectReport) -> RunReport:
-    """Adapt a tier outcome to the lint reporters' ``RunReport`` shape.
-
-    One ``FileReport`` per analyzed module (plus any unparseable file),
-    so the shared text/JSON renderers — and their pinned schema — serve
-    every tool.
-    """
-    by_path: Dict[str, FileReport] = {}
-
-    def slot(path: str) -> FileReport:
-        if path not in by_path:
-            by_path[path] = FileReport(path=path, findings=[], suppressed=[])
-        return by_path[path]
-
-    for record in report.context.project.modules.values():
-        slot(record.info.path)
-    for finding in report.findings:
-        slot(finding.path).findings.append(finding)
-    for finding in report.suppressed:
-        slot(finding.path).suppressed.append(finding)
-    return RunReport(files=[by_path[path] for path in sorted(by_path)])
 
 
 def short_trace(trace: Sequence[str], limit: int = 4, tail: int = 1) -> str:
@@ -205,13 +149,85 @@ class Tier:
     prog: str
     description: str
     rules: Sequence[ProjectRule]
-    lookup: Callable[[str], ProjectRule]
-    run: Callable[..., ProjectReport]
+    #: How its rules are named in errors (``"audit rule"``).
+    kind: str
+    build_context: Callable[[Project], ProjectContext]
     #: The tier's key in the shared manifest (its name in ``repro.check.TOOLS``).
     section: str
     build_section: Callable[[ProjectReport], Dict[str, Any]]
     #: Closing line of ``--list-rules``: how to sanction a finding.
     sanction_hint: str
+
+    def lookup(self, identifier: str) -> ProjectRule:
+        """A rule of this tier by ID (``RPL201``) or name (``seed-drop``)."""
+        return find_rule(self.rules, identifier, self.kind)
+
+    def run(
+        self,
+        paths: Sequence[Union[str, Path]],
+        suppressions: str = "all",
+        select: Optional[Iterable[str]] = None,
+        ignore: Optional[Iterable[str]] = None,
+    ) -> ProjectReport:
+        """Load ``paths`` and :meth:`check` them (``run_audit`` and its kin).
+
+        ``suppressions`` follows the lint convention: ``"all"`` honours
+        ``disable-file`` headers (production), ``"line"`` looks inside
+        them (the tiers' own fixture trees).
+        """
+        project = Project.load(paths, suppressions=suppressions)
+        return self.check(project, select, ignore)
+
+    def check(
+        self,
+        project: Project,
+        select: Optional[Iterable[str]] = None,
+        ignore: Optional[Iterable[str]] = None,
+    ) -> ProjectReport:
+        """Analyze a loaded project and apply every (selected) rule.
+
+        Line suppressions on a finding's reported line are honoured;
+        suppressed findings are kept apart so reports and manifests can
+        show them.
+        """
+        chosen = select_rules(self.rules, select, ignore, self.kind)
+        context = self.build_context(project)
+        raw = [finding for rule in chosen for finding in rule.check(context)]
+        records = {record.info.path: record for record in project.modules.values()}
+        files = {path: FileReport(path, [], []) for path in records}
+        for finding in sorted(raw + project.parse_failures):
+            record = records.get(finding.path)
+            file = files.setdefault(finding.path, FileReport(finding.path, [], []))
+            if record is not None and record.info.suppressions.covers(finding):
+                file.suppressed.append(finding)
+            else:
+                file.findings.append(finding)
+        return ProjectReport([files[path] for path in sorted(files)], context)
+
+    def gate(
+        self, report: ProjectReport, write: bool = False, check: bool = False
+    ) -> Tuple[bool, str]:
+        """Write or check the tier's manifest section: (passed, message).
+
+        The message is empty when there is nothing to do, and holds the
+        drift and its diff when the check fails.
+        """
+        if write:
+            write_section(self.section, self.build_section(report))
+            return True, f"{self.prog}: wrote {MANIFEST_FILE} [{self.section}]\n"
+        if not check:
+            return True, ""
+        drift = diff_section(self.section, self.build_section(report))
+        if drift is None:
+            return True, (
+                f"{self.prog}: manifest {MANIFEST_FILE} [{self.section}] "
+                "is current\n"
+            )
+        return False, (
+            f"{self.prog}: manifest drift — {MANIFEST_FILE} "
+            f"[{self.section}] no longer matches the analyzed source; "
+            "regenerate with --write-manifest and commit the result\n" + drift
+        )
 
     def main(self, argv: Optional[List[str]] = None) -> int:
         """Exit codes: 0 clean, 1 findings or manifest drift, 2 usage error."""
@@ -251,27 +267,6 @@ class Tier:
             print(f"{self.prog}: error: {exc}", file=sys.stderr)
             return 2
 
-        report = self.run(paths, select=select, ignore=ignore)
-        print(render_report(as_run_report(report), args.format, prog=self.prog))
-
-        status = 0 if report.ok else 1
-        if args.write_manifest:
-            write_section(self.section, self.build_section(report))
-            print(f"{self.prog}: wrote {MANIFEST_FILE} [{self.section}]")
-        elif args.check_manifest:
-            drift = diff_section(self.section, self.build_section(report))
-            if drift is not None:
-                print(
-                    f"{self.prog}: manifest drift — {MANIFEST_FILE} "
-                    f"[{self.section}] no longer matches the analyzed source; "
-                    "regenerate with --write-manifest and commit the result",
-                    file=sys.stderr,
-                )
-                sys.stderr.write(drift)
-                status = 1
-            else:
-                print(
-                    f"{self.prog}: manifest {MANIFEST_FILE} [{self.section}] "
-                    "is current"
-                )
-        return status
+        report = self.check(Project.load(paths), select, ignore)
+        gate = self.gate(report, args.write_manifest, args.check_manifest)
+        return finish(report, args.format, self.prog, gate)

@@ -14,6 +14,10 @@ command CI runs.  ``--format json`` emits one merged machine-readable
 report — each tool's own JSON report nested under its name plus the
 per-tool exit codes — for failure triage without re-running anything.
 
+The run is one analysis pass: lint parses each file once, and audit,
+vec and flow check one project built from those modules, sharing its
+call graph, its worker list and lint's per-module findings.
+
 Usage::
 
     repro-check                      # all four tiers, text reports
@@ -25,15 +29,21 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
-from contextlib import redirect_stdout
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from .audit.cli import TIER as AUDIT
 from .audit.cli import main as audit_main
+from .audit.project import Project
+from .audit.tier import DEFAULT_PATHS
+from .flow.cli import TIER as FLOW
 from .flow.cli import main as flow_main
+from .lint.cli import UsageError, existing_paths, finish
 from .lint.cli import main as lint_main
+from .lint.core import FileReport, RunReport, lint_paths
+from .lint.reporters import json_document
+from .vec.cli import TIER as VEC
 from .vec.cli import main as vec_main
 
 __all__ = ["TOOLS", "main", "run_tools"]
@@ -46,47 +56,48 @@ TOOLS: Tuple[Tuple[str, Callable[[List[str]], int], List[str], bool], ...] = (
     ("flow", flow_main, [], True),
 )
 
-
-def _tool_argv(
-    base: List[str], fmt: str, manifests: bool, gated: bool
-) -> List[str]:
-    argv = list(base) + ["--format", fmt]
-    if manifests and gated:
-        argv.append("--check-manifest")
-    return argv
-
-
-def _parse_leading_json(text: str) -> Optional[Any]:
-    """The tool's JSON document, ignoring trailing manifest chatter."""
-    try:
-        document, _index = json.JSONDecoder().raw_decode(text.lstrip())
-    except (json.JSONDecodeError, ValueError):
-        return None
-    return document
+#: The whole-program tiers by name; every other tool is the linter.
+_TIERS = {tier.section: tier for tier in (AUDIT, VEC, FLOW)}
 
 
 def run_tools(
     names: List[str], fmt: str, manifests: bool
 ) -> Tuple[int, Dict[str, Dict[str, Any]]]:
-    """Run the selected tools; return (merged status, per-tool results)."""
+    """Run the selected tools in one pass; return (merged status, per-tool results).
+
+    Each tool reports, gates and exits as its command line does with the
+    ``TOOLS`` base argv.
+    """
     status = 0
     results: Dict[str, Dict[str, Any]] = {}
-    for name, entry, base, gated in TOOLS:
+    files: Dict[str, FileReport] = {}
+    project: Optional[Project] = None
+    for name, _entry, base, gated in TOOLS:
         if name not in names:
             continue
-        argv = _tool_argv(base, fmt, manifests, gated)
-        if fmt == "json":
-            buffer = io.StringIO()
-            with redirect_stdout(buffer):
-                exit_code = entry(argv)
-            results[name] = {
-                "exit": exit_code,
-                "report": _parse_leading_json(buffer.getvalue()),
-            }
+        prog = f"repro-{name}"
+        if fmt == "text":
+            print(f"== {prog} ==")
+        report: Optional[RunReport] = None
+        try:
+            paths = existing_paths(base, DEFAULT_PATHS)
+        except UsageError as exc:
+            print(f"{prog}: error: {exc}", file=sys.stderr)
+            exit_code = 2
         else:
-            print(f"== repro-{name} ==")
-            exit_code = entry(argv)
-            results[name] = {"exit": exit_code}
+            gate = (True, "")
+            if name in _TIERS:
+                # Every tier analyzes the default paths: load them once.
+                project = project or Project.load(paths, files=files)
+                report = _TIERS[name].check(project)
+                gate = _TIERS[name].gate(report, check=manifests and gated)
+            else:
+                report = lint_paths(paths)
+                files = {loaded.path: loaded for loaded in report.files}
+            exit_code = finish(report, fmt, prog, gate, quiet=fmt == "json")
+        results[name] = {"exit": exit_code}
+        if fmt == "json":
+            results[name]["report"] = None if report is None else json_document(report)
         status = max(status, exit_code)
     return status, results
 

@@ -41,22 +41,21 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..audit.callgraph import CallGraph, build_call_graph, function_body_walk
+from ..audit.callgraph import CallGraph, function_body_walk
 from ..audit.project import MODULE_BODY, ModuleRecord, Project
 from ..audit.rules import StaleFingerprintRule, fingerprint_covers
 from ..audit.tier import (
     ProjectContext,
     ProjectReport,
     ProjectRule,
-    run_rules,
+    Tier,
     sanctioned_ledger,
     short_trace,
 )
-from ..audit.workers import Worker, find_workers
+from ..audit.workers import Worker
 from ..lint.core import Finding
-from ..lint.rules import find_rule
 from .boundaries import Boundary, find_boundaries
 from .dataflow import RETURN, FunctionFlow
 from .digests import DigestClass, find_digest_classes
@@ -66,6 +65,7 @@ __all__ = [
     "FLOW_RULES",
     "FLOW_RULE_IDS",
     "FlowContext",
+    "TIER",
     "build_flow_context",
     "build_flow_section",
     "flow_rule_by_identifier",
@@ -480,14 +480,9 @@ FLOW_RULES: List[ProjectRule] = sorted(
 FLOW_RULE_IDS = frozenset(rule.rule_id for rule in FLOW_RULES)
 
 
-def flow_rule_by_identifier(identifier: str) -> ProjectRule:
-    """Look up a flow rule by ID (``RPL401``) or name (``key-dropped-param``)."""
-    return find_rule(FLOW_RULES, identifier, "flow rule")
-
-
 def build_flow_context(project: Project) -> FlowContext:
     """Call graph, flows, influence fixpoint, boundaries, digest classes."""
-    graph = build_call_graph(project)
+    graph = project.call_graph
     flows = build_flows(project)
     summaries = build_influence(project, flows)
     return FlowContext(
@@ -497,23 +492,8 @@ def build_flow_context(project: Project) -> FlowContext:
         summaries=summaries,
         boundaries=find_boundaries(flows, summaries),
         digest_classes=find_digest_classes(project),
-        workers=find_workers(project),
+        workers=project.workers,
         fingerprint=StaleFingerprintRule._fingerprint_declaration(project),
-    )
-
-
-def run_flow(
-    paths: Sequence[Union[str, "Path"]],
-    suppressions: str = "all",
-    select: Optional[Sequence[str]] = None,
-    ignore: Optional[Sequence[str]] = None,
-) -> ProjectReport:
-    """Load, analyze, and apply every (selected) RPL4xx rule.
-
-    Suppression semantics are those of :func:`repro.audit.tier.run_rules`.
-    """
-    return run_rules(
-        paths, FLOW_RULES, "flow rule", build_flow_context, suppressions, select, ignore
     )
 
 
@@ -567,3 +547,26 @@ def build_flow_section(report: ProjectReport) -> Dict[str, Any]:
         "digest_classes": digests,
         "sanctioned": sanctioned_ledger(report, FLOW_RULE_IDS),
     }
+
+
+TIER = Tier(
+    prog="repro-flow",
+    description=(
+        "Cache-soundness & config-flow static analysis over the repro "
+        "caching layer (see the README section 'Static analysis')."
+    ),
+    rules=FLOW_RULES,
+    kind="flow rule",
+    build_context=build_flow_context,
+    section="flow",
+    build_section=build_flow_section,
+    sanction_hint=(
+        "sanction a reviewed exception on its line with `# repro-lint: "
+        "disable=<rule-id> <reason>`; sanctioned entries raise no findings "
+        "but stay in the flow section of the analysis manifest"
+    ),
+)
+
+#: The library entry points: ``run_flow(["src"])``, a rule by ID or name.
+run_flow = TIER.run
+flow_rule_by_identifier = TIER.lookup

@@ -21,9 +21,9 @@ import argparse
 import sys
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from .core import PARSE_ERROR_ID, lint_paths
+from .core import PARSE_ERROR_ID, RunReport, lint_paths
 from .reporters import render_report
 from .rules import RULES, rule_by_identifier
 
@@ -31,6 +31,7 @@ __all__ = [
     "UsageError",
     "base_parser",
     "existing_paths",
+    "finish",
     "main",
     "render_rule_catalogue",
     "split_rule_list",
@@ -91,6 +92,28 @@ def existing_paths(
     if missing:
         raise UsageError(f"no such path(s): {', '.join(missing)}")
     return paths
+
+
+def finish(
+    report: RunReport,
+    fmt: str,
+    prog: str,
+    gate: Tuple[bool, str] = (True, ""),
+    quiet: bool = False,
+) -> int:
+    """Print a report and a tier's manifest ``gate``; return the exit code.
+
+    A failed gate's message goes to stderr; ``quiet`` leaves stdout to
+    the caller (``repro-check``'s merged JSON).
+    """
+    passed, message = gate
+    if not quiet:
+        print(render_report(report, fmt, prog=prog))
+    if not passed:
+        sys.stderr.write(message)
+    elif not quiet:
+        sys.stdout.write(message)
+    return 0 if report.ok and passed else 1
 
 
 def render_rule_catalogue(header: str, rules: Sequence[Any], footer: str) -> str:
@@ -171,9 +194,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
         return 2
 
-    report = lint_paths(paths, select=select, ignore=ignore)
-    print(render_report(report, args.format))
-    return 0 if report.ok else 1
+    return finish(lint_paths(paths, select, ignore), args.format, "repro-lint")
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

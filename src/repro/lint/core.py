@@ -8,6 +8,9 @@ everything into a :class:`RunReport` with deterministically sorted
 findings (so CI output and the JSON reporter are stable byte-for-byte
 across runs and machines).
 
+:func:`load_file` is every tier's front end: it parses a file and reads
+its directives once, into the :class:`ModuleInfo` all tiers share.
+
 Suppression syntax (parsed from real comment tokens, so the same text
 inside a string literal is inert):
 
@@ -29,7 +32,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 __all__ = [
     "FILE_DIRECTIVE_WINDOW",
@@ -44,6 +47,8 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "lint_source",
+    "load_file",
+    "load_source",
     "module_dotted_path",
     "parse_error",
     "parse_suppressions",
@@ -195,25 +200,6 @@ class ImportMap:
 
 
 @dataclass
-class ModuleInfo:
-    """Everything a rule needs to inspect one parsed module.
-
-    ``module`` is the dotted import path when known (``None`` for
-    sources linted outside any package); with it set, the import map
-    resolves package-relative imports to canonical intra-repo names.
-    """
-
-    path: str
-    source: str
-    tree: ast.Module
-    imports: ImportMap
-    module: Optional[str] = None
-
-    def resolve(self, expr: ast.AST) -> Optional[str]:
-        return self.imports.resolve(expr)
-
-
-@dataclass
 class Suppressions:
     """Per-line and whole-file suppression directives of one module."""
 
@@ -234,6 +220,8 @@ class Suppressions:
 def parse_suppressions(source: str) -> Suppressions:
     """Extract directives from comment tokens (never from strings)."""
     result = Suppressions()
+    if "repro-lint:" not in source:
+        return result  # no directive can match: skip tokenizing
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
         for tok in tokens:
@@ -258,6 +246,37 @@ def parse_suppressions(source: str) -> Suppressions:
 
 
 @dataclass
+class ModuleInfo:
+    """Everything a rule needs to inspect one parsed module.
+
+    ``module`` is the dotted import path when known (``None`` for
+    sources linted outside any package); with it set, the import map
+    resolves package-relative imports to canonical intra-repo names.
+    Lint and the audit's effect pass share its per-rule findings.
+    """
+
+    path: str
+    source: str
+    tree: ast.Module
+    imports: ImportMap
+    module: Optional[str] = None
+    suppressions: Suppressions = field(default_factory=Suppressions)
+    _findings: Dict[str, List[Finding]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def resolve(self, expr: ast.AST) -> Optional[str]:
+        return self.imports.resolve(expr)
+
+    def findings(self, rule: Any) -> List[Finding]:
+        """``rule``'s unsuppressed findings here, checked once (do not mutate)."""
+        found = self._findings.get(rule.rule_id)
+        if found is None:
+            found = self._findings[rule.rule_id] = rule.check(self)
+        return found
+
+
+@dataclass
 class FileReport:
     """Lint outcome for a single file."""
 
@@ -265,6 +284,8 @@ class FileReport:
     findings: List[Finding]
     suppressed: List[Finding]
     file_suppressed: bool = False
+    #: The parsed module (``None`` when it does not parse or is skipped).
+    info: Optional[ModuleInfo] = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -305,6 +326,64 @@ def parse_error(path: str, exc: SyntaxError) -> Finding:
     )
 
 
+def load_source(
+    source: str,
+    path: str = "<string>",
+    suppressions: str = "all",
+    module: Optional[str] = None,
+    is_package: bool = False,
+) -> FileReport:
+    """Parse one source: the front end every tier shares.
+
+    The report carries the :class:`ModuleInfo` as ``info`` and no
+    findings yet — or the RPL900 finding of a file that does not parse,
+    or, under ``suppressions="all"``, ``file_suppressed`` for a
+    ``disable-file`` module.  ``module``/``is_package`` name its dotted
+    import path, for relative-import resolution.
+    """
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        return FileReport(path, [parse_error(path, exc)], [])
+    directives = parse_suppressions(source)
+    if suppressions == "all" and directives.file_disabled:
+        return FileReport(path, [], [], file_suppressed=True)
+    imports = ImportMap(tree, module=module, is_package=is_package)
+    info = ModuleInfo(path, source, tree, imports, module, directives)
+    return FileReport(path, [], [], info=info)
+
+
+def load_file(path: Union[str, Path], suppressions: str = "all") -> FileReport:
+    """:func:`load_source` over a file (posix path; dotted path from markers)."""
+    file_path = Path(path)
+    source = file_path.read_text(encoding="utf-8")
+    dotted, is_package = module_dotted_path(file_path)
+    return load_source(source, file_path.as_posix(), suppressions, dotted, is_package)
+
+
+def _lint(
+    loaded: FileReport,
+    select: Optional[Iterable[str]],
+    ignore: Optional[Iterable[str]],
+    suppressions: str,
+) -> FileReport:
+    """Apply the selected rules to a loaded file, then its directives."""
+    if suppressions not in ("all", "line", "none"):
+        raise ValueError(f"unknown suppressions mode: {suppressions!r}")
+    info = loaded.info
+    if info is None:
+        return loaded
+    from .rules import RULES, select_rules  # deferred: the rules import this module
+
+    rules = select_rules(RULES, select, ignore)
+    raw = sorted(finding for rule in rules for finding in info.findings(rule))
+    if suppressions == "none":
+        return FileReport(loaded.path, raw, [], info=info)
+    covers = info.suppressions.covers
+    kept = [f for f in raw if not covers(f)]
+    return FileReport(loaded.path, kept, [f for f in raw if covers(f)], info=info)
+
+
 def lint_source(
     source: str,
     path: str = "<string>",
@@ -321,41 +400,10 @@ def lint_source(
     ``"line"`` honours only line comments (the fixture self-tests use
     this to look inside intentionally-bad files that carry a
     ``disable-file`` header), ``"none"`` reports everything.
-
-    ``module``/``is_package`` name the source's dotted import path when
-    known, enabling relative-import resolution (``lint_file`` derives
-    them from ``__init__.py`` markers automatically).
+    ``module``/``is_package`` are those of :func:`load_source`.
     """
-    if suppressions not in ("all", "line", "none"):
-        raise ValueError(f"unknown suppressions mode: {suppressions!r}")
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return FileReport(path=path, findings=[parse_error(path, exc)], suppressed=[])
-
-    directives = parse_suppressions(source)
-    if suppressions == "all" and directives.file_disabled:
-        return FileReport(path=path, findings=[], suppressed=[], file_suppressed=True)
-
-    module = ModuleInfo(
-        path=path,
-        source=source,
-        tree=tree,
-        imports=ImportMap(tree, module=module, is_package=is_package),
-        module=module,
-    )
-    from .rules import RULES, select_rules  # deferred: the rules import this module
-
-    raw: List[Finding] = []
-    for rule in select_rules(RULES, select, ignore):
-        raw.extend(rule.check(module))
-    raw.sort()
-
-    if suppressions == "none":
-        return FileReport(path=path, findings=raw, suppressed=[])
-    kept = [f for f in raw if not directives.covers(f)]
-    dropped = [f for f in raw if directives.covers(f)]
-    return FileReport(path=path, findings=kept, suppressed=dropped)
+    loaded = load_source(source, path, suppressions, module, is_package)
+    return _lint(loaded, select, ignore, suppressions)
 
 
 def lint_file(
@@ -365,18 +413,7 @@ def lint_file(
     suppressions: str = "all",
 ) -> FileReport:
     """Lint one file from disk (path reported in posix form)."""
-    file_path = Path(path)
-    source = file_path.read_text(encoding="utf-8")
-    dotted, is_package = module_dotted_path(file_path)
-    return lint_source(
-        source,
-        path=file_path.as_posix(),
-        select=select,
-        ignore=ignore,
-        suppressions=suppressions,
-        module=dotted,
-        is_package=is_package,
-    )
+    return _lint(load_file(path, suppressions), select, ignore, suppressions)
 
 
 def iter_python_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
@@ -421,7 +458,11 @@ def lint_paths(
     ignore: Optional[Iterable[str]] = None,
     suppressions: str = "all",
 ) -> RunReport:
-    """Lint every ``*.py`` under ``paths``; the main library entry point."""
+    """Lint every ``*.py`` under ``paths``; the main library entry point.
+
+    The file reports keep their parsed modules (``info``): a project can
+    be built from them (``Project.load(..., files=...)``).
+    """
     select = list(select) if select is not None else None
     ignore = list(ignore) if ignore is not None else None
     return RunReport(

@@ -14,6 +14,7 @@ from .core import RunReport
 
 __all__ = [
     "JSON_SCHEMA_VERSION",
+    "json_document",
     "render_json",
     "render_report",
     "render_text",
@@ -72,7 +73,12 @@ def render_text(report: RunReport, prog: str = "repro-lint") -> str:
 
 def render_json(report: RunReport) -> str:
     """Stable-schema JSON: ``{"version", "findings", "summary"}``."""
-    payload = {
+    return json.dumps(json_document(report), indent=2, sort_keys=True)
+
+
+def json_document(report: RunReport) -> Dict[str, Any]:
+    """The document :func:`render_json` prints (``repro-check`` nests it)."""
+    return {
         "version": JSON_SCHEMA_VERSION,
         "findings": [
             {
@@ -87,4 +93,3 @@ def render_json(report: RunReport) -> str:
         ],
         "summary": summary_dict(report),
     }
-    return json.dumps(payload, indent=2, sort_keys=True)

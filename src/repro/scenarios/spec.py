@@ -316,9 +316,12 @@ class ScenarioSpec:
 
     def digest(self) -> str:
         """Stable content digest over every field (hex sha256)."""
-        return hashlib.sha256(
-            self.canonical_json().encode("utf-8")
-        ).hexdigest()
+        return self.digest_of(self.canonical_json())
+
+    @staticmethod
+    def digest_of(canonical: str) -> str:
+        """:meth:`digest` from an already-serialized :meth:`canonical_json`."""
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     # ------------------------------------------------------------------
     # Compilation

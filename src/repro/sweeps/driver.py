@@ -115,7 +115,9 @@ def run_sweep(
     """
     if not specs:
         raise ConfigurationError("sweep needs at least one spec")
-    digests = [spec.digest() for spec in specs]
+    # One serialization per spec: its digest and its trial params.
+    canonical = [spec.canonical_json() for spec in specs]
+    digests = [ScenarioSpec.digest_of(text) for text in canonical]
     seeds = [derive_seed(root_seed, f"sweep:{d}") for d in digests]
     summaries: List[Optional[Dict[str, object]]] = [None] * len(specs)
     cached = 0
@@ -136,7 +138,7 @@ def run_sweep(
                 experiment_id=SWEEP_EXPERIMENT_ID,
                 index=position,
                 seed=seeds[position],
-                params=(("spec", specs[position].canonical_json()),),
+                params=(("spec", canonical[position]),),
             )
         )
     failures: List[Tuple[int, str]] = []

@@ -21,23 +21,20 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from functools import partial
-from typing import Any, Dict, List, Optional, Pattern, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..lint.core import Finding
-from ..lint.rules import find_rule
-from ..audit.callgraph import CallGraph, build_call_graph, function_body_walk
+from ..audit.callgraph import CallGraph, function_body_walk
 from ..audit.project import MODULE_BODY, FunctionNode, Project
 from ..audit.tier import (
     ProjectContext,
     ProjectReport,
     ProjectRule,
-    run_rules,
+    Tier,
     sanctioned_ledger,
     short_trace,
 )
-from .facts import ArrayFact
-from .hot import HOT_MODULE_RE, hot_closure, hot_roots
+from .hot import hot_closure, hot_roots
 from .infer import (
     FunctionFacts,
     _identifier_segments,
@@ -47,6 +44,7 @@ from .infer import (
 )
 
 __all__ = [
+    "TIER",
     "VEC_RULES",
     "VecContext",
     "build_vec_context",
@@ -425,14 +423,7 @@ VEC_RULES: List[ProjectRule] = sorted(
 LOOP_RULE_IDS = frozenset({"RPL311", "RPL312", "RPL313"})
 
 
-def vec_rule_by_identifier(identifier: str) -> ProjectRule:
-    """Look up a vec rule by ID (``RPL311``) or name (``hot-python-loop``)."""
-    return find_rule(VEC_RULES, identifier, "vec rule")
-
-
-def build_vec_context(
-    project: Project, hot_module_re: Pattern = HOT_MODULE_RE
-) -> VecContext:
+def build_vec_context(project: Project) -> VecContext:
     """Inheritance-aware graph, hot closure, and per-function facts.
 
     Facts are inferred for every function in a numpy-importing module
@@ -441,9 +432,9 @@ def build_vec_context(
     helpers).  Module bodies are not interpreted: import-time code is
     one-shot.
     """
-    graph = build_call_graph(project)
+    graph = project.call_graph
     attr_facts = class_attribute_facts(project, graph.hierarchy)
-    roots = hot_roots(project, module_re=hot_module_re)
+    roots = hot_roots(project)
     hot = hot_closure(graph, roots)
     facts: Dict[str, FunctionFacts] = {}
     for record in project.modules.values():
@@ -467,22 +458,6 @@ def build_vec_context(
     )
 
 
-def run_vec(
-    paths: Sequence[Union[str, "Path"]],
-    suppressions: str = "all",
-    select: Optional[Sequence[str]] = None,
-    ignore: Optional[Sequence[str]] = None,
-    hot_module_re: Pattern = HOT_MODULE_RE,
-) -> ProjectReport:
-    """Load, analyze, and apply every (selected) RPL3xx rule.
-
-    Suppression semantics are those of :func:`repro.audit.tier.run_rules`;
-    ``hot_module_re`` picks the modules whose engines root the hot set.
-    """
-    context = partial(build_vec_context, hot_module_re=hot_module_re)
-    return run_rules(paths, VEC_RULES, "vec rule", context, suppressions, select, ignore)
-
-
 def build_vec_section(report: ProjectReport) -> Dict[str, Any]:
     """The vec manifest section: the hot surface and its sanctioned loops.
 
@@ -494,3 +469,26 @@ def build_vec_section(report: ProjectReport) -> Dict[str, Any]:
         "hot_functions": sorted(report.context.hot),
         "sanctioned_loops": sanctioned_ledger(report, LOOP_RULE_IDS),
     }
+
+
+TIER = Tier(
+    prog="repro-vec",
+    description=(
+        "Numeric dtype/shape & hot-loop static analysis over the repro "
+        "kernel layer (see the README section 'Static analysis')."
+    ),
+    rules=VEC_RULES,
+    kind="vec rule",
+    build_context=build_vec_context,
+    section="vec",
+    build_section=build_vec_section,
+    sanction_hint=(
+        "sanction a reviewed scalar loop on its line with `# repro-lint: "
+        "disable=<rule-id> <reason>`; sanctioned loops raise no findings "
+        "but stay in the vec section of the analysis manifest"
+    ),
+)
+
+#: The library entry points: ``run_vec(["src"])``, a rule by ID or name.
+run_vec = TIER.run
+vec_rule_by_identifier = TIER.lookup

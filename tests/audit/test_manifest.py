@@ -54,9 +54,9 @@ class TestShape:
 
 
 class TestCommittedManifest:
-    def test_committed_manifest_is_current(self):
+    def test_committed_manifest_is_current(self, src_reports):
         """CI's contract: the audit section matches the source tree."""
-        section = build_audit_section(run_audit(["src"]))
+        section = build_audit_section(src_reports["audit"])
         assert diff_section("audit", section) is None
 
     def test_committed_manifest_covers_all_artifacts(self):

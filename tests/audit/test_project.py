@@ -1,8 +1,12 @@
 """Project loading, dotted-path naming, and symbol resolution."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.audit import MODULE_BODY, Project
+from repro.lint import lint_paths
 
 
 class TestLoading:
@@ -36,6 +40,43 @@ class TestLoading:
         assert "pkg.broken" not in project.modules
         (failure,) = project.parse_failures
         assert failure.rule_id == "RPL900"
+
+
+    def test_unparseable_file_outside_a_package_is_skipped(self, tmp_path):
+        (tmp_path / "script.py").write_text("def broken(:\n", encoding="utf-8")
+        project = Project.load([tmp_path])
+        assert project.parse_failures == []
+        assert [p.endswith("script.py") for p in project.skipped] == [True]
+
+    def test_files_a_lint_run_loaded_are_not_parsed_again(self, make_package):
+        root = make_package("pkg", {"mod.py": "X = 1\n"})
+        linted = lint_paths([root])
+        files = {loaded.path: loaded for loaded in linted.files}
+        project = Project.load([root], files=files)
+        info = project.modules["pkg.mod"].info
+        assert info is files[info.path].info
+
+
+class TestDerivedGraphs:
+    def test_call_graph_and_workers_are_built_once(self, make_package):
+        project = Project.load([make_package("pkg", {"mod.py": "X = 1\n"})])
+        assert project.call_graph is project.call_graph
+        assert project.workers is project.workers
+
+    def test_cached_graphs_leave_no_reference_cycle(self, make_package):
+        """Dropping the project frees every parsed tree at once, without
+        waiting for the cyclic collector."""
+        source = "class A:\n    def f(self):\n        return 1\n"
+        root = make_package("pkg", {"mod.py": source})
+        project = Project.load([root])
+        project.call_graph, project.workers
+        alive = weakref.ref(project)
+        gc.disable()
+        try:
+            del project
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestSymbols:

@@ -1,6 +1,6 @@
 """Worker discovery over fixture trees and the real source tree."""
 
-from repro.audit import Project, find_workers, run_audit
+from repro.audit import Project, find_workers
 
 from .conftest import FIXTURES
 
@@ -50,18 +50,15 @@ class TestFixtureDiscovery:
 
 
 class TestRealTree:
-    def test_all_thirteen_artifacts_covered(self):
-        report = run_audit(["src"])
-        artifacts = {
-            w.artifact for w in report.context.workers if w.role == "entry"
-        }
+    def test_all_thirteen_artifacts_covered(self, src_reports):
+        workers = src_reports["audit"].context.workers
+        artifacts = {w.artifact for w in workers if w.role == "entry"}
         assert artifacts == {
             "table1", "table2", "table3", "table4",
             "table5", "table6", "table7", "table8",
             "figure3", "figure4", "figure6", "figure7", "figure8",
         }
 
-    def test_real_tree_is_clean(self):
+    def test_real_tree_is_clean(self, src_reports):
         """The acceptance bar: the audit exits 0 on the committed tree."""
-        report = run_audit(["src"])
-        assert report.findings == []
+        assert src_reports["audit"].findings == []

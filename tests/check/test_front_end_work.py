@@ -1,4 +1,4 @@
-"""Work-count guard: the analysis tiers stay linear in module size.
+"""Work-count guards: what the analysis tiers do, counted rather than timed.
 
 Every tier reaches a function's syntax tree through the ``def`` node the
 project index stored for it.  Re-finding that node by walking the module
@@ -7,15 +7,31 @@ over the repo's small modules did not notice.  Counting the nodes
 ``ast.walk`` yields over one generated module with a few hundred
 functions does: linear work is a small multiple of the module's node
 count, the quadratic search is a hundred times more.
+
+``repro-check`` is one analysis pass: it loads the ``src`` project once,
+builds its call graph and finds its workers once, and checks each
+module with each per-file detector once, however many tiers read the
+results.  Counting those calls over the real tree pins it.
 """
 
 import ast
+import functools
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from repro.audit import Project, build_call_graph, run_audit
+import repro.check
+from repro.audit import Project, build_call_graph, find_workers, run_audit
 from repro.flow import run_flow
+from repro.lint import iter_python_files, rule_by_identifier
 from repro.vec import run_vec
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: The per-file detectors the audit's effect pass reads (RPL101-104).
+EFFECT_RULES = ("RPL101", "RPL102", "RPL103", "RPL104")
 
 FUNCTIONS = 240
 CLASSES = 30
@@ -94,3 +110,50 @@ def test_stage_walks_a_small_multiple_of_the_module(
     assert visits[0] <= WALKS_PER_NODE * module_nodes, (
         f"{visits[0]} nodes walked for a {module_nodes}-node module"
     )
+
+
+def _count_calls(monkeypatch, fn, name, counts):
+    """Route every ``repro`` module's binding of ``fn`` through a counter."""
+
+    @functools.wraps(fn)
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module is None or module_name.split(".")[0] != "repro":
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, attr, counted)
+
+
+def test_repro_check_is_one_analysis_pass(monkeypatch, capsys):
+    monkeypatch.chdir(REPO_ROOT)
+    counts = Counter()
+    _count_calls(monkeypatch, build_call_graph, "build_call_graph", counts)
+    _count_calls(monkeypatch, find_workers, "find_workers", counts)
+    load = Project.load.__func__
+
+    def counted_load(cls, *args, **kwargs):
+        counts["Project.load"] += 1
+        return load(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Project, "load", classmethod(counted_load))
+    checks = Counter()
+    for rule_id in EFFECT_RULES:
+        rule_cls = type(rule_by_identifier(rule_id))
+
+        def counted_check(self, module, _check=rule_cls.check, _id=rule_id):
+            checks[_id, module.path] += 1
+            return _check(self, module)
+
+        monkeypatch.setattr(rule_cls, "check", counted_check)
+
+    assert repro.check.main(["--check-manifests"]) == 0
+    capsys.readouterr()
+    assert counts == {"Project.load": 1, "build_call_graph": 1, "find_workers": 1}
+    src_modules = [path.as_posix() for path in iter_python_files(["src"])]
+    for rule_id in EFFECT_RULES:
+        per_module = {path: checks[rule_id, path] for path in src_modules}
+        assert per_module == dict.fromkeys(src_modules, 1), rule_id

@@ -1,21 +1,37 @@
 """Shared fixtures for the test suite.
 
-Heavyweight artifacts (the paper-scale topology, full-day series) are
-session-scoped so the suite stays fast; anything a test mutates is
-function-scoped.
+Heavyweight artifacts (the paper-scale topology, full-day series, the
+analyzers' reports on the repo itself) are session-scoped so the suite
+stays fast; anything a test mutates is function-scoped.
 """
 
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
+from repro.audit.cli import TIER as AUDIT_TIER
+from repro.audit.project import Project
 from repro.blockchain.block import genesis_block
+from repro.flow.cli import TIER as FLOW_TIER
+from repro.lint import lint_paths
 from repro.netsim.latency import ConstantLatency
 from repro.netsim.network import Network, NetworkConfig
 from repro.topology.builder import build_paper_topology
 from repro.topology.topology import Topology
+from repro.vec.cli import TIER as VEC_TIER
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+#: What ``repro-lint`` checks by default: every Python tree of the repo.
+LINT_TARGETS = [
+    REPO_ROOT / name for name in ("src", "benchmarks", "tests", "examples")
+]
+
+#: The whole-program tiers by manifest section, in ``repro-check`` order.
+TIERS = {tier.section: tier for tier in (AUDIT_TIER, VEC_TIER, FLOW_TIER)}
 
 
 @pytest.fixture(scope="session")
@@ -69,3 +85,21 @@ def rng():
 @pytest.fixture()
 def genesis():
     return genesis_block()
+
+
+@pytest.fixture(scope="session")
+def repo_lint():
+    """One lint run over :data:`LINT_TARGETS` (read-only)."""
+    return lint_paths(LINT_TARGETS)
+
+
+@pytest.fixture(scope="session")
+def src_reports(repo_lint):
+    """Each whole-program tier's report on ``src`` (read-only), by section.
+
+    Built as ``repro-check`` builds them: one project over the modules
+    the lint run parsed, checked by every tier in turn.
+    """
+    files = {loaded.path: loaded for loaded in repo_lint.files}
+    project = Project.load([REPO_ROOT / "src"], files=files)
+    return {name: tier.check(project) for name, tier in TIERS.items()}

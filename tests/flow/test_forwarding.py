@@ -11,7 +11,6 @@ without keying or sanctioning ``foo`` fails here, not in production.
 
 import ast
 
-from repro.flow import run_flow
 from repro.flow.rules import build_flow_section
 
 from .conftest import REPO_ROOT
@@ -50,8 +49,10 @@ class TestRunnerForwarding:
         # plus these keywords; extending the CLI extends this set.
         assert {"seed", "fast", "jobs", "cache", "policy"} <= named
 
-    def test_every_forwarded_param_is_keyed_sanctioned_or_a_handle(self):
-        report = run_flow([REPO_ROOT / "src"])
+    def test_every_forwarded_param_is_keyed_sanctioned_or_a_handle(
+        self, src_reports
+    ):
+        report = src_reports["flow"]
         manifest = build_flow_section(report)
         boundary = manifest["cache_boundaries"][
             "repro.experiments.run_experiment"
@@ -80,11 +81,11 @@ class TestRunnerForwarding:
             "parameter's signature line"
         )
 
-    def test_influence_analysis_sees_every_named_forward(self):
+    def test_influence_analysis_sees_every_named_forward(self, src_reports):
         """Each forwarded knob must at least appear in run_experiment's
         signature — a renamed/removed parameter means the regression
         test (and the CLI) drifted from the boundary."""
-        report = run_flow([REPO_ROOT / "src"])
+        report = src_reports["flow"]
         signature_params = set(
             report.context.project.modules["repro.experiments"]
             .functions["run_experiment"]

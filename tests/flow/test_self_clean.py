@@ -24,27 +24,23 @@ EXPERIMENTS = REPO_ROOT / "src" / "repro" / "experiments" / "__init__.py"
 ENGINE_KEY_LINE = '        config["engine"] = engine\n'
 
 
-def _src_report():
-    return run_flow([REPO_ROOT / "src"])
-
-
 class TestRepoSelfFlow:
-    def test_source_tree_is_clean(self):
-        report = _src_report()
+    def test_source_tree_is_clean(self, src_reports):
+        report = src_reports["flow"]
         assert report.findings == [], "\n".join(
             f"{f.location()}: {f.rule_id} {f.message}"
             for f in report.findings
         )
 
-    def test_committed_manifest_is_current(self):
-        report = _src_report()
+    def test_committed_manifest_is_current(self, src_reports):
+        report = src_reports["flow"]
         drift = diff_section(
             "flow", build_flow_section(report), REPO_ROOT / MANIFEST_FILE
         )
         assert drift is None, drift
 
-    def test_every_suppression_is_a_reviewed_boundary_param(self):
-        report = _src_report()
+    def test_every_suppression_is_a_reviewed_boundary_param(self, src_reports):
+        report = src_reports["flow"]
         assert report.suppressed, "run_experiment keeps reviewed sanctions"
         assert {f.rule_id for f in report.suppressed} == {"RPL401"}
         # jobs and policy on the two boundaries that run trials.
@@ -52,8 +48,8 @@ class TestRepoSelfFlow:
         for module in ("experiments/__init__.py", "sweeps/driver.py"):
             assert sum(f.path.endswith(module) for f in report.suppressed) == 2
 
-    def test_run_experiment_boundary_account(self):
-        manifest = build_flow_section(_src_report())
+    def test_run_experiment_boundary_account(self, src_reports):
+        manifest = build_flow_section(src_reports["flow"])
         boundary = manifest["cache_boundaries"][
             "repro.experiments.run_experiment"
         ]
@@ -61,14 +57,14 @@ class TestRepoSelfFlow:
             assert param in boundary["key_params"]
         assert boundary["sanctioned_params"] == ["jobs", "policy"]
 
-    def test_run_sweep_boundary_account(self):
-        manifest = build_flow_section(_src_report())
+    def test_run_sweep_boundary_account(self, src_reports):
+        manifest = build_flow_section(src_reports["flow"])
         boundary = manifest["cache_boundaries"]["repro.sweeps.driver.run_sweep"]
         assert boundary["key_params"] == ["root_seed", "specs"]
         assert boundary["sanctioned_params"] == ["jobs", "policy"]
 
-    def test_scenario_spec_digest_is_complete_by_construction(self):
-        manifest = build_flow_section(_src_report())
+    def test_scenario_spec_digest_is_complete_by_construction(self, src_reports):
+        manifest = build_flow_section(src_reports["flow"])
         spec = manifest["digest_classes"]["repro.scenarios.spec.ScenarioSpec"]
         assert spec["complete_by_construction"] is True
         assert "engine" in spec["fields"]

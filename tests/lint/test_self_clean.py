@@ -5,25 +5,21 @@ every true positive the rules find gets fixed (not suppressed), and the
 only standing directives are the documented fixture headers under
 ``tests/lint/fixtures`` and ``tests/audit/fixtures`` plus
 reason-annotated line suppressions.
-"""
 
-from pathlib import Path
+The whole-tree checks read the session's one lint run (``repo_lint``)
+and audit report (``src_reports``); the command line still runs here.
+"""
 
 from repro.lint import lint_paths
 from repro.lint.cli import main
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-TARGETS = [
-    REPO_ROOT / "src",
-    REPO_ROOT / "benchmarks",
-    REPO_ROOT / "tests",
-    REPO_ROOT / "examples",
-]
+from ..conftest import LINT_TARGETS as TARGETS
+from ..conftest import REPO_ROOT
 
 
 class TestRepoSelfLint:
-    def test_tree_is_clean(self):
-        report = lint_paths(TARGETS)
+    def test_tree_is_clean(self, repo_lint):
+        report = repo_lint
         assert report.findings == [], "\n".join(
             f"{f.location()}: {f.rule_id} {f.message}" for f in report.findings
         )
@@ -32,18 +28,16 @@ class TestRepoSelfLint:
         assert main([str(target) for target in TARGETS]) == 0
         capsys.readouterr()  # swallow the report
 
-    def test_only_fixture_files_are_file_suppressed(self):
-        report = lint_paths(TARGETS)
-        skipped = [f.path for f in report.files if f.file_suppressed]
+    def test_only_fixture_files_are_file_suppressed(self, repo_lint):
+        skipped = [f.path for f in repo_lint.files if f.file_suppressed]
         assert skipped, "the bad fixtures must exist and be skipped"
         assert all(
             "tests/lint/fixtures/" in path or "tests/audit/fixtures/" in path
             for path in skipped
         )
 
-    def test_lint_covers_the_whole_tree(self):
-        report = lint_paths(TARGETS)
-        linted = {f.path for f in report.files}
+    def test_lint_covers_the_whole_tree(self, repo_lint):
+        linted = {f.path for f in repo_lint.files}
         assert any(path.endswith("repro/netsim/events.py") for path in linted)
         assert any(path.endswith("repro/parallel/trials.py") for path in linted)
         assert any("benchmarks/" in path for path in linted)
@@ -63,15 +57,14 @@ class TestRepoSelfLint:
         (entry,) = report.files
         assert not entry.file_suppressed
 
-    def test_graph_engine_passes_the_whole_program_audit(self):
+    def test_graph_engine_passes_the_whole_program_audit(self, src_reports):
         """The CSR engine must also be clean under the RPL2xx
         whole-program audit (effect and seed-flow analysis), not just
         the per-file rules — its arrays flow into every cached trial."""
-        from repro.audit import run_audit
-
-        report = run_audit([str(REPO_ROOT / "src")])
         offenders = [
-            f for f in report.findings if "netsim/graph" in f.location()
+            f
+            for f in src_reports["audit"].findings
+            if "netsim/graph" in f.location()
         ]
         assert offenders == [], "\n".join(
             f"{f.location()}: {f.rule_id} {f.message}" for f in offenders

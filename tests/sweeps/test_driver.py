@@ -159,6 +159,31 @@ def _cache_files(directory):
     return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
 
 
+class TestSerialization:
+    def test_each_spec_is_serialized_once_per_sweep(self, monkeypatch):
+        """A spec's digest and its trial params come from one canonical string."""
+        import repro.sweeps.driver as driver
+
+        serialized = []
+        real_to_dict = ScenarioSpec.to_dict
+
+        def counting_to_dict(spec):
+            serialized.append(spec)
+            return real_to_dict(spec)
+
+        monkeypatch.setattr(ScenarioSpec, "to_dict", counting_to_dict)
+        # A stub body keeps the worker's own summary digest out of the count.
+        monkeypatch.setattr(driver, "run_scenario", lambda spec, seed: {"seed": seed})
+        specs = _grid64()[:8]
+        result = driver.run_sweep(specs, root_seed=2)
+        assert result.executed == len(specs)
+        assert len(serialized) == len(specs)
+
+    def test_digest_of_the_canonical_form_is_the_digest(self):
+        spec = _grid64()[5]
+        assert ScenarioSpec.digest_of(spec.canonical_json()) == spec.digest()
+
+
 class TestStreamedStores:
     def test_cold_cache_is_identical_across_jobs(self, tmp_path):
         specs = _grid64()
