@@ -8,11 +8,13 @@ This benchmark times exactly that analysis and asserts it lands under a
 30 s budget, so a quadratic blow-up in the call-graph closure or the
 dtype interpreter fails loudly here instead of slowly rotting CI.  The
 lint and audit runs are timed alongside for context (informational, no
-budget).  Over ``src`` on a 2-vCPU VM (Python 3.11) one run of each
-tool on its own takes about: lint 2.9 s, audit 3.2 s, vec 1.0 s, flow
-2.6 s.  ``repro-check`` shares one parse and one project among all four
-(``repro-check --check-manifests``: about 8-9 s for all four tiers over
-their default paths, lint's including ``tests`` and ``benchmarks``).
+budget).  Each tool runs over its CI scope: lint over what
+``repro-check`` lints (``src``, ``benchmarks``, ``tests``, ``examples``;
+424 files), the others over ``src``.  On a 2-vCPU VM (Python 3.11) one
+run of each tool on its own takes about: lint 2.4 s, audit 1.9 s,
+vec 1.1 s, flow 2.9 s.  ``repro-check`` shares one parse and one
+project among all four (``repro-check --check-manifests``: about 4-5 s
+for all four tiers).
 
 Runnable from tier-1 environments without pytest::
 
@@ -33,6 +35,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.audit import run_audit
+from repro.check import TOOLS
 from repro.flow import run_flow
 from repro.flow.rules import build_flow_section
 from repro.lint import lint_paths
@@ -45,6 +48,11 @@ __all__ = ["main", "time_analyzers"]
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
 MANIFEST = REPO_ROOT / MANIFEST_FILE
+#: What CI's ``repro-check`` lints: the lint tier's base argv.
+LINT_PATHS = [
+    REPO_ROOT / path for name, _entry, base, _gated in TOOLS if name == "lint"
+    for path in base
+]
 
 #: Wall-clock budget for one full ``repro-vec`` analysis of ``src``.
 VEC_BUDGET_SECONDS = 30.0
@@ -93,7 +101,7 @@ def time_analyzers() -> Dict[str, Dict[str, object]]:
     }
 
     start = time.perf_counter()
-    lint_report = lint_paths([SRC])
+    lint_report = lint_paths(LINT_PATHS)
     timings["repro-lint"] = {
         "seconds": time.perf_counter() - start,
         "findings": sum(len(f.findings) for f in lint_report.files),

@@ -14,18 +14,19 @@ correctness) rest on:
   :class:`~repro.parallel.cache.ResultCache` stores, so *their* effect
   closure is what the cache's code fingerprint must cover.
 
-Both are found statically, with the same receiver heuristic the
-per-file RPL105 rule uses, so the two tools agree about what counts as
-an engine dispatch.
+Both are found statically, with the dispatch matcher the per-file
+RPL105 rule uses (:func:`~repro.lint.rules.pickling.engine_worker`), so
+the two tools agree about what counts as an engine dispatch.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import Dict, Iterator, List, Optional
 
-from ..lint.rules.pickling import is_engine_receiver
+from ..lint.rules.base import module_assignments
+from ..lint.rules.pickling import engine_worker
 from .project import MODULE_BODY, FunctionNode, ModuleRecord, Project
 
 __all__ = ["Worker", "find_workers"]
@@ -48,90 +49,40 @@ class Worker:
     dispatch_line: int
 
 
-def _worker_argument(node: ast.Call) -> Optional[ast.AST]:
-    if node.args:
-        return node.args[0]
-    for keyword in node.keywords:
-        if keyword.arg == "fn":
-            return keyword.value
-    return None
+def _worker(
+    project: Project,
+    record: ModuleRecord,
+    expr: ast.AST,
+    role: str,
+    artifact: Optional[str],
+    line: int,
+) -> Optional[Worker]:
+    """The project function ``expr`` names inside ``record``, as a worker."""
+    canonical = record.info.resolve(expr)
+    target = None if canonical is None else project.resolve_local(record, canonical)
+    if target is None or target[0] != "function" or target[1].qualname == MODULE_BODY:
+        return None
+    return Worker(target[1].fq, target[1], role, artifact, record.name, line)
 
 
-def _find_trial_workers(project: Project) -> List[Worker]:
-    workers: List[Worker] = []
+def _find_trial_workers(project: Project) -> Iterator[Optional[Worker]]:
     for record in project.modules.values():
-        for node in ast.walk(record.info.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not (
-                isinstance(func, ast.Attribute) and func.attr in _ENGINE_METHODS
-            ):
-                continue
-            if not is_engine_receiver(record.info, func.value):
-                continue
-            worker_expr = _worker_argument(node)
-            if worker_expr is None:
-                continue
-            canonical = record.info.resolve(worker_expr)
-            if canonical is None:
-                continue
-            target = project.resolve_local(record, canonical)
-            if target is None or target[0] != "function":
-                continue
-            fn: FunctionNode = target[1]
-            if fn.qualname == MODULE_BODY:
-                continue
-            workers.append(
-                Worker(
-                    fq=fn.fq,
-                    node=fn,
-                    role="trial",
-                    artifact=None,
-                    dispatch_module=record.name,
-                    dispatch_line=node.lineno,
-                )
-            )
-    return workers
+        for node in record.info.index.of(ast.Call):
+            worker_expr = engine_worker(record.info, node, _ENGINE_METHODS)
+            if worker_expr is not None:
+                yield _worker(project, record, worker_expr, "trial", None, node.lineno)
 
 
-def _find_registry_entries(project: Project) -> List[Worker]:
-    workers: List[Worker] = []
+def _find_registry_entries(project: Project) -> Iterator[Optional[Worker]]:
     for record in project.modules.values():
-        for stmt in record.info.tree.body:
-            if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                continue
-            if isinstance(stmt, ast.Assign):
-                targets = [t for t in stmt.targets if isinstance(t, ast.Name)]
-                value = stmt.value
-            else:
-                targets = [stmt.target] if isinstance(stmt.target, ast.Name) else []
-                value = stmt.value
-            if value is None or not isinstance(value, ast.Dict):
+        for targets, value, _stmt in module_assignments(record.info.tree):
+            if not isinstance(value, ast.Dict):
                 continue
             if not any(t.id == "REGISTRY" for t in targets):
                 continue
             for key, entry in zip(value.keys, value.values):
-                if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
-                    continue
-                canonical = record.info.resolve(entry)
-                if canonical is None:
-                    continue
-                target = project.resolve_local(record, canonical)
-                if target is None or target[0] != "function":
-                    continue
-                fn: FunctionNode = target[1]
-                workers.append(
-                    Worker(
-                        fq=fn.fq,
-                        node=fn,
-                        role="entry",
-                        artifact=key.value,
-                        dispatch_module=record.name,
-                        dispatch_line=entry.lineno,
-                    )
-                )
-    return workers
+                if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                    yield _worker(project, record, entry, "entry", key.value, entry.lineno)
 
 
 def find_workers(project: Project) -> List[Worker]:
@@ -142,8 +93,8 @@ def find_workers(project: Project) -> List[Worker]:
     can group each artifact's entry and trial workers together.  A
     function dispatched from several sites appears once.
     """
-    entries = _find_registry_entries(project)
-    trials = _find_trial_workers(project)
+    entries = [w for w in _find_registry_entries(project) if w is not None]
+    trials = [w for w in _find_trial_workers(project) if w is not None]
     artifact_by_module: Dict[str, str] = {}
     for entry in entries:
         if entry.artifact is not None:
@@ -152,13 +103,6 @@ def find_workers(project: Project) -> List[Worker]:
     for worker in entries:
         seen.setdefault(worker.fq, worker)
     for worker in trials:
-        labeled = Worker(
-            fq=worker.fq,
-            node=worker.node,
-            role=worker.role,
-            artifact=artifact_by_module.get(worker.node.module),
-            dispatch_module=worker.dispatch_module,
-            dispatch_line=worker.dispatch_line,
-        )
-        seen.setdefault(labeled.fq, labeled)
+        artifact = artifact_by_module.get(worker.node.module)
+        seen.setdefault(worker.fq, replace(worker, artifact=artifact))
     return sorted(seen.values(), key=lambda w: (w.role != "entry", w.fq))

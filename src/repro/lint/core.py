@@ -9,7 +9,9 @@ findings (so CI output and the JSON reporter are stable byte-for-byte
 across runs and machines).
 
 :func:`load_file` is every tier's front end: it parses a file and reads
-its directives once, into the :class:`ModuleInfo` all tiers share.
+its directives once, into the :class:`ModuleInfo` all tiers share.  Its
+:class:`NodeIndex` walks the tree once; rules and the import map read
+nodes and scopes there instead of walking again.
 
 Suppression syntax (parsed from real comment tokens, so the same text
 inside a string literal is inert):
@@ -32,7 +34,9 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 __all__ = [
     "FILE_DIRECTIVE_WINDOW",
@@ -40,8 +44,11 @@ __all__ = [
     "Finding",
     "ImportMap",
     "ModuleInfo",
+    "NodeIndex",
     "PARSE_ERROR_ID",
     "RunReport",
+    "SCOPE_TYPES",
+    "Scope",
     "Suppressions",
     "iter_python_files",
     "lint_file",
@@ -65,6 +72,9 @@ _DISABLE_RE = re.compile(
     r"#\s*repro-lint:\s*disable=(?P<rules>[A-Za-z0-9_,-]+)(?P<reason>\s.*)?$"
 )
 _DISABLE_FILE_RE = re.compile(r"#\s*repro-lint:\s*disable-file(?P<reason>\s.*)?$")
+
+#: Nodes that open a name scope of their own (the module is the other).
+SCOPE_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 
 @dataclass(frozen=True, order=True)
@@ -107,6 +117,67 @@ def module_dotted_path(path: Union[str, Path]) -> Tuple[Optional[str], bool]:
     return ".".join(reversed(parts)), is_package
 
 
+@dataclass(eq=False)
+class Scope:
+    """One name scope: the module, a def, a lambda or a class body.
+
+    ``nodes`` are the nodes the scope owns, in walk order: its body and
+    everything under it, down to and including each nested scope's node
+    but not that scope's body.  A def's decorators, defaults and
+    annotations (a class's bases, a lambda's defaults) belong to no
+    scope.  ``parent`` is the scope owning ``node`` (None for the module
+    and for a scope inside one of those unowned parts).
+    """
+
+    node: ast.AST
+    parent: Optional["Scope"] = field(repr=False)
+    nodes: List[ast.AST] = field(default_factory=list, repr=False)
+
+
+class NodeIndex:
+    """One ``ast.walk`` of a module: its nodes, by type, and its scopes.
+
+    ``scopes`` holds the module scope, then each def, lambda and class.
+    """
+
+    def __init__(self, tree: ast.Module) -> None:
+        self.nodes: List[ast.AST] = []
+        self.by_type: Dict[type, List[ast.AST]] = {}
+        self.scopes = [Scope(tree, None)]
+        owners = {id(tree): self.scopes[0]}  # id(node) -> its scope, or None
+        for node in ast.walk(tree):
+            self.nodes.append(node)
+            self.by_type.setdefault(type(node), []).append(node)
+            inner = outer = owners.pop(id(node), None)
+            if isinstance(node, SCOPE_TYPES):
+                inner, outer = Scope(node, outer), None
+                self.scopes.append(inner)
+            elif node is tree:
+                outer = None
+            for name in node._fields:
+                value = getattr(node, name, None)
+                if isinstance(value, ast.AST):
+                    value = (value,)
+                elif not isinstance(value, list):
+                    continue
+                owner = inner if name == "body" else outer
+                for child in value:
+                    if isinstance(child, ast.AST):
+                        owners[id(child)] = owner
+                        if owner is not None:
+                            owner.nodes.append(child)
+
+    def of(self, *types: type) -> List[ast.AST]:
+        """Nodes of exactly these types, in walk order (do not mutate)."""
+        if len(types) == 1:
+            return self.by_type.get(types[0], [])
+        return [node for node in self.nodes if type(node) in types]
+
+    def scope_of(self, node: ast.AST) -> Optional[Scope]:
+        """The scope owning ``node`` (None for decorators, defaults, ...)."""
+        return next((scope for scope in self.scopes if node in scope.nodes), None)
+
+
 class ImportMap:
     """Maps local names to canonical dotted module paths.
 
@@ -126,14 +197,15 @@ class ImportMap:
 
     def __init__(
         self,
-        tree: ast.AST,
+        index: NodeIndex,
         module: Optional[str] = None,
         is_package: bool = False,
     ) -> None:
         self.module = module
         self.is_package = is_package
         self.aliases: Dict[str, str] = {}
-        for node in ast.walk(tree):
+        # In walk order: a later alias of a name wins.
+        for node in index.of(ast.Import, ast.ImportFrom):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.asname:
@@ -259,21 +331,26 @@ class ModuleInfo:
     source: str
     tree: ast.Module
     imports: ImportMap
+    #: The one walk of ``tree`` that rules read.
+    index: NodeIndex = field(repr=False, compare=False)
     module: Optional[str] = None
     suppressions: Suppressions = field(default_factory=Suppressions)
-    _findings: Dict[str, List[Finding]] = field(
+    _memo: Dict[str, Any] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def resolve(self, expr: ast.AST) -> Optional[str]:
         return self.imports.resolve(expr)
 
+    def memo(self, key: str, compute: Callable[["ModuleInfo"], Any]) -> Any:
+        """``compute(self)``, computed once per ``key`` (do not mutate it)."""
+        if key not in self._memo:
+            self._memo[key] = compute(self)
+        return self._memo[key]
+
     def findings(self, rule: Any) -> List[Finding]:
         """``rule``'s unsuppressed findings here, checked once (do not mutate)."""
-        found = self._findings.get(rule.rule_id)
-        if found is None:
-            found = self._findings[rule.rule_id] = rule.check(self)
-        return found
+        return self.memo(rule.rule_id, rule.check)
 
 
 @dataclass
@@ -348,8 +425,9 @@ def load_source(
     directives = parse_suppressions(source)
     if suppressions == "all" and directives.file_disabled:
         return FileReport(path, [], [], file_suppressed=True)
-    imports = ImportMap(tree, module=module, is_package=is_package)
-    info = ModuleInfo(path, source, tree, imports, module, directives)
+    index = NodeIndex(tree)
+    imports = ImportMap(index, module=module, is_package=is_package)
+    info = ModuleInfo(path, source, tree, imports, index, module, directives)
     return FileReport(path, [], [], info=info)
 
 

@@ -3,7 +3,10 @@
 Adding a rule = write a module under ``repro/lint/rules/``, instantiate
 it here, give it a fixture pair under ``tests/lint/fixtures/`` (one
 ``*_bad.py`` that fires it, one ``*_good.py`` that stays silent), and
-document it in README's "Determinism rules" table.
+document it in README's "Determinism rules" table.  A rule reads nodes
+and scopes from ``module.index`` (``index.of(ast.Call)``,
+``index.scopes``), not by walking ``module.tree``: the module is walked
+once, and what a scope is and owns is decided there.
 """
 
 from __future__ import annotations

@@ -2,25 +2,27 @@
 
 Every rule is a stateless object with identity metadata (``rule_id``,
 ``name``, ``summary``, ``rationale``) and a ``check(module)`` method
-returning findings.  The helpers here implement the two analyses most
-rules share: resolving which names are *local* to a function scope
-(so instance/local state is never confused with module globals) and
-recognising expression shapes (set-valued expressions, RNG draw calls).
+returning findings.  Rules read nodes and scopes from ``module.index``
+(:class:`~repro.lint.core.NodeIndex`) rather than walking the tree.
+The helpers here resolve which names are *local* to a function scope
+(so instance/local state is never confused with module globals), list
+module-level assignments, recognise engine/cache receivers and name the
+RNG draw calls.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Set
+from typing import Iterator, List, Set, Tuple
 
-from ..core import Finding, ModuleInfo
+from ..core import Finding, ModuleInfo, Scope
 
 __all__ = [
     "RNG_DRAW_METHODS",
     "Rule",
-    "function_defs",
     "local_bindings",
-    "walk_scope",
+    "looks_like",
+    "module_assignments",
 ]
 
 #: Method names that draw from a generator (stdlib ``random.Random`` and
@@ -89,24 +91,6 @@ class Rule:
         )
 
 
-def walk_scope(nodes) -> Iterator[ast.AST]:
-    """Walk statements without descending into nested function/class bodies.
-
-    The nested ``FunctionDef``/``Lambda``/``ClassDef`` node itself *is*
-    yielded (so callers can see that a name gets bound) but its body is
-    a different scope and is skipped.
-    """
-    stack = list(nodes)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
 def _target_names(target: ast.AST) -> Set[str]:
     # Only Store-context names bind: in ``registry[key] = v`` the name
     # ``registry`` is a Load (the mutation rule depends on seeing that).
@@ -117,27 +101,52 @@ def _target_names(target: ast.AST) -> Set[str]:
     }
 
 
-def local_bindings(fn: ast.AST) -> Set[str]:
-    """Names bound in ``fn``'s direct scope (params, assignments, ...).
+def looks_like(
+    module: ModuleInfo, receiver: ast.AST, class_name: str, word: str
+) -> bool:
+    """Is ``receiver`` a ``class_name(...)`` call or a name mentioning ``word``?
 
-    Names declared ``global`` are excluded even when assigned, since
+    The receiver heuristic of the engine and cache rules: both
+    ``TrialEngine(jobs=2)`` and ``self._engine`` look like an engine.
+    """
+    if isinstance(receiver, ast.Call):
+        canonical = module.resolve(receiver.func)
+        return bool(canonical) and canonical.split(".")[-1] == class_name
+    parts = module.imports.dotted_parts(receiver)
+    return bool(parts) and word in parts[-1].lower()
+
+
+def module_assignments(
+    tree: ast.Module,
+) -> Iterator[Tuple[List[ast.Name], ast.AST, ast.stmt]]:
+    """Each top-level ``name = value`` / ``name: T = value``.
+
+    Yields the statement's plain-name targets, its value and itself.
+    """
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            yield [t for t in stmt.targets if isinstance(t, ast.Name)], stmt.value, stmt
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            if isinstance(stmt.target, ast.Name):
+                yield [stmt.target], stmt.value, stmt
+
+
+def local_bindings(scope: Scope) -> Tuple[Set[str], Set[str]]:
+    """Names a def or lambda scope binds, and the names it declares global.
+
+    Names declared ``global`` are not local even when assigned, since
     those assignments hit module state — exactly what rules like
     global-state need to see through.
     """
-    names: Set[str] = set()
+    args = scope.node.args
+    names = {
+        arg.arg
+        for arg in args.posonlyargs + args.args + args.kwonlyargs
+        + [args.vararg, args.kwarg]
+        if arg is not None
+    }
     declared_global: Set[str] = set()
-    args = fn.args
-    for arg in (
-        list(getattr(args, "posonlyargs", []))
-        + list(args.args)
-        + list(args.kwonlyargs)
-    ):
-        names.add(arg.arg)
-    if args.vararg:
-        names.add(args.vararg.arg)
-    if args.kwarg:
-        names.add(args.kwarg.arg)
-    for node in walk_scope(fn.body):
+    for node in scope.nodes:
         if isinstance(node, ast.Assign):
             for target in node.targets:
                 names.update(_target_names(target))
@@ -163,13 +172,4 @@ def local_bindings(fn: ast.AST) -> Set[str]:
                 names.add(alias.asname or alias.name)
         elif isinstance(node, ast.Global):
             declared_global.update(node.names)
-    return names - declared_global
-
-
-def function_defs(tree: ast.AST) -> List[ast.AST]:
-    """Every function/method definition anywhere in the module."""
-    return [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
+    return names - declared_global, declared_global

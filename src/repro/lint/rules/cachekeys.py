@@ -17,7 +17,7 @@ import ast
 from typing import List, Optional
 
 from ..core import Finding, ModuleInfo
-from .base import Rule
+from .base import Rule, looks_like
 
 __all__ = ["CACHE_METHODS", "CacheKeyRule", "key_hazard"]
 
@@ -42,16 +42,6 @@ def key_hazard(module: ModuleInfo, node: ast.AST) -> Optional[str]:
     return None
 
 
-def _is_cache_receiver(module: ModuleInfo, receiver: ast.AST) -> bool:
-    if isinstance(receiver, ast.Call):
-        canonical = module.resolve(receiver.func)
-        return bool(canonical) and canonical.split(".")[-1] == "ResultCache"
-    parts = module.imports.dotted_parts(receiver)
-    if parts:
-        return "cache" in parts[-1].lower()
-    return False
-
-
 class CacheKeyRule(Rule):
     rule_id = "RPL106"
     name = "cache-key"
@@ -65,9 +55,7 @@ class CacheKeyRule(Rule):
 
     def check(self, module: ModuleInfo) -> List[Finding]:
         findings: List[Finding] = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.index.of(ast.Call):
             func = node.func
             is_cache_call = False
             call_desc = ""
@@ -78,7 +66,7 @@ class CacheKeyRule(Rule):
             elif (
                 isinstance(func, ast.Attribute)
                 and func.attr in CACHE_METHODS
-                and _is_cache_receiver(module, func.value)
+                and looks_like(module, func.value, "ResultCache", "cache")
             ):
                 is_cache_call = True
                 call_desc = f".{func.attr}()"

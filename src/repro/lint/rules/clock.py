@@ -50,9 +50,7 @@ class WallClockRule(Rule):
 
     def check(self, module: ModuleInfo) -> List[Finding]:
         findings: List[Finding] = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.index.of(ast.Call):
             canonical = module.resolve(node.func)
             if canonical in _WALL_CLOCK_CALLS:
                 findings.append(

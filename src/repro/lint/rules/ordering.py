@@ -11,28 +11,21 @@ streams).  The fix is one word: iterate ``sorted(...)``.
 List/dict comprehensions over a set are flagged unconditionally —
 their entire purpose is to build ordered output from the unordered
 source.  Set comprehensions and order-neutral reducers are not
-matched.
+matched.  Every scope that runs code is checked: the module, each def,
+each lambda and each class body.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
-from ..core import Finding, ModuleInfo
-from .base import RNG_DRAW_METHODS, Rule, walk_scope
+from ..core import Finding, ModuleInfo, Scope
+from .base import RNG_DRAW_METHODS, Rule
 
 __all__ = ["SetOrderRule"]
 
 _APPEND_METHODS = frozenset({"append", "appendleft", "extend", "insert", "setdefault"})
-
-
-def _scopes(tree: ast.Module):
-    """Module body plus every function body (each is one name scope)."""
-    yield tree.body
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.body
 
 
 class SetOrderRule(Rule):
@@ -47,9 +40,9 @@ class SetOrderRule(Rule):
     )
 
     # ------------------------------------------------------------------
-    def _set_names(self, module: ModuleInfo, scope_body) -> Set[str]:
+    def _set_names(self, module: ModuleInfo, scope: Scope) -> Set[str]:
         names: Set[str] = set()
-        for node in walk_scope(scope_body):
+        for node in scope.nodes:
             if isinstance(node, ast.Assign) and self._is_set_expr(module, node.value, ()):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
@@ -90,10 +83,9 @@ class SetOrderRule(Rule):
     # ------------------------------------------------------------------
     def check(self, module: ModuleInfo) -> List[Finding]:
         findings: List[Finding] = []
-        comp_seen: Set[int] = set()
-        for scope_body in _scopes(module.tree):
-            set_names = self._set_names(module, scope_body)
-            for node in walk_scope(scope_body):
+        for scope in module.index.scopes:
+            set_names = self._set_names(module, scope)
+            for node in scope.nodes:
                 if isinstance(node, (ast.For, ast.AsyncFor)) and self._is_set_expr(
                     module, node.iter, set_names
                 ):
@@ -109,13 +101,10 @@ class SetOrderRule(Rule):
                             )
                         )
                 elif isinstance(node, (ast.ListComp, ast.DictComp)):
-                    if id(node) in comp_seen:
-                        continue
                     if any(
                         self._is_set_expr(module, gen.iter, set_names)
                         for gen in node.generators
                     ):
-                        comp_seen.add(id(node))
                         kind = "list" if isinstance(node, ast.ListComp) else "dict"
                         findings.append(
                             self.finding(

@@ -8,30 +8,54 @@ or — worse, with ``jobs=1`` inline execution — work in tests and die
 only when someone first passes ``--jobs 4``.  Only the *worker slot*
 (the first argument) must be picklable: ``first_match`` predicates and
 fallbacks run in the parent, so a lambda predicate is fine and is not
-flagged.
+flagged.  A bare name is a nested function when a def of that name sits
+in one of the call site's enclosing function scopes.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Set
+from typing import AbstractSet, List, Optional
 
 from ..core import Finding, ModuleInfo
-from .base import Rule, function_defs
+from .base import Rule, looks_like
 
-__all__ = ["UnpicklableWorkerRule", "is_engine_receiver"]
+__all__ = ["UnpicklableWorkerRule", "engine_worker"]
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 _ENGINE_METHODS = frozenset({"map", "first_match"})
 
 
-def is_engine_receiver(module: ModuleInfo, receiver: ast.AST) -> bool:
-    """Does this expression look like a TrialEngine instance?"""
-    if isinstance(receiver, ast.Call):
-        canonical = module.resolve(receiver.func)
-        return bool(canonical) and canonical.split(".")[-1] == "TrialEngine"
-    parts = module.imports.dotted_parts(receiver)
-    if parts:
-        return "engine" in parts[-1].lower()
+def engine_worker(
+    module: ModuleInfo, call: ast.Call, methods: AbstractSet[str]
+) -> Optional[ast.AST]:
+    """Worker slot of ``<TrialEngine>.<method>(...)``, ``method`` in ``methods``.
+
+    The slot is the first positional argument, else the ``fn`` keyword;
+    None when ``call`` is no such dispatch or passes no worker.
+    """
+    func = call.func
+    if not (
+        isinstance(func, ast.Attribute)
+        and func.attr in methods
+        and looks_like(module, func.value, "TrialEngine", "engine")
+    ):
+        return None
+    if call.args:
+        return call.args[0]
+    return next((kw.value for kw in call.keywords if kw.arg == "fn"), None)
+
+
+def _is_nested_def(module: ModuleInfo, site: ast.AST, name: str) -> bool:
+    """Does ``name`` at ``site`` resolve to a def inside a function?"""
+    scope = module.index.scope_of(site)
+    while scope is not None:
+        if isinstance(scope.node, _DEFS) and any(
+            isinstance(node, _DEFS) and node.name == name for node in scope.nodes
+        ):
+            return True
+        scope = scope.parent
     return False
 
 
@@ -47,65 +71,33 @@ class UnpicklableWorkerRule(Rule):
     )
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _nested_def_names(module: ModuleInfo) -> Set[str]:
-        """Names of functions defined inside other functions."""
-        nested: Set[str] = set()
-        for outer in function_defs(module.tree):
-            for node in ast.walk(outer):
-                if node is outer:
-                    continue
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    nested.add(node.name)
-        return nested
-
-    def _worker_hazard(
-        self, module: ModuleInfo, worker: ast.AST, nested: Set[str]
-    ) -> Optional[str]:
+    def _worker_hazard(self, module: ModuleInfo, worker: ast.AST) -> Optional[str]:
         if isinstance(worker, ast.Lambda):
             return "a lambda"
-        if isinstance(worker, ast.Name) and worker.id in nested:
+        if isinstance(worker, ast.Name) and _is_nested_def(module, worker, worker.id):
             return f"nested function '{worker.id}'"
         if isinstance(worker, ast.Call):
             canonical = module.resolve(worker.func)
             if canonical and canonical.split(".")[-1] == "partial" and worker.args:
-                return self._worker_hazard(module, worker.args[0], nested)
-        for node in ast.walk(worker):
-            if isinstance(node, ast.Lambda):
-                return "a lambda"
+                return self._worker_hazard(module, worker.args[0])
+        if any(isinstance(node, ast.Lambda) for node in ast.walk(worker)):
+            return "a lambda"
         return None
 
     # ------------------------------------------------------------------
     def check(self, module: ModuleInfo) -> List[Finding]:
-        nested = self._nested_def_names(module)
         findings: List[Finding] = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not (
-                isinstance(func, ast.Attribute) and func.attr in _ENGINE_METHODS
-            ):
-                continue
-            if not is_engine_receiver(module, func.value):
-                continue
-            worker = None
-            if node.args:
-                worker = node.args[0]
-            else:
-                for keyword in node.keywords:
-                    if keyword.arg == "fn":
-                        worker = keyword.value
-                        break
+        for node in module.index.of(ast.Call):
+            worker = engine_worker(module, node, _ENGINE_METHODS)
             if worker is None:
                 continue
-            hazard = self._worker_hazard(module, worker, nested)
+            hazard = self._worker_hazard(module, worker)
             if hazard is not None:
                 findings.append(
                     self.finding(
                         module,
                         worker,
-                        f"worker slot of .{func.attr}() receives {hazard}; "
+                        f"worker slot of .{node.func.attr}() receives {hazard}; "
                         "workers are pickled by reference for "
                         "multiprocessing — define the trial function at "
                         "module level",

@@ -76,9 +76,7 @@ class GlobalRngRule(Rule):
 
     def check(self, module: ModuleInfo) -> List[Finding]:
         findings: List[Finding] = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.index.of(ast.Call):
             canonical = module.resolve(node.func)
             if canonical is None:
                 continue

@@ -11,8 +11,9 @@ per-network; this rule mechanises the review that found it.
 Only *known-mutable* module-level bindings are tracked (list/dict/set
 displays and comprehensions, ``list()``/``dict()``/``set()``,
 ``itertools.count()``, ``collections.Counter/defaultdict/deque/
-OrderedDict``), and only *mutations from inside function or method
-bodies* are flagged: building a constant table at import time is fine,
+OrderedDict``), and only *mutations from inside function, method or
+lambda bodies* are flagged (a ``default_factory=lambda: next(_ids)`` is
+the same bug): building a constant table at import time is fine,
 and instance-scoped state (``self._counter = itertools.count()``, as in
 ``netsim/events.py``) never matches because the rule tracks bare module
 names, not attributes.
@@ -21,10 +22,10 @@ names, not attributes.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from ..core import Finding, ModuleInfo
-from .base import Rule, function_defs, local_bindings, walk_scope
+from .base import Rule, local_bindings, module_assignments
 
 __all__ = ["GlobalStateRule", "module_mutables"]
 
@@ -63,20 +64,21 @@ _MUTATOR_METHODS = frozenset(
 )
 
 
+#: Scopes whose code runs when called, not at import.
+_FUNCTION_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
 def module_mutables(module: ModuleInfo) -> Dict[str, Tuple[int, str]]:
-    """Module-level names bound to known-mutable values: name -> (line, kind)."""
+    """Module-level names bound to known-mutable values: name -> (line, kind).
+
+    Computed once per module (do not mutate the result).
+    """
+    return module.memo("mutables", _module_mutables)
+
+
+def _module_mutables(module: ModuleInfo) -> Dict[str, Tuple[int, str]]:
     mutables: Dict[str, Tuple[int, str]] = {}
-    for stmt in module.tree.body:
-        if isinstance(stmt, ast.Assign):
-            targets = [t for t in stmt.targets if isinstance(t, ast.Name)]
-            value = stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            targets = [stmt.target]
-            value = stmt.value
-        else:
-            continue
-        if value is None:
-            continue
+    for targets, value, stmt in module_assignments(module.tree):
         kind = None
         if isinstance(value, (ast.List, ast.ListComp)):
             kind = "list"
@@ -111,19 +113,15 @@ class GlobalStateRule(Rule):
         if not mutables:
             return []
         findings: List[Finding] = []
-        for fn in function_defs(module.tree):
-            locals_ = local_bindings(fn)
-            declared_global: Set[str] = set()
-            for node in walk_scope(fn.body):
-                if isinstance(node, ast.Global):
-                    declared_global.update(node.names)
+        for scope in module.index.scopes:
+            if not isinstance(scope.node, _FUNCTION_SCOPES):
+                continue
+            locals_, declared_global = local_bindings(scope)
 
             def is_global(name: str) -> bool:
-                return name in mutables and (
-                    name not in locals_ or name in declared_global
-                )
+                return name in mutables and name not in locals_
 
-            for node in walk_scope(fn.body):
+            for node in scope.nodes:
                 name = None
                 verb = None
                 if isinstance(node, ast.Call):

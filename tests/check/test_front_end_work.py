@@ -12,6 +12,13 @@ count, the quadratic search is a hundred times more.
 builds its call graph and finds its workers once, and checks each
 module with each per-file detector once, however many tiers read the
 results.  Counting those calls over the real tree pins it.
+
+The lint rules, the import map and the worker search read each module's
+one :class:`NodeIndex` instead of walking it again.  The index must hold
+exactly what those walks saw: each per-type list is ``ast.walk``
+filtered to the type, in the same order, and each scope owns the nodes
+the per-scope walk yielded — the scope's body, stopping at (but
+yielding) every nested def, lambda and class.
 """
 
 import ast
@@ -25,8 +32,11 @@ import pytest
 import repro.check
 from repro.audit import Project, build_call_graph, find_workers, run_audit
 from repro.flow import run_flow
-from repro.lint import iter_python_files, rule_by_identifier
+from repro.lint import iter_python_files, lint_paths, rule_by_identifier
+from repro.lint.core import SCOPE_TYPES, NodeIndex
 from repro.vec import run_vec
+
+from ..conftest import LINT_TARGETS
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -84,17 +94,19 @@ def engine_package(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "stage",
+    "stage, walks_per_node",
     [
-        lambda paths: build_call_graph(Project.load(paths)),
-        run_audit,
-        run_vec,
-        run_flow,
+        (lambda paths: build_call_graph(Project.load(paths)), WALKS_PER_NODE),
+        (run_audit, WALKS_PER_NODE),
+        (run_vec, WALKS_PER_NODE),
+        (run_flow, WALKS_PER_NODE),
+        # The rules read the module's one node index: one walk, not one each.
+        (lint_paths, 2),
     ],
-    ids=["call-graph", "audit", "vec", "flow"],
+    ids=["call-graph", "audit", "vec", "flow", "lint"],
 )
 def test_stage_walks_a_small_multiple_of_the_module(
-    engine_package, monkeypatch, stage
+    engine_package, monkeypatch, stage, walks_per_node
 ):
     root, module_nodes = engine_package
     visits = [0]
@@ -107,7 +119,7 @@ def test_stage_walks_a_small_multiple_of_the_module(
 
     monkeypatch.setattr(ast, "walk", counting_walk)
     stage([root])
-    assert visits[0] <= WALKS_PER_NODE * module_nodes, (
+    assert visits[0] <= walks_per_node * module_nodes, (
         f"{visits[0]} nodes walked for a {module_nodes}-node module"
     )
 
@@ -157,3 +169,78 @@ def test_repro_check_is_one_analysis_pass(monkeypatch, capsys):
     for rule_id in EFFECT_RULES:
         per_module = {path: checks[rule_id, path] for path in src_modules}
         assert per_module == dict.fromkeys(src_modules, 1), rule_id
+
+
+def walk_scope(nodes):
+    """Reference scope walk: the body, not descending into nested scopes."""
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, SCOPE_TYPES):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def scope_body(node):
+    return [node.body] if isinstance(node, ast.Lambda) else node.body
+
+
+@pytest.fixture(scope="module")
+def indexed():
+    """Every lint target, fixtures included, parsed and indexed."""
+    pairs = []
+    for path in iter_python_files(LINT_TARGETS):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        pairs.append((path, tree, NodeIndex(tree)))
+    return pairs
+
+
+def test_per_type_lists_are_the_filtered_walk(indexed):
+    for path, tree, index in indexed:
+        walked = list(ast.walk(tree))
+        assert [id(node) for node in index.nodes] == [id(n) for n in walked], path
+        for node_type, nodes in index.by_type.items():
+            expected = [n for n in walked if type(n) is node_type]
+            assert [id(n) for n in nodes] == [id(n) for n in expected], (
+                path,
+                node_type.__name__,
+            )
+        imports = index.of(ast.Import, ast.ImportFrom)
+        expected = [n for n in walked if isinstance(n, (ast.Import, ast.ImportFrom))]
+        assert [id(n) for n in imports] == [id(n) for n in expected], path
+
+
+def test_each_scope_owns_what_the_scope_walk_yields(indexed):
+    for path, tree, index in indexed:
+        assert index.scopes[0].node is tree and index.scopes[0].parent is None
+        scope_nodes = [scope.node for scope in index.scopes[1:]]
+        walked = [n for n in ast.walk(tree) if isinstance(n, SCOPE_TYPES)]
+        assert [id(n) for n in scope_nodes] == [id(n) for n in walked], path
+        for scope in index.scopes:
+            owned = Counter(map(id, scope.nodes))
+            reference = Counter(map(id, walk_scope(scope_body(scope.node))))
+            assert owned == reference, (path, getattr(scope.node, "lineno", 0))
+
+
+def test_parent_is_the_scope_owning_the_node():
+    tree = ast.parse(
+        "def outer():\n"
+        "    def inner(key=lambda item: item):\n"
+        "        return [lambda: 1]\n"
+        "class Box:\n"
+        "    def method(self):\n"
+        "        pass\n"
+    )
+    index = NodeIndex(tree)
+    scope = {
+        (type(entry.node).__name__, entry.node.lineno): entry
+        for entry in index.scopes[1:]
+    }
+    outer, inner = scope["FunctionDef", 1], scope["FunctionDef", 2]
+    default, returned = scope["Lambda", 2], scope["Lambda", 3]
+    assert outer.parent is index.scopes[0] and inner.parent is outer
+    # A default belongs to no scope's nodes, so its lambda has no parent.
+    assert default.parent is None and index.scope_of(default.node) is None
+    assert returned.parent is inner and index.scope_of(returned.node) is inner
+    assert scope["FunctionDef", 5].parent is scope["ClassDef", 4]

@@ -33,3 +33,15 @@ def tally(key: str) -> None:
 def reset() -> None:
     global _HISTORY
     _HISTORY = []  # expect: RPL102
+
+
+from dataclasses import dataclass, field
+
+
+@dataclass
+class Poolish:
+    # A lambda body runs per instance, like a method body.
+    pool_id: int = field(default_factory=lambda: next(_POOL_IDS))  # expect: RPL102
+
+
+record = lambda event: _HISTORY.append(event)  # expect: RPL102

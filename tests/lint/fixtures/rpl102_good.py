@@ -33,3 +33,13 @@ def accumulate(events) -> dict:
 def shadowed(_REGISTRY=None) -> None:
     _REGISTRY = {}
     _REGISTRY["local"] = True  # local shadow, not the module global
+
+
+#: Lambdas that only read module state, or mutate their own argument.
+share_of = lambda name: DEFAULT_SHARES.get(name, 0.0)
+add_kind = lambda KNOWN_KINDS: KNOWN_KINDS.append("miner")
+
+
+class Catalog:
+    # A class body runs once, at import, like the module body.
+    KNOWN_KINDS.append("relay")

@@ -32,3 +32,13 @@ def listify(names):
 def emit(ids):
     for node_id in frozenset(ids):  # expect: RPL104
         yield node_id
+
+
+names_of = lambda nodes: [node.name for node in set(nodes)]  # expect: RPL104
+
+
+class Tiers:
+    ORDER = [tier for tier in {"core", "edge"}]  # expect: RPL104
+    RANK = {}
+    for tier in {"relay", "miner"}:  # expect: RPL104
+        RANK[tier] = len(RANK)

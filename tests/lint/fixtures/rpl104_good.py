@@ -30,3 +30,12 @@ def total(weights) -> float:
     for weight in set(weights):
         result += weight
     return result
+
+
+names_of = lambda nodes: [node.name for node in sorted(set(nodes))]
+distinct = lambda nodes: len({node.name for node in nodes})
+
+
+class Tiers:
+    ORDER = [tier for tier in sorted({"core", "edge"})]
+    KNOWN = {tier for tier in {"relay", "miner"}}

@@ -28,3 +28,14 @@ def search_with_lambda(engine, trials):
 
 def sweep_with_partial_lambda(engine, trials):
     return engine.map(functools.partial(lambda t: t.seed), trials)  # expect: RPL105
+
+
+def sweep_from_inner_function(trials):
+    def worker(trial):
+        return trial.seed
+
+    def run():
+        # The closure is found through the enclosing function's scope.
+        return TrialEngine(jobs=2).map(worker, trials)  # expect: RPL105
+
+    return run()

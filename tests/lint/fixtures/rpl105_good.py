@@ -7,6 +7,23 @@ def _seed_trial(trial):
     return {"seed": trial.seed}
 
 
+def work(trial):
+    return trial.seed
+
+
+def local_work(trials):
+    # A nested def named like the module-level worker does not make
+    # dispatches elsewhere in the module nested.
+    def work(trial):
+        return trial.seed + 1
+
+    return [work(trial) for trial in trials]
+
+
+def sweep_shared_name(trials):
+    return TrialEngine(jobs=2).map(work, trials)
+
+
 def sweep(trials, jobs: int = 1):
     return TrialEngine(jobs=jobs).map(_seed_trial, trials)
 

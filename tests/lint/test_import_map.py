@@ -10,11 +10,12 @@ package-vs-module base difference.
 import ast
 
 from repro.lint import ImportMap, module_dotted_path
+from repro.lint.core import NodeIndex
 
 
 def _aliases(source, module, is_package=False):
-    tree = ast.parse(source)
-    return ImportMap(tree, module=module, is_package=is_package).aliases
+    index = NodeIndex(ast.parse(source))
+    return ImportMap(index, module=module, is_package=is_package).aliases
 
 
 class TestRelativeImports:
@@ -104,11 +105,13 @@ class TestRelativeResolutionEndToEnd:
             "    return simulate(3)\n"
         )
         tree = ast.parse(source)
+        index = NodeIndex(tree)
         info = ModuleInfo(
             path="pkg/pipeline.py",
             source=source,
             tree=tree,
-            imports=ImportMap(tree, module="pkg.pipeline"),
+            imports=ImportMap(index, module="pkg.pipeline"),
+            index=index,
             module="pkg.pipeline",
         )
         call = next(n for n in ast.walk(tree) if isinstance(n, ast.Call))
