@@ -32,6 +32,7 @@ import ast
 import io
 import re
 import tokenize
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -135,20 +136,25 @@ class Scope:
 
 
 class NodeIndex:
-    """One ``ast.walk`` of a module: its nodes, by type, and its scopes.
+    """One walk of a module: its nodes, by type, and its scopes.
 
-    ``scopes`` holds the module scope, then each def, lambda and class.
+    The walk is ``ast.walk``'s breadth-first order, done in place so each
+    node's fields are read once, both to queue its children and to hand
+    them to their owning scope.  ``scopes`` holds the module scope, then
+    each def, lambda and class.
     """
 
     def __init__(self, tree: ast.Module) -> None:
         self.nodes: List[ast.AST] = []
         self.by_type: Dict[type, List[ast.AST]] = {}
         self.scopes = [Scope(tree, None)]
-        owners = {id(tree): self.scopes[0]}  # id(node) -> its scope, or None
-        for node in ast.walk(tree):
+        # (node, the scope owning it, or None), in ast.walk order.
+        todo = deque([(tree, self.scopes[0])])
+        while todo:
+            node, inner = todo.popleft()
             self.nodes.append(node)
             self.by_type.setdefault(type(node), []).append(node)
-            inner = outer = owners.pop(id(node), None)
+            outer = inner
             if isinstance(node, SCOPE_TYPES):
                 inner, outer = Scope(node, outer), None
                 self.scopes.append(inner)
@@ -163,7 +169,7 @@ class NodeIndex:
                 owner = inner if name == "body" else outer
                 for child in value:
                     if isinstance(child, ast.AST):
-                        owners[id(child)] = owner
+                        todo.append((child, owner))
                         if owner is not None:
                             owner.nodes.append(child)
 

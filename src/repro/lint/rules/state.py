@@ -22,9 +22,9 @@ names, not attributes.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
-from ..core import Finding, ModuleInfo
+from ..core import Finding, ModuleInfo, Scope
 from .base import Rule, local_bindings, module_assignments
 
 __all__ = ["GlobalStateRule", "module_mutables"]
@@ -112,14 +112,34 @@ class GlobalStateRule(Rule):
         mutables = module_mutables(module)
         if not mutables:
             return []
+        bindings: Dict[Scope, Tuple[Set[str], Set[str]]] = {}
+
+        def bound(scope: Scope) -> Tuple[Set[str], Set[str]]:
+            if scope not in bindings:
+                bindings[scope] = local_bindings(scope)
+            return bindings[scope]
+
         findings: List[Finding] = []
         for scope in module.index.scopes:
             if not isinstance(scope.node, _FUNCTION_SCOPES):
                 continue
-            locals_, declared_global = local_bindings(scope)
+            locals_, declared_global = bound(scope)
 
             def is_global(name: str) -> bool:
-                return name in mutables and name not in locals_
+                """A tracked name whose load here reaches the module binding."""
+                if name not in mutables or name in locals_:
+                    return False
+                if name in declared_global:
+                    return True
+                # An enclosing def or lambda that binds the name shadows
+                # it; a class body does not enclose its methods.
+                outer = scope.parent
+                while outer is not None:
+                    if isinstance(outer.node, _FUNCTION_SCOPES):
+                        if name in bound(outer)[0]:
+                            return False
+                    outer = outer.parent
+                return True
 
             for node in scope.nodes:
                 name = None

@@ -31,7 +31,12 @@ Two engines implement the model:
   is maintained incrementally, so no observation or mining decision
   ever rescans the grid.  Its random draws come from the stdlib
   ``"grid"`` stream and are bit-identical to the original
-  implementation: published figure7 outputs do not move.
+  implementation: published figure7 outputs do not move.  The hot
+  per-node neighbour pick calls the stream's ``getrandbits`` primitive
+  directly, in the calls ``randrange(8)`` makes: CPython's
+  ``Random._randbelow_with_getrandbits(8)`` in ``Lib/random.py``
+  (unchanged from 3.9 through 3.13) draws ``(8).bit_length() == 4``
+  bits and redraws while the value is 8 or more.
 - the grid bridge — the vectorized sparse-graph engine
   (:class:`repro.netsim.graph.GraphSimulatorVec`) run on the grid's
   Moore neighbourhood through ``GraphSpec.from_grid``.  It draws the
@@ -632,8 +637,13 @@ class GridSimulator(_GridEngineBase):
     The scalar reference engine.  Draws come from the stdlib ``"grid"``
     stream in the exact order of the original implementation, so runs
     are bit-identical to the pre-optimization engine (pinned by the
-    golden-trajectory tests).  All observation queries are answered
-    from incrementally maintained indices:
+    golden-trajectory tests).  :meth:`_communicate` picks each
+    neighbour with ``getrandbits(4)`` redrawn while >= 8, which is what
+    ``randrange(8)`` calls in CPython's ``Lib/random.py``
+    (``Random._randbelow_with_getrandbits``), so the stream position
+    after every step matches a ``randrange(8)`` engine (pinned by
+    ``tests/netsim/test_grid_draw_stream.py``).  All observation
+    queries are answered from incrementally maintained indices:
 
     - ``_label_cells``: label -> set of cells currently on that fork
       (fork fractions, live labels, and holder selection without grid
@@ -751,7 +761,7 @@ class GridSimulator(_GridEngineBase):
         """
         failure = self.config.failure_rate
         rng_random = self._rng.random
-        rng_randrange = self._rng.randrange
+        getrandbits = self._rng.getrandbits
         neighbors = self._neighbors
         heights = self._heights
         labels = self._labels
@@ -760,7 +770,12 @@ class GridSimulator(_GridEngineBase):
         for idx in range(self.config.num_nodes):  # repro-lint: disable=RPL311 the scalar reference engine is per-node by definition; the graph engine's grid bridge is the vectorized path
             if failure and rng_random() < failure:
                 continue
-            other = neighbors[idx][rng_randrange(8)]
+            # randrange(8) inlined: Random._randbelow_with_getrandbits(8)
+            # draws (8).bit_length() == 4 bits and rejects values >= 8.
+            pick = getrandbits(4)
+            while pick >= 8:
+                pick = getrandbits(4)
+            other = neighbors[idx][pick]
             height_a = heights[idx]
             height_b = heights[other]
             if height_a == height_b:

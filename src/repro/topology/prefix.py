@@ -14,7 +14,9 @@ prefix and you capture every node inside it.  This module provides
 from __future__ import annotations
 
 import ipaddress
+import math
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -156,13 +158,20 @@ class PrefixPool:
         Each node's prefix is drawn exactly as
         ``rng.choices(live, weights=live_weights)[0]`` would draw it:
         the same ``random()`` calls, the same picks and the same stream
-        position afterwards.  ``live`` starts as every prefix; a drawn
-        prefix that is full leaves it and the draw is retried, so a
-        heavily-weighted small prefix overflows into the others
-        instead of failing.  The prefix sums are built once and
-        rebuilt only when a prefix leaves the live set, so placing N
-        nodes over P prefixes costs O(N log P) draws plus O(P) per
-        prefix that fills.
+        position afterwards.  The draw calls the primitive directly:
+        ``live[bisect(cum, rng.random() * total, 0, len(live) - 1)]``
+        with ``total = cum[-1] + 0.0`` is the expression
+        ``Random.choices`` evaluates for ``cum_weights`` in CPython's
+        ``Lib/random.py`` (the same from 3.9 through 3.13), minus the
+        wrapper's per-call list and checks; the total is checked as
+        ``choices`` checks it whenever the sums are built.
+
+        ``live`` starts as every prefix; a drawn prefix that is full
+        leaves it and the draw is retried, so a heavily-weighted small
+        prefix overflows into the others instead of failing.  The
+        prefix sums are built once and rebuilt only when a prefix
+        leaves the live set, so placing N nodes over P prefixes costs
+        O(N log P) draws plus O(P) per prefix that fills.
         """
         prefixes = self.prefixes
         if len(weights) != len(prefixes):
@@ -190,17 +199,19 @@ class PrefixPool:
         node_prefix, node_ip = self._node_prefix, self._node_ip
         live = list(range(len(prefixes)))
         cum = _cumulative_weights(weights, live)
-        choices = rng.choices
+        total, hi = _checked_total(cum), len(live) - 1
+        draw = rng.random
         touched: Dict[int, None] = {}
         assignments: Dict[int, ipaddress.IPv4Address] = {}
         try:
             for node_id in node_ids:
                 while True:
-                    index = choices(live, cum_weights=cum)[0]
+                    index = live[bisect(cum, draw() * total, 0, hi)]
                     if next_host[index] < limits[index]:
                         break
                     live.remove(index)
                     cum = _cumulative_weights(weights, live)
+                    total, hi = _checked_total(cum), len(live) - 1
                 if node_id in node_prefix:
                     raise TopologyError("node already assigned", node_id=node_id)
                 prefix = prefixes[index]
@@ -258,9 +269,20 @@ def _cumulative_weights(weights: Sequence[float], live: List[int]) -> List[float
     """Running sums of ``weights`` over the ``live`` prefix positions.
 
     The list ``random.choices(weights=...)`` builds internally on every
-    call; passing it back as ``cum_weights`` gives the same draws.
+    call; bisecting it as ``choices`` does gives the same draws.
     """
     return list(accumulate(weights[index] for index in live))
+
+
+def _checked_total(cum: List[float]) -> float:
+    """The float total of prefix sums ``cum``, validated as
+    ``random.choices`` validates it."""
+    total = cum[-1] + 0.0
+    if total <= 0.0:
+        raise ValueError("Total of weights must be greater than zero")
+    if not math.isfinite(total):
+        raise ValueError("Total of weights must be finite")
+    return total
 
 
 class AddressPlan:

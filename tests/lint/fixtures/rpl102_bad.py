@@ -45,3 +45,13 @@ class Poolish:
 
 
 record = lambda event: _HISTORY.append(event)  # expect: RPL102
+
+
+def shadowed_then_declared() -> int:
+    _POOL_IDS = itertools.count(5)
+
+    def inner() -> int:
+        global _POOL_IDS
+        return next(_POOL_IDS)  # expect: RPL102
+
+    return inner() + next(_POOL_IDS)

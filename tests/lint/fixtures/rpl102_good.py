@@ -43,3 +43,17 @@ add_kind = lambda KNOWN_KINDS: KNOWN_KINDS.append("miner")
 class Catalog:
     # A class body runs once, at import, like the module body.
     KNOWN_KINDS.append("relay")
+
+
+#: A module counter that an enclosing function shadows: the nested
+#: function advances the enclosing function's own counter.
+_SEQUENCE = itertools.count()
+
+
+def numbered(items) -> list:
+    _SEQUENCE = itertools.count(5)
+
+    def number(item):
+        return (next(_SEQUENCE), item)
+
+    return [number(item) for item in items]

@@ -106,6 +106,26 @@ class TestMatchesPerDrawLoop:
         got = run(PrefixPool.assign_nodes_weighted, case)
         assert got == expected
 
+    def test_prefix_filling_mid_assignment_leaves_and_the_draw_retries(
+        self, monkeypatch
+    ):
+        """A heavy /30 takes the first two nodes, then fills: the next
+        draw that lands on it drops it from the live set and draws again
+        over the rest, as ``rng.choices`` over the shrunken pool would."""
+        builds = []
+        cumulative = prefix_module._cumulative_weights
+
+        def counted(weights, live):
+            builds.append(list(live))
+            return cumulative(weights, live)
+
+        monkeypatch.setattr(prefix_module, "_cumulative_weights", counted)
+        case = ([30, 29, 29], [100.0, 1.0, 1.0], [], list(range(100, 110)), 7)
+        expected = run(oracle_assign_nodes_weighted, case)
+        got = run(PrefixPool.assign_nodes_weighted, case)
+        assert got == expected
+        assert builds == [[0, 1, 2], [1, 2]]
+
 
 class TestPrefixSumWork:
     def test_prefix_sums_built_once_plus_once_per_filled_prefix(self, monkeypatch):
