@@ -252,13 +252,12 @@ class PaperTopologyBuilder:
                 pool.add_prefix(prefix)
             topo.pools[profile.asn] = pool
             weights = self._zipf_weights(num_prefixes, profile.concentration)
-            node_ids = list(range(node_id, node_id + profile.nodes))
-            for nid in node_ids:
-                topo._node_asn[nid] = profile.asn
-            pool.assign_nodes_weighted(node_ids, weights, rng)
+            topo.host_nodes_weighted(
+                profile.asn, range(node_id, node_id + profile.nodes), weights, rng
+            )
         else:
             for nid in range(node_id, node_id + profile.nodes):
-                topo._node_asn[nid] = profile.asn
+                topo.host_node(nid, profile.asn)
         return node_id + profile.nodes
 
     def _add_tail(
@@ -287,10 +286,9 @@ class PaperTopologyBuilder:
                 pool.add_prefix(prefix)
             topo.pools[asn] = pool
             weights = self._zipf_weights(num_prefixes, 1.5)
-            node_ids = list(range(node_id, node_id + count))
-            for nid in node_ids:
-                topo._node_asn[nid] = asn
-            pool.assign_nodes_weighted(node_ids, weights, rng)
+            topo.host_nodes_weighted(
+                asn, range(node_id, node_id + count), weights, rng
+            )
             node_id += count
         return node_id
 

@@ -9,6 +9,12 @@ prefix and you capture every node inside it.  This module provides
   assignment of node IPs into those prefixes;
 - :func:`allocate_prefixes` — a deterministic allocator carving disjoint
   prefixes for each AS out of a synthetic address plan.
+
+Prefixes and node addresses are plain ints inside this module: the
+paper topology places every node at an address, and no artifact reads
+one.  :attr:`Prefix.network`, :meth:`PrefixPool.node_ip` and
+:meth:`PrefixPool.assign_node` hand out :mod:`ipaddress` objects,
+built when they are asked for.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import math
 import random
 from bisect import bisect
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -37,21 +44,37 @@ _PLAN_BASE = int(ipaddress.IPv4Address("1.0.0.0"))
 class Prefix:
     """An IPv4 prefix announced by an origin AS.
 
+    Equality and hashing read the three ints only; :attr:`network`
+    builds the :class:`ipaddress.IPv4Network` on first use.
+
     Attributes:
-        network: The announced network (e.g. ``5.9.0.0/16``).
+        first: The network address as an int (``5.9.0.0/16`` has
+            ``first == 0x05090000``).
+        prefix_len: The CIDR prefix length.
         origin_asn: ASN that legitimately originates this prefix.
     """
 
-    network: ipaddress.IPv4Network
+    first: int
+    prefix_len: int
     origin_asn: int
 
-    @property
-    def prefix_len(self) -> int:
-        return self.network.prefixlen
+    @classmethod
+    def from_network(cls, network: ipaddress.IPv4Network, origin_asn: int) -> "Prefix":
+        return cls(int(network.network_address), network.prefixlen, origin_asn)
+
+    @cached_property
+    def network(self) -> ipaddress.IPv4Network:
+        """The announced network (e.g. ``5.9.0.0/16``)."""
+        return ipaddress.IPv4Network((self.first, self.prefix_len))
 
     @property
     def num_addresses(self) -> int:
-        return self.network.num_addresses
+        return 1 << (32 - self.prefix_len)
+
+    @property
+    def cidr(self) -> str:
+        """``str(self.network)``, formatted from the ints."""
+        return f"{_dotted(self.first)}/{self.prefix_len}"
 
     def contains(self, ip: ipaddress.IPv4Address) -> bool:
         return ip in self.network
@@ -65,18 +88,23 @@ class Prefix:
         if new_len <= self.prefix_len:
             raise TopologyError(
                 "subprefix must be more specific",
-                prefix=str(self.network),
+                prefix=self.cidr,
                 new_len=new_len,
             )
         if new_len > 32:
             raise TopologyError("IPv4 prefix length cannot exceed 32", new_len=new_len)
         return [
-            Prefix(network=sub, origin_asn=self.origin_asn)
+            Prefix.from_network(sub, self.origin_asn)
             for sub in self.network.subnets(new_prefix=new_len)
         ]
 
     def __str__(self) -> str:
-        return f"{self.network} (AS{self.origin_asn})"
+        return f"{self.cidr} (AS{self.origin_asn})"
+
+
+def _dotted(address: int) -> str:
+    """Dotted-quad text of an IPv4 address int, as ``ipaddress`` prints it."""
+    return ".".join(map(str, address.to_bytes(4, "big")))
 
 
 @dataclass
@@ -84,16 +112,16 @@ class PrefixPool:
     """The prefixes announced by one AS and the node IPs inside them.
 
     The pool records, for every hosted Bitcoin node, which prefix its IP
-    falls into.  ``nodes_by_prefix`` is the grouping Figure 4 needs: the
-    analysis sorts prefixes by node count and accumulates the hijack
-    cost curve.  Prefixes join the pool through :meth:`add_prefix`,
+    falls into and the IP itself, stored as an int.  ``nodes_by_prefix``
+    is the grouping Figure 4 needs: the analysis sorts prefixes by node
+    count and accumulates the hijack cost curve.  Prefixes join the pool through :meth:`add_prefix`,
     which keeps the prefix→position index in step with ``prefixes``.
     """
 
     asn: int
     prefixes: List[Prefix] = field(default_factory=list)
     _node_prefix: Dict[int, Prefix] = field(default_factory=dict, repr=False)
-    _node_ip: Dict[int, ipaddress.IPv4Address] = field(default_factory=dict, repr=False)
+    _node_ip: Dict[int, int] = field(default_factory=dict, repr=False)
     _next_host: Dict[Prefix, int] = field(default_factory=dict, repr=False)
     _index: Dict[Prefix, int] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -137,23 +165,26 @@ class PrefixPool:
             raise TopologyError(
                 "prefix exhausted", prefix=str(prefix), hosts=host_index
             )
-        ip = prefix.network.network_address + host_index
+        ip = prefix.first + host_index
         self._next_host[prefix] = host_index + 1
         self._node_prefix[node_id] = prefix
         self._node_ip[node_id] = ip
-        return ip
+        return ipaddress.IPv4Address(ip)
 
     def assign_nodes_weighted(
         self,
         node_ids: Sequence[int],
         weights: Sequence[float],
         rng: random.Random,
-    ) -> Dict[int, ipaddress.IPv4Address]:
+    ) -> None:
         """Distribute nodes over prefixes according to ``weights``.
 
-        ``weights`` has one entry per prefix in ``self.prefixes``; the
-        builder passes a Zipf-like vector whose skew is calibrated per
-        AS so the resulting hijack-cost curve matches Figure 4.
+        Each node gets the next free host address of its drawn prefix,
+        as :meth:`assign_node` would give it; read it back with
+        :meth:`node_ip`.  ``weights`` has one entry per prefix in
+        ``self.prefixes``; the builder passes a Zipf-like vector whose
+        skew is calibrated per AS so the resulting hijack-cost curve
+        matches Figure 4.
 
         Each node's prefix is drawn exactly as
         ``rng.choices(live, weights=live_weights)[0]`` would draw it:
@@ -184,7 +215,7 @@ class PrefixPool:
             raise TopologyError("pool has no prefixes", asn=self.asn)
         # Bookkeeping by prefix position: host index i is free while
         # i < limit, i.e. below the broadcast address.
-        limits = [(1 << (32 - p.network.prefixlen)) - 1 for p in prefixes]
+        limits = [(1 << (32 - p.prefix_len)) - 1 for p in prefixes]
         next_host = [1] * len(prefixes)
         for prefix, host_index in self._next_host.items():
             next_host[self._index[prefix]] = host_index
@@ -202,7 +233,6 @@ class PrefixPool:
         total, hi = _checked_total(cum), len(live) - 1
         draw = rng.random
         touched: Dict[int, None] = {}
-        assignments: Dict[int, ipaddress.IPv4Address] = {}
         try:
             for node_id in node_ids:
                 while True:
@@ -216,24 +246,19 @@ class PrefixPool:
                     raise TopologyError("node already assigned", node_id=node_id)
                 prefix = prefixes[index]
                 host_index = next_host[index]
-                ip = ipaddress.IPv4Address(
-                    int(prefix.network.network_address) + host_index
-                )
                 next_host[index] = host_index + 1
                 touched[index] = None
                 node_prefix[node_id] = prefix
-                node_ip[node_id] = ip
-                assignments[node_id] = ip
+                node_ip[node_id] = prefix.first + host_index
         finally:
             # Publish the host counters in first-use order, so
             # ``_next_host`` matches node-by-node assign_node calls.
             for index in touched:
                 self._next_host[prefixes[index]] = next_host[index]
-        return assignments
 
     def node_ip(self, node_id: int) -> ipaddress.IPv4Address:
         try:
-            return self._node_ip[node_id]
+            return ipaddress.IPv4Address(self._node_ip[node_id])
         except KeyError:
             raise TopologyError("node not in pool", node_id=node_id) from None
 
@@ -254,11 +279,12 @@ class PrefixPool:
         """(prefix, node count) pairs sorted by descending node count.
 
         This is the greedy hijack order: an attacker targeting this AS
-        hijacks the most populated prefixes first.
+        hijacks the most populated prefixes first; equal counts go in
+        CIDR text order.
         """
         grouped = self.nodes_by_prefix()
         counts = [(prefix, len(nodes)) for prefix, nodes in grouped.items()]
-        counts.sort(key=lambda item: (-item[1], str(item[0].network)))
+        counts.sort(key=lambda item: (-item[1], item[0].cidr))
         return counts
 
     def __iter__(self) -> Iterator[Prefix]:
@@ -312,13 +338,7 @@ class AddressPlan:
                 "IPv4 plan exhausted", asn=asn, count=count, prefix_len=prefix_len
             )
         self._cursor = end
-        return [
-            Prefix(
-                network=ipaddress.IPv4Network((base + i * block_size, prefix_len)),
-                origin_asn=asn,
-            )
-            for i in range(count)
-        ]
+        return [Prefix(base + i * block_size, prefix_len, asn) for i in range(count)]
 
     @property
     def used_addresses(self) -> int:
@@ -354,10 +374,4 @@ def allocate_prefixes(
     base = _PLAN_BASE + as_index * _PER_AS_BLOCK
     if base + count * block_size > (1 << 32):
         raise TopologyError("IPv4 plan exhausted", asn=asn, as_index=as_index)
-    return [
-        Prefix(
-            network=ipaddress.IPv4Network((base + i * block_size, prefix_len)),
-            origin_asn=asn,
-        )
-        for i in range(count)
-    ]
+    return [Prefix(base + i * block_size, prefix_len, asn) for i in range(count)]

@@ -10,8 +10,9 @@ run against this object.
 from __future__ import annotations
 
 import ipaddress
+import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import TopologyError
 from .asn import ASRegistry, AutonomousSystem, TOR_PSEUDO_ASN
@@ -28,13 +29,11 @@ class Topology:
     """Spatial ground truth: organizations, ASes, prefixes, hosted nodes.
 
     Construction is incremental: create orgs and ASes through the
-    registries, attach prefix pools, then host nodes.  Callers host
-    nodes through :meth:`host_node`, which records the node's AS and
-    places it in the pool in one step.  The one exception is
-    :class:`~repro.topology.builder.PaperTopologyBuilder`: it writes
-    ``_node_asn`` directly for a whole AS and then places the nodes
-    with :meth:`PrefixPool.assign_nodes_weighted`, keeping the same
-    two records in step.
+    registries, attach prefix pools, then host nodes.  Nodes are hosted
+    through :meth:`host_node` (one node, one prefix) or
+    :meth:`host_nodes_weighted` (a whole AS, spread over its prefixes);
+    each records the node's AS, appends it to the AS's node list and
+    places it in the pool in one step.
     """
 
     orgs: OrganizationRegistry = field(default_factory=OrganizationRegistry)
@@ -42,6 +41,10 @@ class Topology:
     countries: CountryRegistry = field(default_factory=CountryRegistry)
     pools: Dict[int, PrefixPool] = field(default_factory=dict)
     _node_asn: Dict[int, int] = field(default_factory=dict, repr=False)
+    #: Node ids per ASN in hosting order; derived from ``_node_asn``.
+    _as_nodes: Dict[int, List[int]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -97,16 +100,39 @@ class Topology:
         (or the pool's first prefix) and its IP is returned.  Tor nodes
         (hosted in the pseudo-AS) have no IP and return ``None``.
         """
-        if asn not in self.ases:
-            raise TopologyError("unknown ASN", asn=asn)
-        if node_id in self._node_asn:
-            raise TopologyError("node already hosted", node_id=node_id)
-        self._node_asn[node_id] = asn
+        self._record_hosting(asn, (node_id,))
         pool = self.pools.get(asn)
         if pool is None or asn == TOR_PSEUDO_ASN:
             return None
         target = prefix if prefix is not None else pool.prefixes[0]
         return pool.assign_node(node_id, target)
+
+    def host_nodes_weighted(
+        self,
+        asn: int,
+        node_ids: Sequence[int],
+        weights: Sequence[float],
+        rng: random.Random,
+    ) -> None:
+        """Host every id of ``node_ids`` in AS ``asn``, in order.
+
+        The nodes are spread over the AS's prefixes by
+        :meth:`PrefixPool.assign_nodes_weighted` with ``weights`` (one
+        per prefix) and draws from ``rng``.
+        """
+        self._record_hosting(asn, node_ids)
+        self.pool(asn).assign_nodes_weighted(node_ids, weights, rng)
+
+    def _record_hosting(self, asn: int, node_ids: Sequence[int]) -> None:
+        if asn not in self.ases:
+            raise TopologyError("unknown ASN", asn=asn)
+        node_asn = self._node_asn
+        members = self._as_nodes.setdefault(asn, [])
+        for node_id in node_ids:
+            if node_id in node_asn:
+                raise TopologyError("node already hosted", node_id=node_id)
+            node_asn[node_id] = asn
+            members.append(node_id)
 
     # ------------------------------------------------------------------
     # Queries
@@ -130,7 +156,8 @@ class Topology:
         return self.pool(asn).node_ip(node_id)
 
     def nodes_in_as(self, asn: int) -> List[int]:
-        return [nid for nid, a in self._node_asn.items() if a == asn]
+        """Node ids hosted in ``asn``, in hosting order."""
+        return list(self._as_nodes.get(asn, ()))
 
     def nodes_per_as(self) -> Dict[int, int]:
         """Node count per ASN — the raw series behind Table II/Figure 3."""
@@ -161,7 +188,7 @@ class Topology:
         pool = self.pools.get(asn)
         if pool is None:
             return []
-        return [pool.node_ip(nid) for nid in self.nodes_in_as(asn)]
+        return [pool.node_ip(nid) for nid in self._as_nodes.get(asn, ())]
 
     # ------------------------------------------------------------------
     # Routing

@@ -45,7 +45,7 @@ def placement_digest(topo: Topology) -> str:
         lines.append(f"pool {asn}")
         lines.append(" ".join(str(prefix.network) for prefix in pool.prefixes))
         for node_id, prefix in pool._node_prefix.items():
-            lines.append(f"{node_id} {prefix.network} {pool._node_ip[node_id]}")
+            lines.append(f"{node_id} {prefix.network} {pool.node_ip(node_id)}")
     lines.append("node_asn")
     lines.extend(f"{nid} {asn}" for nid, asn in topo._node_asn.items())
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()

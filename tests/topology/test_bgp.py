@@ -14,7 +14,7 @@ def net(cidr: str) -> ipaddress.IPv4Network:
 
 
 def prefix(cidr: str, asn: int) -> Prefix:
-    return Prefix(network=net(cidr), origin_asn=asn)
+    return Prefix.from_network(net(cidr), asn)
 
 
 class TestBgpAnnouncement:

@@ -134,6 +134,39 @@ class TestPaperCalibration:
         assert moved > 0
 
 
+def scan_nodes_in_as(topo, asn):
+    """The per-call scan ``nodes_in_as`` did before it kept per-AS lists."""
+    return [nid for nid, a in topo._node_asn.items() if a == asn]
+
+
+class TestNodesInAs:
+    def test_paper_topology_lists_match_the_scan(self, paper_topology):
+        for asn in [a.asn for a in paper_topology.ases] + [424242]:
+            expected = scan_nodes_in_as(paper_topology, asn)
+            assert paper_topology.nodes_in_as(asn) == expected
+            pool = paper_topology.pools.get(asn)
+            assert paper_topology.node_ips_in_as(asn) == (
+                [pool.node_ip(nid) for nid in expected] if pool else []
+            )
+
+    def test_hand_built_lists_keep_hosting_order(self, tiny_topology):
+        topo = tiny_topology
+        node_id = 100
+        for asn in (300, 100, 300, 201, TOR_PSEUDO_ASN, 100):
+            if asn not in topo.ases:
+                topo.add_organization("tor", "TOR")
+                topo.add_as(asn, "TOR", "tor")
+            topo.host_node(node_id, asn)
+            node_id += 1
+        for asn in (100, 200, 201, 300, TOR_PSEUDO_ASN):
+            assert topo.nodes_in_as(asn) == scan_nodes_in_as(topo, asn)
+        assert topo.nodes_in_as(300)[-2:] == [100, 102]
+
+    def test_returned_list_is_a_copy(self, tiny_topology):
+        tiny_topology.nodes_in_as(100).append(-1)
+        assert -1 not in tiny_topology.nodes_in_as(100)
+
+
 class TestScaling:
     def test_scale_shrinks_proportionally(self, small_topology):
         summary = small_topology.summary()

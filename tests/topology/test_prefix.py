@@ -1,16 +1,20 @@
 """Tests for prefixes, pools, and the address plan."""
 
+import dataclasses
 import ipaddress
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TopologyError
 from repro.topology.prefix import AddressPlan, Prefix, PrefixPool, allocate_prefixes
 
 
 def make_prefix(cidr: str, asn: int = 100) -> Prefix:
-    return Prefix(network=ipaddress.IPv4Network(cidr), origin_asn=asn)
+    return Prefix.from_network(ipaddress.IPv4Network(cidr), asn)
 
 
 class TestPrefix:
@@ -196,3 +200,73 @@ class TestAllocatePrefixes:
     def test_invalid_prefix_len(self):
         with pytest.raises(TopologyError):
             allocate_prefixes(1, 1, prefix_len=31)
+
+
+CIDRS = st.builds(
+    lambda address, length: ipaddress.IPv4Network(
+        (address >> (32 - length) << (32 - length), length)
+    ),
+    st.integers(0, 2**32 - 1),
+    st.integers(8, 30),
+)
+
+
+class TestPrefixContract:
+    """An int-built prefix is the same value as one built from its network."""
+
+    def test_int_and_network_built_prefixes_are_one_key(self):
+        net = ipaddress.IPv4Network("10.0.0.0/24")
+        by_int = Prefix(int(net.network_address), 24, 100)
+        by_net = Prefix.from_network(net, 100)
+        assert by_int == by_net
+        assert hash(by_int) == hash(by_net)
+        assert by_int != Prefix(by_int.first, 24, 101)
+        pool = PrefixPool(asn=100)
+        pool.add_prefix(by_int)
+        with pytest.raises(TopologyError, match="already in pool"):
+            pool.add_prefix(by_net)
+        pool.assign_node(1, by_net)
+        pool.assign_node(2, by_int)
+        assert pool._index == {by_net: 0}
+        assert pool._next_host == {by_net: 3}
+        assert pool.node_ip(2) == ipaddress.IPv4Address("10.0.0.2")
+
+    @given(net=CIDRS, asn=st.integers(1, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_text_network_and_size_match_ipaddress(self, net, asn):
+        prefix = Prefix(int(net.network_address), net.prefixlen, asn)
+        assert str(prefix) == f"{net} (AS{asn})"
+        assert prefix.cidr == str(net)
+        assert prefix.network == net
+        assert prefix.num_addresses == net.num_addresses
+        assert prefix.prefix_len == net.prefixlen
+
+    @given(net=CIDRS, extra=st.integers(1, 2))
+    @settings(max_examples=50, deadline=None)
+    def test_subprefixes_match_ipaddress_subnets(self, net, extra):
+        subs = Prefix.from_network(net, 100).subprefixes(net.prefixlen + extra)
+        expected = list(net.subnets(new_prefix=net.prefixlen + extra))
+        assert [s.network for s in subs] == expected
+        assert subs == [Prefix(int(n.network_address), n.prefixlen, 100) for n in expected]
+
+    @given(nets=st.lists(CIDRS, max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_cidr_order_is_network_text_order(self, nets):
+        prefixes = [Prefix.from_network(net, 100) for net in nets]
+        by_key = sorted(prefixes, key=lambda p: p.cidr)
+        by_text = sorted(prefixes, key=lambda p: str(p.network))
+        assert by_key == by_text
+
+    def test_pickle_round_trip(self):
+        prefix = make_prefix("10.0.4.0/22")
+        assert pickle.loads(pickle.dumps(prefix)) == prefix
+        prefix.network  # cached on the instance from here on
+        restored = pickle.loads(pickle.dumps(prefix))
+        assert restored == prefix
+        assert restored.network == ipaddress.IPv4Network("10.0.4.0/22")
+
+    def test_fields_are_frozen(self):
+        prefix = make_prefix("10.0.0.0/24")
+        for name, value in (("first", 0), ("prefix_len", 16), ("origin_asn", 1)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(prefix, name, value)

@@ -29,7 +29,6 @@ def oracle_assign_nodes_weighted(pool, node_ids, weights, rng):
     def has_room(prefix):
         return pool._next_host.get(prefix, 1) < prefix.num_addresses - 1
 
-    assignments = {}
     live = list(zip(pool.prefixes, weights))
     for node_id in node_ids:
         while True:
@@ -38,8 +37,7 @@ def oracle_assign_nodes_weighted(pool, node_ids, weights, rng):
             if has_room(prefix):
                 break
             live = [(p, w) for p, w in live if p != prefix]
-        assignments[node_id] = pool.assign_node(node_id, prefix)
-    return assignments
+        pool.assign_node(node_id, prefix)
 
 
 def make_pool(prefix_lens):
@@ -92,9 +90,11 @@ def run(assign, case):
         pool.assign_node(node_id, pool.prefixes[index])
     rng = random.Random(seed)
     try:
-        outcome = list(assign(pool, node_ids, weights, rng).items())
+        assign(pool, node_ids, weights, rng)
     except TopologyError as exc:
         outcome = ("error", exc.args[0])
+    else:
+        outcome = [(node_id, pool.node_ip(node_id)) for node_id in node_ids]
     return outcome, pool_state(pool), rng.getstate()
 
 

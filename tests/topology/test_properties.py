@@ -108,7 +108,7 @@ class TestHijackCaptureProperties:
         self, victim_len, specificity, hosts
     ):
         victim_net = ipaddress.ip_network(f"10.0.0.0/{victim_len}")
-        victim = Prefix(network=victim_net, origin_asn=100)
+        victim = Prefix.from_network(victim_net, 100)
         table = RoutingTable()
         table.announce_prefix(victim, as_path=(300, 100))
         hijack = BgpHijack(
@@ -128,9 +128,7 @@ class TestHijackCaptureProperties:
     @given(hosts=st.lists(st.integers(0, 255), min_size=1, max_size=8))
     @settings(max_examples=20, deadline=None)
     def test_purging_hijacks_restores_the_victim(self, hosts):
-        victim = Prefix(
-            network=ipaddress.ip_network("10.1.0.0/16"), origin_asn=100
-        )
+        victim = Prefix.from_network(ipaddress.ip_network("10.1.0.0/16"), 100)
         table = RoutingTable()
         table.announce_prefix(victim, as_path=(300, 100))
         hijack = BgpHijack(attacker_asn=666, victim_prefixes=[victim])
