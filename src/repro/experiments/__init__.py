@@ -72,8 +72,8 @@ def run_experiment(
             on a miss the computed result is stored.  The key covers
             the experiment id, the config (``fast``), the seed, and the
             cache's code-version tag, so any input change recomputes.
-            An entry that fails to deserialize is discarded and
-            recomputed rather than raising.
+            An entry that fails to deserialize is counted as a
+            corrupt miss, discarded and recomputed rather than raising.
         policy: Optional :class:`~repro.parallel.FailurePolicy` for the
             experiment's trial engine(s): bounded same-seed retries,
             per-trial timeouts, and degradation mode.  Deliberately
@@ -127,6 +127,9 @@ def run_experiment(
             try:
                 return ExperimentResult.from_dict(payload)
             except (KeyError, TypeError, ValueError):
+                # Not a hit after all: the entry is a corrupt miss.
+                cache.hits -= 1
+                cache.misses += 1
                 cache.corrupt_entries += 1
                 cache.discard(experiment_id, config, seed)
     result = fn(seed=seed, fast=fast, jobs=jobs, policy=policy, **kwargs)

@@ -1,22 +1,36 @@
 """Content-keyed on-disk cache for experiment results.
 
-Entries are JSON files named by a SHA-256 over the *content key*: the
-experiment id, the canonicalized config dict, the seed, and a
-code-version tag.  Any change to any component produces a different
-key, so stale results are never served — they are simply orphaned on
-disk.  The cache stores plain JSON payloads (the experiment layer
-converts :class:`~repro.experiments.base.ExperimentResult` to/from
-dicts), which keeps this module free of upward dependencies.
+Entries are named by a SHA-256 over the *content key*: the experiment
+id, the canonicalized config dict, the seed, and a code-version tag.
+Any change to any component produces a different key, so stale results
+are never served — they are simply orphaned on disk.  The cache stores
+plain JSON payloads (the experiment layer converts
+:class:`~repro.experiments.base.ExperimentResult` to/from dicts), which
+keeps this module free of upward dependencies.
+
+On disk, every ``put`` lands in a *pack*: one JSON file
+``{"schema": 2, "entries": {key: envelope, ...}}`` hard-linked under
+each of its keys' ``<key>.json`` names.  A lone ``put`` writes a pack
+of one; inside a :meth:`ResultCache.batch` scope the puts are buffered
+and written ``_PACK_ENTRIES`` at a time, so a cold sweep creates one
+inode per batch instead of one per spec (creating the inode, not
+writing or linking it, is what a store costs).  Every name still means
+one key: lookups, discards, corrupt-entry deletion and the key-mismatch
+check act on the name, and a pack-mate stays readable through its own.
 
 Robustness rules:
 
-- writes are atomic (per-process unique temp file via
-  ``tempfile.mkstemp`` in the cache directory, then ``os.replace``),
-  so a crashed run never leaves a half-written entry under a valid
-  name and *concurrent writers of the same key can never interleave*:
-  each writer owns its own temp file and the last rename wins whole;
+- writes are atomic: the pack is written under a per-process unique
+  temp name (``tempfile.mkstemp`` in the cache directory) before any
+  key names it, and an existing name is replaced by linking the pack to
+  a unique ``*.tmp`` name and ``os.replace``-ing it over, so a crashed
+  run never leaves a half-written entry under a valid name and
+  *concurrent writers of the same key can never interleave*: the last
+  rename wins whole;
 - unreadable, truncated, or schema-mismatched entries count as misses:
-  the entry is deleted and the caller recomputes instead of crashing;
+  the name is deleted and the caller recomputes instead of crashing;
+  a name that vanishes before it is read (a concurrent discard) is a
+  plain miss;
 - ``*.tmp`` files orphaned by crashed runs are swept at cache startup
   (only when older than ``tmp_ttl_seconds``, so a live concurrent
   writer's in-flight temp file is never yanked out from under its
@@ -31,8 +45,9 @@ import json
 import os
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Union
 
 from .. import __version__
 
@@ -109,9 +124,15 @@ def code_fingerprint(modules: "tuple" = FINGERPRINT_MODULES) -> str:
 #: orphaned instead of served.  Override per-cache to pin behavior.
 CODE_VERSION = f"repro-{__version__}+{code_fingerprint()}"
 
-#: On-disk envelope layout version (distinct from the code tag: this
-#: guards the *file format*, the tag guards the *computed content*).
-_SCHEMA_VERSION = 1
+#: On-disk layout version of packs and their envelopes (distinct from
+#: the code tag: this guards the *file format*, the tag guards the
+#: *computed content*).  Version 1 was one bare envelope per file.
+_SCHEMA_VERSION = 2
+
+#: Entries per pack in a :meth:`ResultCache.batch` scope.  Not an
+#: option: it bounds how much a lookup reads, since a ``get`` reads its
+#: key's whole pack.
+_PACK_ENTRIES = 64
 
 
 def _canonical(config: Mapping[str, Any]) -> str:
@@ -164,6 +185,10 @@ class ResultCache:
         self.stores = 0
         self.corrupt_entries = 0
         self.orphaned_tmp_removed = 0
+        # Envelope JSON by key while a batch() scope is open, else None.
+        self._pending: Optional[Dict[str, str]] = None
+        # The last pack read: its bytes and the entries not yet served.
+        self._last_pack: Tuple[bytes, Dict[str, Any]] = (b"", {})
         self.sweep_orphans()
 
     # ------------------------------------------------------------------
@@ -181,24 +206,18 @@ class ResultCache:
     ) -> Optional[Dict[str, Any]]:
         """Stored payload dict, or ``None`` on miss/corruption.
 
-        A corrupt entry (unparsable JSON, wrong envelope schema, or a
-        key mismatch from a renamed file) is deleted so the caller's
-        recompute will overwrite it with a good copy.
+        A corrupt entry (unparsable pack, wrong schema, or a key
+        mismatch from a renamed file) has its name deleted so the
+        caller's recompute will store a good copy; its pack-mates keep
+        their own names.
         """
         key = self.key(experiment_id, config, seed)
         path = self.directory / f"{key}.json"
-        if not path.exists():
+        try:
+            envelope = self._envelope(key, path.read_bytes())
+        except FileNotFoundError:
             self.misses += 1
             return None
-        try:
-            envelope = json.loads(path.read_text(encoding="utf-8"))
-            if (
-                not isinstance(envelope, dict)
-                or envelope.get("schema") != _SCHEMA_VERSION
-                or envelope.get("key") != key
-                or not isinstance(envelope.get("payload"), dict)
-            ):
-                raise ValueError("bad cache envelope")
         except (ValueError, OSError):
             self.corrupt_entries += 1
             self.misses += 1
@@ -207,6 +226,35 @@ class ResultCache:
         self.hits += 1
         return envelope["payload"]
 
+    def _envelope(self, key: str, data: bytes) -> Dict[str, Any]:
+        """``key``'s envelope in the pack ``data``; ``ValueError`` if bad.
+
+        The last pack parsed is remembered by its bytes, never by inode
+        (a pack rewritten in place must be parsed afresh), so a warm
+        sweep parses each pack once.  A served entry leaves the memo:
+        no two lookups share one payload dict.
+        """
+        memo_data, entries = self._last_pack
+        if data != memo_data or key not in entries:
+            pack = json.loads(data)
+            if (
+                not isinstance(pack, dict)
+                or pack.get("schema") != _SCHEMA_VERSION
+                or not isinstance(pack.get("entries"), dict)
+            ):
+                raise ValueError("bad cache pack")
+            entries = pack["entries"]
+            self._last_pack = (data, entries)
+        envelope = entries.pop(key, None)
+        if (
+            not isinstance(envelope, dict)
+            or envelope.get("schema") != _SCHEMA_VERSION
+            or envelope.get("key") != key
+            or not isinstance(envelope.get("payload"), dict)
+        ):
+            raise ValueError("bad cache envelope")
+        return envelope
+
     def put(
         self,
         experiment_id: str,
@@ -214,41 +262,103 @@ class ResultCache:
         seed: int,
         payload: Mapping[str, Any],
     ) -> Path:
-        """Atomically store ``payload`` for the given content key."""
+        """Store ``payload`` for the given content key.
+
+        Outside a :meth:`batch` scope the entry is written, atomically,
+        before this returns; inside one it is buffered and written with
+        its pack.  The envelope is serialized here either way, so a
+        payload JSON cannot encode fails the put that offered it.
+        """
         key = self.key(experiment_id, config, seed)
         path = self.directory / f"{key}.json"
-        envelope = {
-            "schema": _SCHEMA_VERSION,
-            "key": key,
-            "experiment_id": experiment_id,
-            "seed": seed,
-            "config": dict(config),
-            "code_version": self.code_version,
-            "payload": dict(payload),
-        }
-        # A per-process unique temp name (mkstemp) keeps concurrent
-        # writers of the same key from interleaving into one half-written
-        # envelope; whichever os.replace lands last wins whole.
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(self.directory), prefix=f"{path.stem}-", suffix=".tmp"
+        text = json.dumps(
+            {
+                "schema": _SCHEMA_VERSION,
+                "key": key,
+                "experiment_id": experiment_id,
+                "seed": seed,
+                "config": dict(config),
+                "code_version": self.code_version,
+                "payload": dict(payload),
+            },
+            sort_keys=True,
+        )
+        self._store(key, text)
+        return path
+
+    def _store(self, key: str, text: str) -> None:
+        """Write one envelope now, or buffer it in the open batch."""
+        if self._pending is None:
+            self._write_pack({key: text})
+            return
+        self._pending[key] = text
+        if len(self._pending) >= _PACK_ENTRIES:
+            pending, self._pending = self._pending, {}
+            self._write_pack(pending)
+
+    @contextmanager
+    def batch(self) -> Iterator["ResultCache"]:
+        """Buffer this scope's puts into packs of ``_PACK_ENTRIES``.
+
+        Each full pack is written as it fills and the rest on exit,
+        also on exit by an exception, so a sweep that aborts keeps what
+        it stored.  A buffered put is not visible to :meth:`get`,
+        :meth:`discard` or :meth:`clear` until its pack is written.  A
+        nested scope joins the enclosing one.
+        """
+        if self._pending is not None:
+            yield self
+            return
+        self._pending = {}
+        try:
+            yield self
+        finally:
+            pending, self._pending = self._pending, None
+            if pending:
+                self._write_pack(pending)
+
+    def _write_pack(self, entries: Mapping[str, str]) -> None:
+        """Write ``key -> envelope JSON`` as one pack file and link it
+        under every key's name: one new inode however many entries.
+
+        The pack is complete under its temp name before any key names
+        it.  A name that already exists is replaced whole: the pack is
+        linked to a private ``*.tmp`` name that ``os.replace`` moves
+        over it, so the last writer of a key wins.
+        """
+        keys = sorted(entries)
+        body = ", ".join(f'"{key}": {entries[key]}' for key in keys)
+        fd, pack_name = tempfile.mkstemp(
+            dir=str(self.directory), prefix="pack-", suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(envelope, sort_keys=True))
-            os.replace(tmp_name, path)
-        except BaseException:
+                # The text json.dumps(..., sort_keys=True) would give.
+                handle.write(
+                    f'{{"entries": {{{body}}}, "schema": {_SCHEMA_VERSION}}}'
+                )
+            for number, key in enumerate(keys):
+                path = self.directory / f"{key}.json"
+                try:
+                    os.link(pack_name, path)
+                except FileExistsError:
+                    # mkstemp names hold no "-" after the prefix, so
+                    # this name is ours alone.
+                    link_name = f"{pack_name[:-4]}-{number}.tmp"
+                    os.link(pack_name, link_name)
+                    os.replace(link_name, path)
+        finally:
             try:
-                os.unlink(tmp_name)
+                os.unlink(pack_name)
             except OSError:
                 pass
-            raise
-        self.stores += 1
-        return path
+        self.stores += len(keys)
 
     def discard(
         self, experiment_id: str, config: Mapping[str, Any], seed: int
     ) -> bool:
-        """Remove one entry (returns whether a file was deleted)."""
+        """Remove one entry (returns whether a file was deleted).  Its
+        pack-mates stay readable under their own names."""
         path = self.entry_path(experiment_id, config, seed)
         try:
             path.unlink()

@@ -20,14 +20,17 @@ make sweeps bit-reproducible and safely cacheable:
 The driver resolves cache hits in the parent before dispatch: a warm
 re-run of an identical sweep executes zero trials regardless of
 ``jobs``.  Executed results are stored as they land, while the workers
-are still computing the rest, so a sweep that aborts on a failure
-keeps every spec that finished before it and a re-run executes only
-the others.
+are still computing the rest, inside one :meth:`ResultCache.batch`
+scope: the cache writes them a pack of entries at a time (one new file
+per pack, not per spec) and writes the last pack however the run ends,
+so a sweep that aborts on a failure keeps every spec that finished
+before it and a re-run executes only the others.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -107,7 +110,8 @@ def run_sweep(
 
     Cache hits are resolved in the parent before the batch is
     dispatched, so a fully warm sweep performs zero trial executions.
-    Each executed summary is stored in ``cache`` as soon as it lands.
+    Each executed summary is offered to ``cache`` as soon as it lands
+    and written with its pack.
     Failures follow ``policy`` (default: strict raise); under a
     ``"skip"`` policy a failed spec's summary slot holds ``None`` and
     the failure is recorded on the result.  Under ``"raise"`` the
@@ -153,9 +157,10 @@ def run_sweep(
             )
 
         engine = TrialEngine(jobs=jobs, policy=policy)
-        batch = engine.run(
-            _sweep_worker, pending, on_success=None if cache is None else store
-        )
+        with nullcontext() if cache is None else cache.batch():
+            batch = engine.run(
+                _sweep_worker, pending, on_success=None if cache is None else store
+            )
         for index, payload in batch.completed().items():
             summaries[index] = payload
         for failure in batch.failures:

@@ -94,6 +94,14 @@ class TestHitMissInvalidation:
         assert list(tmp_path.glob("*.json")) == []
 
 
+def _edit_envelope(cache, field, value):
+    """Set one field of table6/seed 3's envelope inside its pack."""
+    path = cache.entry_path("table6", {"fast": True}, 3)
+    pack = json.loads(path.read_text(encoding="utf-8"))
+    pack["entries"][cache.key("table6", {"fast": True}, 3)][field] = value
+    path.write_text(json.dumps(pack), encoding="utf-8")
+
+
 class TestCorruptionRecovery:
     def _entry_path(self, cache):
         return cache.entry_path("table6", {"fast": True}, 3)
@@ -113,26 +121,22 @@ class TestCorruptionRecovery:
     def test_wrong_schema_recomputes(self, tmp_path):
         cache = ResultCache(tmp_path)
         reference = run_experiment("table6", seed=3, fast=True, cache=cache)
-        path = self._entry_path(cache)
-        envelope = json.loads(path.read_text(encoding="utf-8"))
-        envelope["schema"] = 999
-        path.write_text(json.dumps(envelope), encoding="utf-8")
+        _edit_envelope(cache, "schema", 999)
         recovered = run_experiment("table6", seed=3, fast=True, cache=cache)
         assert_results_equal(reference, recovered)
         assert cache.corrupt_entries == 1
 
     def test_unreconstructable_payload_recomputes(self, tmp_path):
         # Valid envelope, but the payload cannot rebuild an
-        # ExperimentResult: run_experiment discards and recomputes.
+        # ExperimentResult: run_experiment discards and recomputes, and
+        # counts the entry as a corrupt miss, not a hit.
         cache = ResultCache(tmp_path)
         reference = run_experiment("table6", seed=3, fast=True, cache=cache)
-        path = self._entry_path(cache)
-        envelope = json.loads(path.read_text(encoding="utf-8"))
-        envelope["payload"] = {"bogus": 1}
-        path.write_text(json.dumps(envelope), encoding="utf-8")
+        _edit_envelope(cache, "payload", {"bogus": 1})
         recovered = run_experiment("table6", seed=3, fast=True, cache=cache)
         assert_results_equal(reference, recovered)
         assert cache.corrupt_entries == 1
+        assert (cache.hits, cache.misses) == (0, 2)
 
     def test_renamed_entry_key_mismatch(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -155,8 +156,17 @@ def _indexed(trial):
     return {"index": trial.index, "seed": trial.seed}
 
 
-def _cache_files(directory):
-    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+def _cache_entries(directory):
+    """Key -> envelope for every entry name in ``directory``.
+
+    Which specs share a pack follows landing order, so the raw pack
+    bytes may differ across ``jobs``; each key's envelope may not.
+    """
+    entries = {}
+    for path in sorted(directory.iterdir()):
+        assert path.suffix == ".json", f"stray file {path.name}"
+        entries[path.stem] = json.loads(path.read_bytes())["entries"][path.stem]
+    return entries
 
 
 class TestSerialization:
@@ -191,9 +201,38 @@ class TestStreamedStores:
             run_sweep(
                 specs, root_seed=7, jobs=jobs, cache=ResultCache(tmp_path / f"j{jobs}")
             )
-        serial = _cache_files(tmp_path / "j1")
+        serial = _cache_entries(tmp_path / "j1")
         assert len(serial) == len(specs)
-        assert _cache_files(tmp_path / "j2") == serial
+        assert _cache_entries(tmp_path / "j2") == serial
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cold_sweep_creates_one_file_per_pack(self, jobs, tmp_path):
+        from repro.parallel.cache import _PACK_ENTRIES
+
+        specs = _grid64()
+        directory = tmp_path / "cache"
+        run_sweep(specs, root_seed=7, jobs=jobs, cache=ResultCache(directory))
+        names = list(directory.glob("*.json"))
+        assert len(names) == len(specs)
+        inodes = {path.stat().st_ino for path in names}
+        assert len(inodes) <= math.ceil(len(specs) / _PACK_ENTRIES)
+
+    def test_corrupt_pack_recomputes_its_specs_only(self, tmp_path):
+        specs = _grid64()[:16]
+        cache = ResultCache(tmp_path / "cache")
+        run_sweep(specs[:8], root_seed=1, cache=cache)  # one pack each
+        run_sweep(specs[8:], root_seed=1, cache=cache)
+        first = specs[0]
+        # Writing through one name rewrites the file all its pack-mates name.
+        cache.entry_path(
+            SWEEP_EXPERIMENT_ID, {"spec_digest": first.digest()}, sweep_seed(1, first)
+        ).write_text("{not json", encoding="utf-8")
+        rerun = run_sweep(specs, root_seed=1, cache=cache)
+        assert (rerun.executed, rerun.cached) == (8, 8)
+        assert cache.corrupt_entries == 8
+        assert rerun.summaries == run_sweep(specs, root_seed=1).summaries
+        warm = run_sweep(specs, root_seed=1, cache=cache)
+        assert (warm.executed, warm.cached) == (0, 16)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_on_success_fires_once_per_success(self, jobs):
