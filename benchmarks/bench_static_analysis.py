@@ -1,9 +1,9 @@
 """Smoke benchmark: the static-analysis gates stay cheap enough for CI.
 
-``repro-vec --check-manifest`` runs on every push; the gate is only
-viable while a full analysis of ``src`` — both passes plus the manifest
-section derivation and drift check against ``ANALYSIS_MANIFEST.json``
-— finishes well inside interactive time.
+``repro-check --check-manifests`` runs on every push; the gate is only
+viable while a full vec or flow analysis of ``src`` — the passes plus
+the manifest section derivation and drift check against
+``ANALYSIS_MANIFEST.json`` — finishes well inside interactive time.
 This benchmark times exactly that analysis and asserts it lands under a
 30 s budget, so a quadratic blow-up in the call-graph closure or the
 dtype interpreter fails loudly here instead of slowly rotting CI.  The
@@ -54,10 +54,10 @@ LINT_PATHS = [
     for path in base
 ]
 
-#: Wall-clock budget for one full ``repro-vec`` analysis of ``src``.
+#: Wall-clock budget for one full vec analysis of ``src``.
 VEC_BUDGET_SECONDS = 30.0
 
-#: Wall-clock budget for one full ``repro-flow`` analysis of ``src``.
+#: Wall-clock budget for one full flow analysis of ``src``.
 #: Same rationale: the fixpoint is quadratic-ish in call-graph size, so
 #: a blow-up must fail here before it rots the CI gate.
 FLOW_BUDGET_SECONDS = 30.0
@@ -96,20 +96,20 @@ def _timed_flow() -> Dict[str, object]:
 def time_analyzers() -> Dict[str, Dict[str, object]]:
     """One timed pass per analyzer over its CI scope."""
     timings: Dict[str, Dict[str, object]] = {
-        "repro-vec": _timed_vec(),
-        "repro-flow": _timed_flow(),
+        "vec": _timed_vec(),
+        "flow": _timed_flow(),
     }
 
     start = time.perf_counter()
     lint_report = lint_paths(LINT_PATHS)
-    timings["repro-lint"] = {
+    timings["lint"] = {
         "seconds": time.perf_counter() - start,
         "findings": sum(len(f.findings) for f in lint_report.files),
     }
 
     start = time.perf_counter()
     audit_report = run_audit([SRC])
-    timings["repro-audit"] = {
+    timings["audit"] = {
         "seconds": time.perf_counter() - start,
         "findings": len(audit_report.findings),
     }
@@ -119,7 +119,7 @@ def time_analyzers() -> Dict[str, Dict[str, object]]:
 def test_vec_analysis_fits_the_ci_budget():
     vec = _timed_vec()
     assert vec["seconds"] < VEC_BUDGET_SECONDS, (
-        f"repro-vec took {vec['seconds']:.1f}s over src; the CI gate "
+        f"vec took {vec['seconds']:.1f}s over src; the CI gate "
         f"assumes < {VEC_BUDGET_SECONDS:.0f}s"
     )
     # The smoke doubles as a gate sanity check: a clean tree and a
@@ -131,7 +131,7 @@ def test_vec_analysis_fits_the_ci_budget():
 def test_flow_analysis_fits_the_ci_budget():
     flow = _timed_flow()
     assert flow["seconds"] < FLOW_BUDGET_SECONDS, (
-        f"repro-flow took {flow['seconds']:.1f}s over src; the CI gate "
+        f"flow took {flow['seconds']:.1f}s over src; the CI gate "
         f"assumes < {FLOW_BUDGET_SECONDS:.0f}s"
     )
     assert flow["findings"] == 0
@@ -172,20 +172,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     Path(args.out).write_text(
         json.dumps(report, indent=2, sort_keys=True), encoding="utf-8"
     )
-    vec = timings["repro-vec"]
-    flow = timings["repro-flow"]
+    vec = timings["vec"]
+    flow = timings["flow"]
     within = (
         vec["seconds"] < VEC_BUDGET_SECONDS  # type: ignore[operator]
         and flow["seconds"] < FLOW_BUDGET_SECONDS  # type: ignore[operator]
     )
     print(
-        f"repro-vec {vec['seconds']:.2f}s "
+        f"vec {vec['seconds']:.2f}s "
         f"(budget {VEC_BUDGET_SECONDS:.0f}s), "
-        f"repro-flow {flow['seconds']:.2f}s "
+        f"flow {flow['seconds']:.2f}s "
         f"(budget {FLOW_BUDGET_SECONDS:.0f}s, "
         f"{'within' if within else 'OVER'}), "
-        f"repro-lint {timings['repro-lint']['seconds']:.2f}s, "
-        f"repro-audit {timings['repro-audit']['seconds']:.2f}s "
+        f"lint {timings['lint']['seconds']:.2f}s, "
+        f"audit {timings['audit']['seconds']:.2f}s "
         f"(wrote {args.out})"
     )
     return 0 if within else 1

@@ -1,4 +1,4 @@
-"""repro-audit: whole-program seed-flow & effect analysis.
+"""The audit tier: whole-program seed-flow & effect analysis.
 
 The per-file linter (:mod:`repro.lint`) certifies each file in
 isolation; this package certifies the *composition*: it resolves the
@@ -16,7 +16,8 @@ Public surface::
     report.ok            # no unsanctioned cross-file findings
     report.findings      # RPL2xx + RPL900 findings, sorted
 
-Command line: ``repro-audit`` (or ``python -m repro.audit``).
+Command line: ``repro-check --skip lint,vec,flow`` runs this tier alone;
+``repro-check --select RPL202`` one of its rules.
 """
 
 from .callgraph import (

@@ -16,10 +16,9 @@ Where RPL1xx rules certify one file at a time, these certify the
   somewhere in a worker's transitive call graph: the generalized
   ``MiningPool``/``EventQueue`` bug class, now caught across module
   boundaries.
-- **RPL204 stale-fingerprint** — the result cache's code-version
-  fingerprint (``FINGERPRINT_MODULES``) misses a module transitively
-  reachable from a cached worker, so editing that module would leave
-  old cache entries serving stale results.
+
+Whether the cache's code fingerprint covers what the workers execute
+is the flow tier's RPL403.
 
 Findings reuse the lint engine's :class:`~repro.lint.core.Finding`
 shape and suppression directives, so reporting, sorting, and
@@ -231,102 +230,11 @@ class SeedFlowRule(ProjectRule):
         return findings
 
 
-def fingerprint_covers(declared: Set[str], module: str) -> bool:
-    """Whether FINGERPRINT_MODULES names ``declared`` cover ``module``.
-
-    A declared package covers its subtree; declaring any descendant
-    covers the ancestor ``__init__`` modules, which code_fingerprint()
-    hashes automatically.
-    """
-    return any(
-        module == name
-        or module.startswith(name + ".")
-        or name.startswith(module + ".")
-        for name in declared
-    )
-
-
-class StaleFingerprintRule(ProjectRule):
-    rule_id = "RPL204"
-    name = "stale-fingerprint"
-    summary = "cache code fingerprint misses a module reachable from a cached worker"
-    rationale = (
-        "Cache keys embed a code-version fingerprint hashed over "
-        "FINGERPRINT_MODULES; a module reachable from a cached entry "
-        "worker but absent from that list can change without changing "
-        "any key, so old entries keep serving results the current code "
-        "would no longer produce."
-    )
-
-    @staticmethod
-    def _fingerprint_declaration(
-        project: Project,
-    ) -> Optional[Tuple[ModuleRecord, int, Set[str]]]:
-        for record in project.modules.values():
-            for stmt in record.info.tree.body:
-                if not isinstance(stmt, ast.Assign):
-                    continue
-                if not any(
-                    isinstance(t, ast.Name) and t.id == "FINGERPRINT_MODULES"
-                    for t in stmt.targets
-                ):
-                    continue
-                if not isinstance(stmt.value, (ast.Tuple, ast.List)):
-                    continue
-                names = {
-                    element.value
-                    for element in stmt.value.elts
-                    if isinstance(element, ast.Constant)
-                    and isinstance(element.value, str)
-                }
-                return record, stmt.lineno, names
-        return None
-
-    def check(self, context: AuditContext) -> List[Finding]:
-        cached = [w for w in context.workers if w.role == "entry"]
-        if not cached:
-            return []
-        declaration = self._fingerprint_declaration(context.project)
-        if declaration is None:
-            for record in context.project.modules.values():
-                if "ResultCache" in record.classes:
-                    return [
-                        self.finding(
-                            record,
-                            record.classes["ResultCache"].lineno,
-                            0,
-                            "ResultCache has no FINGERPRINT_MODULES "
-                            "declaration, so its code-version fingerprint "
-                            "cannot cover the modules cached workers "
-                            "actually execute",
-                        )
-                    ]
-            return []
-        record, lineno, declared = declaration
-        reachable: Set[str] = set()
-        for worker in cached:
-            reachable.update(context.closures[worker.fq].modules)
-        missing = sorted(m for m in reachable if not fingerprint_covers(declared, m))
-        if not missing:
-            return []
-        return [
-            self.finding(
-                record,
-                lineno,
-                0,
-                "FINGERPRINT_MODULES misses module(s) transitively "
-                "reachable from cached workers — cache keys can go stale "
-                f"undetected: {', '.join(missing)}",
-            )
-        ]
-
-
 AUDIT_RULES: List[ProjectRule] = sorted(
     [
         ImpureWorkerRule(),
         SeedFlowRule(),
         ReachableStateRule(),
-        StaleFingerprintRule(),
     ],
     key=lambda rule: rule.rule_id,
 )
@@ -380,11 +288,6 @@ def build_audit_section(report: ProjectReport) -> Dict[str, Any]:
 
 
 TIER = Tier(
-    prog="repro-audit",
-    description=(
-        "Whole-program seed-flow & effect audit over the repro source "
-        "tree (see the README section 'Static analysis')."
-    ),
     rules=AUDIT_RULES,
     kind="audit rule",
     build_context=build_context,

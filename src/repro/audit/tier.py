@@ -1,49 +1,27 @@
-"""One driver for the whole-program tiers: ``repro-audit``, ``-vec``, ``-flow``.
+"""One driver for the whole-program tiers: audit, vec and flow.
 
 The tiers differ only in what they infer about a project and what their
 sections of the shared manifest record.  Everything else lives here
 once: the context, rule and report bases, the check loop, the
-sanctioned ledger the sections commit, the manifest gate and the command
-line (:class:`Tier`).  Adding a tier means declaring its rules, a
-context builder and a section builder.  :meth:`Tier.check` leaves the
+sanctioned ledger the sections commit and the manifest gate
+(:class:`Tier`).  Adding a tier means declaring its rules, a context
+builder and a section builder, and listing it in ``repro.check``, the
+command line every tier runs under.  :meth:`Tier.check` leaves the
 project it is given as it was, so ``repro-check`` gives all three one.
-
-Usage, for ``repro-audit`` (RPL2xx), ``repro-vec`` (RPL3xx) and
-``repro-flow`` (RPL4xx) alike::
-
-    repro-vec                      # analyze src, report findings
-    repro-vec --check-manifest     # CI gate: findings OR manifest drift fail
-    repro-vec --write-manifest     # rewrite the tier's ANALYSIS_MANIFEST.json section
-    repro-vec --format json        # machine-readable report
-    repro-vec --select RPL311      # one rule of the tier's family
-    repro-vec --list-rules         # the family's catalogue with rationale
-
-Exit codes: 0 clean, 1 findings (or manifest drift under
-``--check-manifest``), 2 usage error.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..lint.cli import (
-    UsageError,
-    base_parser,
-    existing_paths,
-    finish,
-    render_rule_catalogue,
-    split_rule_list,
-)
 from ..lint.core import FileReport, Finding, RunReport
 from ..lint.manifest import MANIFEST_FILE, diff_section, write_section
-from ..lint.rules import family_of, find_rule, select_rules
+from ..lint.rules import find_rule, select_rules
 from .project import FunctionNode, ModuleRecord, Project
 
 __all__ = [
-    "DEFAULT_PATHS",
     "ProjectContext",
     "ProjectReport",
     "ProjectRule",
@@ -52,9 +30,6 @@ __all__ = [
     "sanctioned_ledger",
     "short_trace",
 ]
-
-#: What every tier analyzes by default: the importable source tree.
-DEFAULT_PATHS = ["src"]
 
 
 @dataclass
@@ -144,15 +119,13 @@ def sanctioned_ledger(
 
 @dataclass(frozen=True)
 class Tier:
-    """What one whole-program tier declares; :meth:`main` is its CLI."""
+    """What one whole-program tier declares."""
 
-    prog: str
-    description: str
     rules: Sequence[ProjectRule]
     #: How its rules are named in errors (``"audit rule"``).
     kind: str
     build_context: Callable[[Project], ProjectContext]
-    #: The tier's key in the shared manifest (its name in ``repro.check.TOOLS``).
+    #: The tier's name in ``repro.check.TOOLS`` and its key in the shared manifest.
     section: str
     build_section: Callable[[ProjectReport], Dict[str, Any]]
     #: Closing line of ``--list-rules``: how to sanction a finding.
@@ -214,59 +187,14 @@ class Tier:
         """
         if write:
             write_section(self.section, self.build_section(report))
-            return True, f"{self.prog}: wrote {MANIFEST_FILE} [{self.section}]\n"
+            return True, f"wrote {MANIFEST_FILE} [{self.section}]\n"
         if not check:
             return True, ""
         drift = diff_section(self.section, self.build_section(report))
         if drift is None:
-            return True, (
-                f"{self.prog}: manifest {MANIFEST_FILE} [{self.section}] "
-                "is current\n"
-            )
+            return True, f"manifest {MANIFEST_FILE} [{self.section}] is current\n"
         return False, (
-            f"{self.prog}: manifest drift — {MANIFEST_FILE} "
-            f"[{self.section}] no longer matches the analyzed source; "
-            "regenerate with --write-manifest and commit the result\n" + drift
+            f"manifest drift — {MANIFEST_FILE} [{self.section}] no longer "
+            "matches the analyzed source; regenerate with repro-check "
+            "--write-manifests and commit the result\n" + drift
         )
-
-    def main(self, argv: Optional[List[str]] = None) -> int:
-        """Exit codes: 0 clean, 1 findings or manifest drift, 2 usage error."""
-        parser = base_parser(
-            self.prog, self.description, "directories to analyze", DEFAULT_PATHS
-        )
-        parser.add_argument(
-            "--write-manifest",
-            action="store_true",
-            help=f"regenerate this tier's section of {MANIFEST_FILE} from source",
-        )
-        parser.add_argument(
-            "--check-manifest",
-            action="store_true",
-            help="fail (exit 1) when the committed section has drifted",
-        )
-        args = parser.parse_args(argv)
-
-        if args.list_rules:
-            family = family_of(self.rules[0].rule_id)
-            print(
-                render_rule_catalogue(
-                    f"{self.prog} rules ({family}):", self.rules, self.sanction_hint
-                )
-            )
-            return 0
-
-        try:
-            select = split_rule_list(args.select, "--select", self.lookup)
-            ignore = split_rule_list(args.ignore, "--ignore", self.lookup)
-            paths = existing_paths(args.paths, DEFAULT_PATHS)
-            if args.write_manifest and args.check_manifest:
-                raise UsageError(
-                    "--write-manifest and --check-manifest are mutually exclusive"
-                )
-        except UsageError as exc:
-            print(f"{self.prog}: error: {exc}", file=sys.stderr)
-            return 2
-
-        report = self.check(Project.load(paths), select, ignore)
-        gate = self.gate(report, args.write_manifest, args.check_manifest)
-        return finish(report, args.format, self.prog, gate)

@@ -1,29 +1,32 @@
-"""``repro-check``: the four static-analysis tiers as one gate.
+"""``repro-check``: the one command for the four static-analysis tiers.
 
-Runs, in tier order, ``repro-lint`` (RPL1xx, per-file determinism),
-``repro-audit`` (RPL2xx, whole-program purity), ``repro-vec`` (RPL3xx,
-numeric/hot-path), and ``repro-flow`` (RPL4xx, cache soundness) with
-their production defaults, merging their exit codes: the umbrella
-exits with the *worst* tool status (0 clean, 1 findings or manifest
-drift, 2 usage error), so one CI job can gate on the whole RPL
-namespace.
+The tiers share the RPL rule namespace: ``lint`` (RPL1xx, per-file
+determinism), ``audit`` (RPL2xx, whole-program purity), ``vec``
+(RPL3xx, numeric kernels and hot paths) and ``flow`` (RPL4xx, cache
+soundness).  One run is one analysis pass: lint parses each file once,
+and audit, vec and flow check one project built from those modules,
+sharing its call graph, its worker list and lint's per-module findings.
+With no paths, lint checks ``src benchmarks tests examples`` and the
+other tiers check ``src``; given paths, every tier checks them.
 
-``--check-manifests`` forwards ``--check-manifest`` to every
-manifest-bearing tier (audit, vec, flow), making this the single
-command CI runs.  ``--format json`` emits one merged machine-readable
-report — each tool's own JSON report nested under its name plus the
-per-tool exit codes — for failure triage without re-running anything.
-
-The run is one analysis pass: lint parses each file once, and audit,
-vec and flow check one project built from those modules, sharing its
-call graph, its worker list and lint's per-module findings.
+Audit, vec and flow each own a section of the committed
+``ANALYSIS_MANIFEST.json``; ``--check-manifests`` fails on drift and
+``--write-manifests`` regenerates the sections of the tiers that ran.
 
 Usage::
 
-    repro-check                      # all four tiers, text reports
-    repro-check --check-manifests    # CI gate incl. manifest drift
-    repro-check --format json        # one merged JSON report
-    repro-check --skip lint,vec      # run a subset
+    repro-check                          # all four tiers, text reports
+    repro-check --check-manifests        # the CI gate, manifest drift included
+    repro-check --write-manifests        # regenerate the manifest sections
+    repro-check --format json            # one merged JSON report
+    repro-check src/repro/netsim         # every tier over a subtree
+    repro-check --select RPL311          # one rule; only its tier runs
+    repro-check --ignore set-order       # every rule but one (IDs or names)
+    repro-check --skip lint,vec          # a subset of the tiers
+    repro-check --list-rules             # the rule catalogue with rationale
+
+Exit codes: the worst tier status — 0 clean, 1 findings or manifest
+drift, 2 usage error.
 """
 
 from __future__ import annotations
@@ -31,83 +34,224 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from pathlib import Path
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .audit.cli import TIER as AUDIT
-from .audit.cli import main as audit_main
 from .audit.project import Project
-from .audit.tier import DEFAULT_PATHS
-from .flow.cli import TIER as FLOW
-from .flow.cli import main as flow_main
-from .lint.cli import UsageError, existing_paths, finish
-from .lint.cli import main as lint_main
-from .lint.core import FileReport, RunReport, lint_paths
-from .lint.reporters import json_document
-from .vec.cli import TIER as VEC
-from .vec.cli import main as vec_main
+from .audit.rules import TIER as AUDIT
+from .flow.rules import TIER as FLOW
+from .lint.core import PARSE_ERROR_ID, FileReport, RunReport, lint_paths
+from .lint.reporters import json_document, render_text
+from .lint.rules import RULES as LINT_RULES
+from .lint.rules import find_rule
+from .vec.rules import TIER as VEC
 
-__all__ = ["TOOLS", "main", "run_tools"]
+__all__ = ["TIERS", "TOOLS", "main", "run_tools"]
 
-#: (name, entry point, base argv, takes --check-manifest), tier order.
-TOOLS: Tuple[Tuple[str, Callable[[List[str]], int], List[str], bool], ...] = (
-    ("lint", lint_main, ["src", "benchmarks", "tests", "examples"], False),
-    ("audit", audit_main, [], True),
-    ("vec", vec_main, [], True),
-    ("flow", flow_main, [], True),
+#: The whole-program tiers by name, which is also their manifest section.
+TIERS = {tier.section: tier for tier in (AUDIT, VEC, FLOW)}
+
+#: Every tier's rules and the closing line of its ``--list-rules`` block.
+_CATALOGUE: Dict[str, Tuple[Sequence[Any], str]] = {
+    "lint": (
+        LINT_RULES,
+        "suppress a finding with `# repro-lint: disable=<ID> <reason>`; "
+        "skip a fixture file with a leading `# repro-lint: disable-file "
+        "<reason>` comment",
+    ),
+    **{name: (tier.rules, tier.sanction_hint) for name, tier in TIERS.items()},
+}
+
+#: The tier owning each rule ID.
+_OWNER = {
+    rule.rule_id: name for name, (rules, _hint) in _CATALOGUE.items() for rule in rules
+}
+
+#: RPL900 as a catalogue row; it is not a rule object, so it cannot be
+#: selected, ignored or suppressed.
+_PARSE_ERROR_ROW = SimpleNamespace(
+    rule_id=PARSE_ERROR_ID,
+    name="parse-error",
+    summary="file does not parse (pseudo-rule)",
+    rationale=(
+        "Reported whenever a file fails to parse as Python: a file the "
+        "AST rejects can never be certified clean, so the run fails. Not "
+        "selectable via --select/--ignore and not suppressible — fix the "
+        "syntax error."
+    ),
 )
 
-#: The whole-program tiers by name; every other tool is the linter.
-_TIERS = {tier.section: tier for tier in (AUDIT, VEC, FLOW)}
+
+def _one_tier(name: str) -> Callable[[List[str]], int]:
+    """``repro-check`` with every tier but ``name`` skipped."""
+
+    def entry(argv: List[str]) -> int:
+        others = [other for other in _CATALOGUE if other != name]
+        return main([*argv, "--skip", ",".join(others)])
+
+    return entry
+
+
+#: (name, one-tier entry point, default paths, takes the manifest gates),
+#: in tier order.
+TOOLS: Tuple[Tuple[str, Callable[[List[str]], int], List[str], bool], ...] = (
+    ("lint", _one_tier("lint"), ["src", "benchmarks", "tests", "examples"], False),
+    ("audit", _one_tier("audit"), ["src"], True),
+    ("vec", _one_tier("vec"), ["src"], True),
+    ("flow", _one_tier("flow"), ["src"], True),
+)
+
+#: A tier's rule selection: (``--select`` IDs or None, ``--ignore`` IDs or None).
+Selection = Tuple[Optional[List[str]], Optional[List[str]]]
+
+
+class UsageError(Exception):
+    """A bad command line: reported as ``repro-check: error: ...``, exit 2."""
 
 
 def run_tools(
-    names: List[str], fmt: str, manifests: bool
+    names: Sequence[str],
+    fmt: str = "text",
+    paths: Optional[List[str]] = None,
+    rules: Optional[Dict[str, Selection]] = None,
+    manifests: str = "",
 ) -> Tuple[int, Dict[str, Dict[str, Any]]]:
-    """Run the selected tools in one pass; return (merged status, per-tool results).
+    """Run the named tiers in one pass; return (worst status, per-tier results).
 
-    Each tool reports, gates and exits as its command line does with the
-    ``TOOLS`` base argv.
+    ``paths`` replaces every tier's default paths, ``rules`` maps a tier
+    to its :data:`Selection`, and ``manifests`` is ``"check"``,
+    ``"write"`` or empty.  A failed manifest gate reports on stderr; in
+    JSON mode stdout is left to the caller's merged report.
     """
     status = 0
     results: Dict[str, Dict[str, Any]] = {}
     files: Dict[str, FileReport] = {}
     project: Optional[Project] = None
-    for name, _entry, base, gated in TOOLS:
+    for name, _entry, base, _gated in TOOLS:
         if name not in names:
             continue
-        prog = f"repro-{name}"
         if fmt == "text":
-            print(f"== {prog} ==")
-        report: Optional[RunReport] = None
-        try:
-            paths = existing_paths(base, DEFAULT_PATHS)
-        except UsageError as exc:
-            print(f"{prog}: error: {exc}", file=sys.stderr)
-            exit_code = 2
+            print(f"== {name} ==")
+        select, ignore = (rules or {}).get(name, (None, None))
+        report: RunReport
+        passed, message = True, ""
+        if name in TIERS:
+            # Every whole-program tier analyzes the same paths: load them once.
+            project = project or Project.load(paths or base, files=files)
+            report = TIERS[name].check(project, select, ignore)
+            passed, message = TIERS[name].gate(
+                report, write=manifests == "write", check=manifests == "check"
+            )
         else:
-            gate = (True, "")
-            if name in _TIERS:
-                # Every tier analyzes the default paths: load them once.
-                project = project or Project.load(paths, files=files)
-                report = _TIERS[name].check(project)
-                gate = _TIERS[name].gate(report, check=manifests and gated)
-            else:
-                report = lint_paths(paths)
-                files = {loaded.path: loaded for loaded in report.files}
-            exit_code = finish(report, fmt, prog, gate, quiet=fmt == "json")
+            report = lint_paths(paths or base, select, ignore)
+            files = {loaded.path: loaded for loaded in report.files}
+        if fmt == "text":
+            print(render_text(report, prog=name))
+        if not passed:
+            sys.stderr.write(message)
+        elif fmt == "text":
+            sys.stdout.write(message)
+        exit_code = 0 if report.ok and passed else 1
         results[name] = {"exit": exit_code}
         if fmt == "json":
-            results[name]["report"] = None if report is None else json_document(report)
+            results[name]["report"] = json_document(report)
         status = max(status, exit_code)
     return status, results
+
+
+def _route(values: Optional[List[str]], option: str) -> Optional[Dict[str, List[str]]]:
+    """``--select``/``--ignore`` rule IDs grouped by their tier (None if absent).
+
+    A value that names no rule (``--select ""``, ``--select ,``) is a
+    usage error: it would otherwise select nothing and pass vacuously.
+    """
+    if values is None:
+        return None
+    every_rule = [rule for rules, _hint in _CATALOGUE.values() for rule in rules]
+    routed: Dict[str, List[str]] = {}
+    for value in values:
+        parts = [part.strip() for part in value.split(",") if part.strip()]
+        if not parts:
+            raise UsageError(f"{option} {value!r} names no rule")
+        for part in parts:
+            try:
+                rule_id = find_rule(every_rule, part).rule_id
+            except KeyError as exc:
+                raise UsageError(exc.args[0]) from None
+            routed.setdefault(_OWNER[rule_id], []).append(rule_id)
+    return routed
+
+
+def _plan(args: argparse.Namespace) -> Tuple[List[str], Dict[str, Selection]]:
+    """The tiers to run and each one's rule selection.
+
+    ``--skip`` drops tiers; ``--select`` runs only the tiers owning a
+    selected rule.
+    """
+    skipped = [
+        part.strip()
+        for chunk in (args.skip or [])
+        for part in chunk.split(",")
+        if part.strip()
+    ]
+    unknown = [name for name in skipped if name not in _CATALOGUE]
+    if unknown:
+        raise UsageError(
+            f"unknown tool(s): {', '.join(unknown)}; "
+            f"known tools: {', '.join(_CATALOGUE)}"
+        )
+    select = _route(args.select, "--select")
+    ignore = _route(args.ignore, "--ignore") or {}
+    names = [
+        name
+        for name in _CATALOGUE
+        if name not in skipped and (select is None or name in select)
+    ]
+    if not names:
+        raise UsageError("every tool skipped")
+    return names, {
+        name: (None if select is None else select[name], ignore.get(name))
+        for name in names
+    }
+
+
+def render_catalogue(names: Sequence[str]) -> str:
+    """``--list-rules`` output: each named tier's block, then RPL900.
+
+    A block is a header, one ID/name/summary row plus a rationale line
+    per rule, and how to sanction the tier's findings.
+    """
+    blocks = [
+        (f"{name} rules:", *_CATALOGUE[name]) for name in names
+    ] + [("every tier:", [_PARSE_ERROR_ROW], "")]
+    width = max(len(rule.name) for _h, rules, _f in blocks for rule in rules) + 2
+    lines: List[str] = []
+    for header, rules, footer in blocks:
+        lines.append(header)
+        for rule in rules:
+            lines.append(f"  {rule.rule_id}  {rule.name:<{width}} {rule.summary}")
+            lines.append(f"          {rule.rationale}")
+        if footer:
+            lines.append(footer)
+    return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-check",
         description=(
-            "Run every static-analysis tier (repro-lint, repro-audit, "
-            "repro-vec, repro-flow) and exit with the worst tool status."
+            "Run the static-analysis tiers (lint, audit, vec, flow) over the "
+            "repro tree in one pass and exit with the worst tier status "
+            "(see the README section 'Static analysis')."
+        ),
+    )
+    parser.add_argument(
+        "paths",
+        nargs="*",
+        help=(
+            "files or directories every tier analyzes (default: lint "
+            "src benchmarks tests examples, the other tiers src)"
         ),
     )
     parser.add_argument(
@@ -115,50 +259,69 @@ def build_parser() -> argparse.ArgumentParser:
         "-f",
         choices=("text", "json"),
         default="text",
-        help="per-tool text reports, or one merged JSON report",
+        help="per-tier text reports, or one merged JSON report",
     )
     parser.add_argument(
-        "--check-manifests",
-        action="store_true",
-        help=(
-            "forward --check-manifest to every manifest-bearing tier "
-            "(audit, vec, flow)"
-        ),
+        "--select",
+        action="append",
+        metavar="RULES",
+        help="comma-separated rule IDs/names to run exclusively (only their tiers run)",
+    )
+    parser.add_argument(
+        "--ignore",
+        action="append",
+        metavar="RULES",
+        help="comma-separated rule IDs/names to skip",
     )
     parser.add_argument(
         "--skip",
         action="append",
         metavar="TOOLS",
-        help="comma-separated tool names to skip (lint, audit, vec, flow)",
+        help="comma-separated tiers to skip (lint, audit, vec, flow)",
+    )
+    parser.add_argument(
+        "--list-rules",
+        action="store_true",
+        help="print the rule catalogue of the tiers that would run and exit",
+    )
+    parser.add_argument(
+        "--check-manifests",
+        action="store_true",
+        help="fail (exit 1) when a tier's committed manifest section has drifted",
+    )
+    parser.add_argument(
+        "--write-manifests",
+        action="store_true",
+        help="regenerate each tier's manifest section from source",
     )
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    known = [name for name, _entry, _base, _gated in TOOLS]
-    skipped = [
-        part.strip()
-        for chunk in (args.skip or [])
-        for part in chunk.split(",")
-        if part.strip()
-    ]
-    unknown = [name for name in skipped if name not in known]
-    if unknown:
-        print(
-            f"repro-check: error: unknown tool(s): {', '.join(unknown)}; "
-            f"known tools: {', '.join(known)}",
-            file=sys.stderr,
-        )
-        return 2
-    names = [name for name in known if name not in skipped]
-    if not names:
-        print("repro-check: error: every tool skipped", file=sys.stderr)
+    args = build_parser().parse_args(argv)
+    try:
+        names, rules = _plan(args)
+        if args.list_rules:
+            print(render_catalogue(names))
+            return 0
+        if args.write_manifests and args.check_manifests:
+            raise UsageError(
+                "--write-manifests and --check-manifests are mutually exclusive"
+            )
+        wanted = args.paths or [
+            path for name, _e, base, _g in TOOLS if name in names for path in base
+        ]
+        missing = sorted({path for path in wanted if not Path(path).exists()})
+        if missing:
+            raise UsageError(f"no such path(s): {', '.join(missing)}")
+    except UsageError as exc:
+        print(f"repro-check: error: {exc}", file=sys.stderr)
         return 2
 
-    status, results = run_tools(names, args.format, args.check_manifests)
+    manifests = "check" if args.check_manifests else ""
+    if args.write_manifests:
+        manifests = "write"
+    status, results = run_tools(names, args.format, args.paths, rules, manifests)
     if args.format == "json":
         print(
             json.dumps(
@@ -173,9 +336,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         )
     else:
-        summary = " ".join(
-            f"{name}={results[name]['exit']}" for name in names
-        )
+        summary = " ".join(f"{name}={results[name]['exit']}" for name in names)
         print(f"repro-check: {summary} -> exit {status}")
     return status
 

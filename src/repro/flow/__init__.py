@@ -1,4 +1,4 @@
-"""repro-flow: cache-soundness & config-flow static analysis.
+"""The flow tier: cache-soundness & config-flow static analysis.
 
 The fourth static-analysis tier.  :mod:`repro.lint` certifies each
 file's determinism in isolation (RPL1xx); :mod:`repro.audit` certifies
@@ -19,7 +19,8 @@ Public surface::
     report.ok            # no unsanctioned RPL4xx findings
     report.findings      # RPL4xx + RPL900 findings, sorted
 
-Command line: ``repro-flow`` (or ``python -m repro.flow``).
+Command line: ``repro-check --skip lint,audit,vec`` runs this tier alone;
+``repro-check --select RPL403`` one of its rules.
 """
 
 from .boundaries import Boundary, find_boundaries

@@ -16,10 +16,10 @@ artifact.
 - **RPL402 digest-dropped-field** — a declared field of a
   digest-bearing spec class that never enters the digest path, so two
   specs differing only in that knob share one cache entry.
-- **RPL403 unfingerprinted-module** — a module in *any* worker's call
-  closure absent from ``FINGERPRINT_MODULES``: the static
-  generalization of RPL204's entry-worker prefix check to trial
-  workers, reported per missing module with a call trace.
+- **RPL403 unfingerprinted-module** — a module in any worker's call
+  closure (entry or trial) absent from ``FINGERPRINT_MODULES``,
+  reported per missing module with a call trace; a ``ResultCache``
+  with no such declaration at all is reported at the class.
 - **RPL404 signature-gate-drift** — an
   ``inspect.signature(fn).parameters`` membership gate that silently
   defaults instead of raising when a registered artifact lacks the
@@ -45,7 +45,6 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..audit.callgraph import CallGraph, function_body_walk
 from ..audit.project import MODULE_BODY, ModuleRecord, Project
-from ..audit.rules import StaleFingerprintRule, fingerprint_covers
 from ..audit.tier import (
     ProjectContext,
     ProjectReport,
@@ -209,6 +208,46 @@ def _trace_to_module(
     return tuple(reversed(chain))
 
 
+def fingerprint_covers(declared: Set[str], module: str) -> bool:
+    """Whether FINGERPRINT_MODULES names ``declared`` cover ``module``.
+
+    A declared package covers its subtree; declaring any descendant
+    covers the ancestor ``__init__`` modules, which code_fingerprint()
+    hashes automatically.
+    """
+    return any(
+        module == name
+        or module.startswith(name + ".")
+        or name.startswith(module + ".")
+        for name in declared
+    )
+
+
+def fingerprint_declaration(
+    project: Project,
+) -> Optional[Tuple[ModuleRecord, int, Set[str]]]:
+    """``(record, line, declared names)`` of the first module-level
+    ``FINGERPRINT_MODULES = (...)`` tuple or list, if any."""
+    for record in project.modules.values():
+        for stmt in record.info.tree.body:
+            if not (
+                isinstance(stmt, ast.Assign)
+                and isinstance(stmt.value, (ast.Tuple, ast.List))
+                and any(
+                    isinstance(t, ast.Name) and t.id == "FINGERPRINT_MODULES"
+                    for t in stmt.targets
+                )
+            ):
+                continue
+            names = {
+                element.value
+                for element in stmt.value.elts
+                if isinstance(element, ast.Constant) and isinstance(element.value, str)
+            }
+            return record, stmt.lineno, names
+    return None
+
+
 class UnfingerprintedModuleRule(ProjectRule):
     rule_id = "RPL403"
     name = "unfingerprinted-module"
@@ -218,13 +257,27 @@ class UnfingerprintedModuleRule(ProjectRule):
         "a module any worker (entry or trial) can execute but that the "
         "declaration misses can change without changing any key, so old "
         "entries keep serving results the current code would no longer "
-        "produce. RPL204 checks the dynamic entry closure; this is the "
-        "static per-module generalization over every dispatch surface."
+        "produce. A ResultCache with no FINGERPRINT_MODULES declaration "
+        "covers nothing and is reported at the class."
     )
 
     def check(self, context: FlowContext) -> List[Finding]:
-        if context.fingerprint is None or not context.workers:
-            return []  # no declaration: RPL204 owns that diagnosis
+        if not context.workers:
+            return []
+        if context.fingerprint is None:
+            for record in context.project.modules.values():
+                if "ResultCache" in record.classes:
+                    return [
+                        self.finding(
+                            record,
+                            record.classes["ResultCache"].lineno,
+                            0,
+                            "ResultCache has no FINGERPRINT_MODULES "
+                            "declaration, so its code-version fingerprint "
+                            "cannot cover the modules the workers execute",
+                        )
+                    ]
+            return []
         record, lineno, declared = context.fingerprint
 
         #: missing module -> (worker fq, trace) exemplar, first worker wins.
@@ -493,7 +546,7 @@ def build_flow_context(project: Project) -> FlowContext:
         boundaries=find_boundaries(flows, summaries),
         digest_classes=find_digest_classes(project),
         workers=project.workers,
-        fingerprint=StaleFingerprintRule._fingerprint_declaration(project),
+        fingerprint=fingerprint_declaration(project),
     )
 
 
@@ -550,11 +603,6 @@ def build_flow_section(report: ProjectReport) -> Dict[str, Any]:
 
 
 TIER = Tier(
-    prog="repro-flow",
-    description=(
-        "Cache-soundness & config-flow static analysis over the repro "
-        "caching layer (see the README section 'Static analysis')."
-    ),
     rules=FLOW_RULES,
     kind="flow rule",
     build_context=build_flow_context,

@@ -1,4 +1,4 @@
-"""repro-lint: AST-based determinism & parallel-safety linter.
+"""The lint tier: AST-based determinism & parallel-safety linter.
 
 The paper's quantitative claims (the span-ratio law, the Fig. 6-8
 fork/partition curves) are only reproducible if every stochastic draw
@@ -9,7 +9,9 @@ hardest bug (``MiningPool``'s process-global ``itertools.count`` pool
 id) was found by hand.  This package makes the discipline
 machine-checked: a static-analysis pass over the repo's own source
 tree with per-rule IDs, ``# repro-lint: disable=RULE`` suppressions,
-text/JSON reporters, and a ``repro-lint`` console entry point.
+and text/JSON reporters.  Command line: ``repro-check --skip
+audit,vec,flow`` runs this tier alone; ``repro-check --select RPL103``
+one of its rules.
 
 Public API::
 

@@ -503,7 +503,7 @@ def lint_file(
 def iter_python_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
     """Expand files/directories into a sorted, de-duplicated file list.
 
-    Shared by repro-lint and repro-audit discovery.  Guarantees:
+    Shared by lint and whole-program project discovery.  Guarantees:
 
     - deterministic posix-path ordering regardless of input order or
       filesystem enumeration order;

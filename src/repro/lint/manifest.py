@@ -1,12 +1,12 @@
 """The one committed analyzer manifest and its drift gate.
 
-Each whole-program tool (``repro-audit``, ``repro-vec``, ``repro-flow``)
-commits a deterministic JSON account of the source — sanctioned
-effects, hot paths, key-material exceptions — as its own section of
-``ANALYSIS_MANIFEST.json``, keyed by the tier's name.  CI gates on it:
-``--check-manifest`` re-derives the tier's section from source and
-fails with a unified diff when the committed copy has drifted, and
-``--write-manifest`` rewrites that section alone.  The file name, the
+Each whole-program tier (audit, vec, flow) commits a deterministic JSON
+account of the source — sanctioned effects, hot paths, key-material
+exceptions — as its own section of ``ANALYSIS_MANIFEST.json``, keyed by
+the tier's name.  CI gates on it: ``repro-check --check-manifests``
+re-derives each tier's section from source and fails with a unified
+diff when the committed copy has drifted, and ``--write-manifests``
+rewrites the sections of the tiers that ran.  The file name, the
 envelope version, rendering, and reading, writing and diffing one
 section live here once; each tier keeps only its section builder (what
 goes *in* the ledger is tier-specific).
@@ -56,7 +56,7 @@ def diff_section(
     """Unified diff of section ``name`` committed-vs-derived, or None.
 
     A missing file or a missing section diffs against the empty text,
-    so the first ``--check-manifest`` run tells the operator exactly
+    so the first ``--check-manifests`` run tells the operator exactly
     what to commit rather than crashing.
     """
     committed = _read(Path(path))

@@ -16,7 +16,6 @@ __all__ = [
     "JSON_SCHEMA_VERSION",
     "json_document",
     "render_json",
-    "render_report",
     "render_text",
     "summary_dict",
 ]
@@ -35,16 +34,11 @@ def summary_dict(report: RunReport) -> Dict[str, Any]:
     }
 
 
-def render_report(report: RunReport, fmt: str, prog: str = "repro-lint") -> str:
-    """``report`` in a CLI's ``--format``: ``"json"`` or ``"text"``."""
-    return render_json(report) if fmt == "json" else render_text(report, prog=prog)
-
-
-def render_text(report: RunReport, prog: str = "repro-lint") -> str:
+def render_text(report: RunReport, prog: str = "lint") -> str:
     """One ``path:line:col: ID [name] message`` line per finding + summary.
 
-    ``prog`` labels the summary line; ``repro-audit`` reuses this
-    renderer over its own findings.
+    ``prog`` labels the summary line with the tier's name; every tier
+    reuses this renderer over its own findings.
     """
     lines = [
         f"{finding.location()}: {finding.rule_id} [{finding.rule_name}] "

@@ -22,34 +22,12 @@ from .rng import GlobalRngRule
 from .state import GlobalStateRule
 
 __all__ = [
-    "FAMILIES",
     "RULES",
     "Rule",
-    "family_of",
     "find_rule",
     "rule_by_identifier",
     "select_rules",
 ]
-
-#: The four static-analysis tiers sharing the RPL namespace (plus the
-#: shared parse-error band).  Keyed by rule-ID prefix; every tool's
-#: ``--list-rules`` and the README table derive their framing from here
-#: so the tiers stay described in one place.
-FAMILIES = {
-    "RPL1": "determinism lint, per-file (repro-lint)",
-    "RPL2": "purity audit, whole-program (repro-audit)",
-    "RPL3": "numeric & hot-path analysis (repro-vec)",
-    "RPL4": "cache-soundness & config-flow analysis (repro-flow)",
-    "RPL9": "parse errors, shared by every tier",
-}
-
-
-def family_of(rule_id: str) -> str:
-    """Human framing of a rule's tier (``"RPL301"`` -> the vec tier)."""
-    for prefix, description in FAMILIES.items():
-        if rule_id.startswith(prefix):
-            return description
-    return "unknown rule family"
 
 RULES: List[Rule] = sorted(
     [

@@ -60,10 +60,10 @@ __all__ = [
 ]
 
 #: Every module/package whose source participates in the code-version
-#: fingerprint: the transitive import closure of the registered entry
-#: workers, as certified by ``repro-audit`` (RPL204 fails the audit if
-#: a module reachable from a cached worker is missing here).  Naming a
-#: package covers its whole subtree plus every ancestor ``__init__``.
+#: fingerprint: the call closure of every worker, entry or trial, as
+#: certified by ``repro-check`` (RPL403 fails the flow tier if a module
+#: a worker can execute is missing here).  Naming a package covers its
+#: whole subtree plus every ancestor ``__init__``.
 FINGERPRINT_MODULES = (
     "repro.analysis",
     "repro.attacks",
@@ -92,7 +92,7 @@ def code_fingerprint(modules: "tuple" = FINGERPRINT_MODULES) -> str:
     for any edit to any covered file.  A declared package contributes
     every ``*.py`` under it; ancestor ``__init__.py`` files (which run
     at import time) are included automatically.  Names that resolve to
-    nothing contribute nothing — the audit, not this function, is what
+    nothing contribute nothing — RPL403, not this function, is what
     certifies the declaration list is complete.
     """
     src_root = Path(__file__).resolve().parent.parent.parent

@@ -1,4 +1,4 @@
-"""repro-vec: dtype/shape & hot-loop static analysis.
+"""The vec tier: dtype/shape & hot-loop static analysis.
 
 The third static-analysis tier.  :mod:`repro.lint` certifies each file's
 determinism in isolation (RPL1xx); :mod:`repro.audit` certifies the
@@ -18,7 +18,8 @@ Public surface::
     report.ok            # no unsanctioned RPL3xx findings
     report.findings      # RPL3xx + RPL900 findings, sorted
 
-Command line: ``repro-vec`` (or ``python -m repro.vec``).
+Command line: ``repro-check --skip lint,audit,flow`` runs this tier alone;
+``repro-check --select RPL311`` one of its rules.
 """
 
 from .facts import ArrayFact, DType, parse_dtype, promote

@@ -472,11 +472,6 @@ def build_vec_section(report: ProjectReport) -> Dict[str, Any]:
 
 
 TIER = Tier(
-    prog="repro-vec",
-    description=(
-        "Numeric dtype/shape & hot-loop static analysis over the repro "
-        "kernel layer (see the README section 'Static analysis')."
-    ),
     rules=VEC_RULES,
     kind="vec rule",
     build_context=build_vec_context,

@@ -1,16 +1,28 @@
-"""``repro-audit`` CLI contract: exit codes, formats, manifest gating."""
+"""The audit tier under ``repro-check``: exit codes, formats, manifest
+gating.  ``main`` is ``repro-check`` with every other tier skipped
+(``repro.check.TOOLS``)."""
 
 import json
 
 import pytest
 
 from repro.audit import AUDIT_RULES
-from repro.audit.cli import _DEFAULT_PATHS, main
+from repro.check import TOOLS
 from repro.lint.manifest import MANIFEST_FILE
 
-from .conftest import FIXTURES
+from ..flow.conftest import FIXTURES as FLOW_FIXTURES
 
-GOOD_TREE = str((FIXTURES / "rpl204_good").resolve())
+main, AUDIT_PATHS = next(
+    (entry, base) for name, entry, base, _g in TOOLS if name == "audit"
+)
+
+#: Clean for the audit, with an entry worker: its section is not empty.
+GOOD_TREE = str((FLOW_FIXTURES / "rpl403_good").resolve())
+
+
+def _report(out):
+    """The audit tier's report in ``repro-check``'s merged JSON document."""
+    return json.loads(out)["tools"]["audit"]["report"]
 
 
 @pytest.fixture
@@ -63,14 +75,14 @@ class TestExitCodes:
 
     def test_two_on_unknown_rule(self, capsys):
         assert main([GOOD_TREE, "--select", "RPL999"]) == 2
-        assert "unknown audit rule" in capsys.readouterr().err
+        assert "unknown rule" in capsys.readouterr().err
 
     def test_two_on_missing_path(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope")]) == 2
         assert "no such path" in capsys.readouterr().err
 
     def test_select_can_silence_a_bad_tree(self, bad_tree, capsys):
-        assert main([bad_tree, "--select", "RPL204"]) == 0
+        assert main([bad_tree, "--select", "RPL202"]) == 0
         capsys.readouterr()
 
 
@@ -78,7 +90,7 @@ class TestDefaults:
     def test_default_audit_root_is_src(self):
         """The production audit surface is the importable source tree;
         fixtures and scripts have no importable dotted path there."""
-        assert _DEFAULT_PATHS == ["src"]
+        assert AUDIT_PATHS == ["src"]
 
     def test_default_manifest_name_pinned(self):
         assert MANIFEST_FILE == "ANALYSIS_MANIFEST.json"
@@ -87,7 +99,7 @@ class TestDefaults:
 class TestJsonFormat:
     def test_same_envelope_as_repro_lint(self, bad_tree, capsys):
         assert main([bad_tree, "--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
+        payload = _report(capsys.readouterr().out)
         assert set(payload) == {"version", "findings", "summary"}
         for finding in payload["findings"]:
             assert set(finding) == {
@@ -106,32 +118,32 @@ class TestJsonFormat:
 class TestManifestFlow:
     def test_write_then_check_roundtrip(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        assert main([GOOD_TREE, "--write-manifest"]) == 0
+        assert main([GOOD_TREE, "--write-manifests"]) == 0
         assert (tmp_path / MANIFEST_FILE).exists()
         capsys.readouterr()
-        assert main([GOOD_TREE, "--check-manifest"]) == 0
+        assert main([GOOD_TREE, "--check-manifests"]) == 0
         assert "is current" in capsys.readouterr().out
 
     def test_check_fails_on_drift_with_diff(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         manifest = tmp_path / MANIFEST_FILE
-        main([GOOD_TREE, "--write-manifest"])
+        main([GOOD_TREE, "--write-manifests"])
         capsys.readouterr()
         stale = json.loads(manifest.read_text(encoding="utf-8"))
         stale["audit"]["artifacts"] = []
         manifest.write_text(json.dumps(stale, indent=2, sort_keys=True) + "\n")
-        assert main([GOOD_TREE, "--check-manifest"]) == 1
+        assert main([GOOD_TREE, "--check-manifests"]) == 1
         err = capsys.readouterr().err
-        assert "manifest drift" in err and "--write-manifest" in err
+        assert "manifest drift" in err and "--write-manifests" in err
 
     def test_check_fails_when_manifest_missing(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        assert main([GOOD_TREE, "--check-manifest"]) == 1
+        assert main([GOOD_TREE, "--check-manifests"]) == 1
         capsys.readouterr()
 
     def test_committed_manifest_passes_check(self, capsys):
         """The CI gate, exercised exactly as CI runs it."""
-        assert main(["--check-manifest"]) == 0
+        assert main(["--check-manifests"]) == 0
         out = capsys.readouterr().out
         assert "clean" in out and "is current" in out
 

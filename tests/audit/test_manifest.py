@@ -10,7 +10,11 @@ from repro.audit import run_audit
 from repro.audit.rules import build_audit_section
 from repro.lint.manifest import MANIFEST_FILE, diff_section, render_manifest
 
+from ..flow.conftest import FIXTURES as FLOW_FIXTURES
 from .conftest import FIXTURES
+
+#: A clean tree with one entry worker.
+ENTRY_TREE = FLOW_FIXTURES / "rpl403_good"
 
 
 def _section(tree):
@@ -19,13 +23,13 @@ def _section(tree):
 
 class TestDeterminism:
     def test_two_builds_render_identically(self):
-        tree = FIXTURES / "rpl204_good"
+        tree = ENTRY_TREE
         first = render_manifest(_section(tree))
         second = render_manifest(_section(tree))
         assert first == second
 
     def test_rendered_form_is_sorted_json_with_trailing_newline(self):
-        manifest = _section(FIXTURES / "rpl204_good")
+        manifest = _section(ENTRY_TREE)
         rendered = render_manifest(manifest)
         assert rendered.endswith("\n")
         assert rendered == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -43,13 +47,13 @@ class TestDeterminism:
 
 class TestShape:
     def test_workers_and_artifacts_sections(self):
-        manifest = _section(FIXTURES / "rpl204_good")
-        assert manifest["artifacts"] == ["t1"]
-        worker = manifest["workers"]["rpl204_good.work.run"]
+        manifest = _section(ENTRY_TREE)
+        assert manifest["artifacts"] == ["table"]
+        worker = manifest["workers"]["rpl403_good.experiments.run_table"]
         assert worker["role"] == "entry"
-        assert worker["artifact"] == "t1"
-        # Closure lists stay in memory (RPL204 reads them there); the
-        # ledger keeps only what the rules decide on.
+        assert worker["artifact"] == "table"
+        # Closure lists stay in memory; the ledger keeps only what the
+        # rules decide on.
         assert set(worker) == {"role", "artifact", "dispatched_from", "effects"}
 
 

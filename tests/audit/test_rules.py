@@ -40,7 +40,7 @@ def expected_findings(tree):
 
 class TestRuleRegistry:
     def test_exactly_the_rpl2xx_family(self):
-        assert RULE_IDS == ["RPL201", "RPL202", "RPL203", "RPL204"]
+        assert RULE_IDS == ["RPL201", "RPL202", "RPL203"]
 
     def test_metadata_complete(self):
         for rule in AUDIT_RULES:
@@ -82,11 +82,6 @@ class TestBadTreesFire:
         assert "global-rng" in finding.message
         assert "_trial" in finding.message
         assert "prepare" in finding.message
-
-    def test_rpl204_names_the_missing_module(self):
-        report = run_audit([FIXTURES / "rpl204_bad"], suppressions="line")
-        (finding,) = report.findings
-        assert "rpl204_bad.extra" in finding.message
 
 
 class TestGoodTreesSilent:

@@ -2,6 +2,7 @@
 
 from repro.audit import Project, find_workers
 
+from ..flow.conftest import FIXTURES as FLOW_FIXTURES
 from .conftest import FIXTURES
 
 
@@ -16,10 +17,10 @@ class TestFixtureDiscovery:
         ]
 
     def test_registry_entry_found_with_artifact(self):
-        project = Project.load([FIXTURES / "rpl204_bad"], suppressions="line")
+        project = Project.load([FLOW_FIXTURES / "rpl403_good"], suppressions="line")
         workers = find_workers(project)
         assert [(w.fq, w.role, w.artifact) for w in workers] == [
-            ("rpl204_bad.work.run", "entry", "t1")
+            ("rpl403_good.experiments.run_table", "entry", "table")
         ]
 
     def test_keyword_fn_argument_also_counts(self, make_package):

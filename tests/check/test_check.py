@@ -1,11 +1,13 @@
-"""``repro-check`` umbrella: one gate over all four analysis tiers.
+"""``repro-check``: one command and one gate over all four analysis tiers.
 
-That the one shared pass reports exactly what each tier's own command
-line reports is pinned in ``test_shared_pass.py``; what the pass loads
-and derives, in ``test_front_end_work.py``.
+That the one shared pass reports exactly what each tier run alone
+reports is pinned in ``test_shared_pass.py``; what the pass loads and
+derives, in ``test_front_end_work.py``; the front end each one-tier run
+shares, in ``test_tier_cli.py``.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -53,6 +55,22 @@ class TestArgvValidation:
         assert main(["--skip", "lint,audit,vec,flow"]) == 2
         assert "every tool skipped" in capsys.readouterr().err
 
+    def test_a_retired_rule_is_a_usage_error(self, capsys):
+        """RPL204 folded into RPL403; its ID names no rule any more."""
+        assert main(["--select", "RPL204"]) == 2
+        assert "unknown rule 'RPL204'" in capsys.readouterr().err
+
+    def test_list_rules_is_the_whole_catalogue(self, capsys):
+        assert main(["--list-rules"]) == 0
+        out = capsys.readouterr().out
+        headers = [line for line in out.splitlines() if line.endswith(":")]
+        assert headers == [
+            "lint rules:", "audit rules:", "vec rules:", "flow rules:", "every tier:"
+        ]
+        listed = re.findall(r"^  (RPL\d{3})  ", out, flags=re.MULTILINE)
+        assert listed == sorted(listed) and len(listed) == len(set(listed)) == 22
+        assert "RPL204" not in listed and "RPL900" in listed
+
 
 class TestMergedExecution:
     @pytest.fixture
@@ -79,14 +97,37 @@ class TestMergedExecution:
         captured = capsys.readouterr()
         assert "lint=0 audit=1 vec=1 flow=1 -> exit 1" in captured.out
         for name in ("audit", "vec", "flow"):
-            assert f"repro-{name}: manifest drift" in captured.err
-        assert "repro-lint: manifest" not in captured.err + captured.out
+            assert f"manifest drift — {MANIFEST_FILE} [{name}]" in captured.err
+        assert "[lint]" not in captured.err + captured.out
 
     def test_skip_runs_a_subset(self, seed_drop_tree, capsys):
         assert main(["--skip", "audit,vec"]) == 0
         out = capsys.readouterr().out
         assert "lint=0 flow=0 -> exit 0" in out
-        assert "== repro-audit ==" not in out and "== repro-vec ==" not in out
+        assert "== audit ==" not in out and "== vec ==" not in out
+
+    def test_select_runs_only_the_owning_tiers(self, seed_drop_tree, capsys):
+        assert main(["--select", "seed-drop,RPL103"]) == 1
+        out = capsys.readouterr().out
+        assert "RPL202 [seed-drop]" in out
+        assert "lint=0 audit=1 -> exit 1" in out
+
+    def test_ignore_reaches_the_owning_tier(self, seed_drop_tree, capsys):
+        assert main(["--ignore", "RPL202"]) == 0
+        assert "lint=0 audit=0 vec=0 flow=0 -> exit 0" in capsys.readouterr().out
+
+    def test_paths_replace_every_tiers_defaults(self, seed_drop_tree, capsys):
+        assert main(["src/pkg"]) == 1
+        out = capsys.readouterr().out
+        assert "lint: clean — 2 file(s)" in out
+        assert "audit: 1 finding(s) in 2 file(s)" in out
+
+    def test_write_manifests_then_check_manifests(self, seed_drop_tree, capsys):
+        assert main(["--write-manifests", "--ignore", "RPL202"]) == 0
+        assert (seed_drop_tree / MANIFEST_FILE).exists()
+        capsys.readouterr()
+        assert main(["--check-manifests", "--ignore", "RPL202"]) == 0
+        assert "[flow] is current" in capsys.readouterr().out
 
     def test_json_mode_merges_the_tool_reports(self, seed_drop_tree, capsys):
         assert main(["--format", "json", "--check-manifests"]) == 1

@@ -1,11 +1,12 @@
 """The merged analyzer ledger: one file, one section per whole-program tier.
 
-``repro-audit``, ``repro-vec`` and ``repro-flow`` each own one section of
+The audit, vec and flow tiers each own one section of
 ``ANALYSIS_MANIFEST.json``.  Writing or checking a tier touches only its
 own section; these cases hold all three tiers to that through their
-command lines.  The committed file is checked for currency per tier
-(``tests/audit/test_manifest.py``, ``tests/{vec,flow}/test_self_clean.py``)
-and as CI runs it (``tests/check/test_check.py``).
+one-tier ``repro-check`` runs (``repro.check.TOOLS``).  The committed
+file is checked for currency per tier (``tests/audit/test_manifest.py``,
+``tests/{vec,flow}/test_self_clean.py``) and as CI runs it
+(``tests/check/test_check.py``).
 """
 
 import json
@@ -13,18 +14,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.audit.cli import TIER as AUDIT
-from repro.flow.cli import TIER as FLOW
+from repro.check import TOOLS
 from repro.lint.manifest import MANIFEST_FILE, render_manifest
-from repro.vec.cli import TIER as VEC
 
 TESTS = Path(__file__).resolve().parents[1]
 
-#: section -> (its tier, a fixture tree whose section is not empty).
+ENTRIES = {name: entry for name, entry, _base, _gated in TOOLS}
+
+#: section -> (its tier's one-tier run, a fixture tree whose section is not empty).
 TIERS = {
-    "audit": (AUDIT, TESTS / "audit" / "fixtures" / "rpl204_good"),
-    "vec": (VEC, TESTS / "vec" / "fixtures" / "sanctioned"),
-    "flow": (FLOW, TESTS / "flow" / "fixtures" / "sanctioned"),
+    "audit": (ENTRIES["audit"], TESTS / "flow" / "fixtures" / "rpl403_good"),
+    "vec": (ENTRIES["vec"], TESTS / "vec" / "fixtures" / "sanctioned"),
+    "flow": (ENTRIES["flow"], TESTS / "flow" / "fixtures" / "sanctioned"),
 }
 
 
@@ -32,15 +33,15 @@ TIERS = {
 def ledger(tmp_path, monkeypatch, capsys):
     """A manifest in a scratch working directory with every section written."""
     monkeypatch.chdir(tmp_path)
-    for tier, tree in TIERS.values():
-        assert tier.main([str(tree), "--write-manifest"]) == 0
+    for main, tree in TIERS.values():
+        assert main([str(tree), "--write-manifests"]) == 0
     capsys.readouterr()
     return tmp_path / MANIFEST_FILE
 
 
 def _check(section):
-    tier, tree = TIERS[section]
-    return tier.main([str(tree), "--check-manifest"])
+    main, tree = TIERS[section]
+    return main([str(tree), "--check-manifests"])
 
 
 def _commit(path, document):
@@ -59,13 +60,13 @@ def test_write_leaves_other_sections_byte_identical(section, ledger, capsys):
     empty = ledger.parent / "pkg"
     empty.mkdir()
     (empty / "__init__.py").write_text("", encoding="utf-8")
-    tier, _tree = TIERS[section]
-    assert tier.main([str(empty), "--write-manifest"]) == 0
+    main, _tree = TIERS[section]
+    assert main([str(empty), "--write-manifests"]) == 0
     after = ledger.read_text(encoding="utf-8")
     written = json.loads(after)[section]
     assert written != before[section]
     assert after == render_manifest(dict(before, **{section: written}))
-    assert tier.main([str(empty), "--check-manifest"]) == 0
+    assert main([str(empty), "--check-manifests"]) == 0
     assert "is current" in capsys.readouterr().out
     _others_pass(section, capsys)
 
@@ -77,7 +78,7 @@ def test_drift_fails_only_the_drifted_section(section, ledger, capsys):
     _commit(ledger, document)
     assert _check(section) == 1
     err = capsys.readouterr().err
-    assert "manifest drift" in err and "--write-manifest" in err
+    assert "manifest drift" in err and "--write-manifests" in err
     assert f"{MANIFEST_FILE} [{section}] (committed)" in err
     assert f"{MANIFEST_FILE} [{section}] (derived from source)" in err
     assert '-    "stale": []' in err

@@ -9,9 +9,10 @@ verdict.  Each runs in a working tree built from one tier's committed
 lifted so the production mode sees the deliberate bugs too:
 
 - ``--format json`` nests, per tier, exactly the report and exit code
-  that tier's own command line gives with the same options;
-- the text run prints exactly what the four command lines print, in
-  order, on stdout and on stderr;
+  that tier gives when run alone (its ``TOOLS`` entry) with the same
+  options;
+- the text run prints exactly what the four one-tier runs print, in
+  order, on stdout and on stderr, under one merged summary line;
 - the whole-program tiers find the same on one shared project, in any
   order, as on three fresh loads — no tier changes what it shares.
 """
@@ -57,8 +58,7 @@ def work_tree(request, family, tmp_path, monkeypatch, capsys):
     (tmp_path / "examples").mkdir()
     monkeypatch.chdir(tmp_path)
     if lift:  # a current manifest: the gates pass; otherwise each drifts
-        for tier in TIERS.values():
-            tier.main(["--write-manifest"])
+        check.main(["--write-manifests", "--skip", "lint"])
         capsys.readouterr()
     return tmp_path
 
@@ -66,7 +66,7 @@ def work_tree(request, family, tmp_path, monkeypatch, capsys):
 def _own_run(entry, base, gated, fmt):
     argv = list(base) + ["--format", fmt]
     if gated:
-        argv.append("--check-manifest")
+        argv.append("--check-manifests")
     return entry(argv)
 
 
@@ -76,8 +76,9 @@ def test_json_nests_each_tiers_own_report(work_tree, capsys):
     exits = []
     for name, entry, base, gated in check.TOOLS:
         exit_code = _own_run(entry, base, gated, "json")
-        report, _end = json.JSONDecoder().raw_decode(capsys.readouterr().out)
-        assert payload["tools"][name] == {"exit": exit_code, "report": report}, name
+        own = json.loads(capsys.readouterr().out)
+        assert own["status"] == exit_code and list(own["tools"]) == [name]
+        assert payload["tools"][name] == own["tools"][name], name
         exits.append(exit_code)
     assert status == payload["status"] == max(exits)
 
@@ -85,9 +86,12 @@ def test_json_nests_each_tiers_own_report(work_tree, capsys):
 def test_text_prints_what_the_four_command_lines_print(work_tree, capsys):
     expected_out, expected_err, exits = "", "", {}
     for name, entry, base, gated in check.TOOLS:
-        exits[name] = _own_run(entry, base, gated, "text")
+        exits[name] = code = _own_run(entry, base, gated, "text")
         captured = capsys.readouterr()
-        expected_out += f"== repro-{name} ==\n{captured.out}"
+        own_summary = f"repro-check: {name}={code} -> exit {code}\n"
+        assert captured.out.startswith(f"== {name} ==\n")
+        assert captured.out.endswith(own_summary)
+        expected_out += captured.out[: -len(own_summary)]
         expected_err += captured.err
     status = max(exits.values())
     summary = " ".join(f"{name}={code}" for name, code in exits.items())

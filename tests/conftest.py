@@ -12,26 +12,21 @@ from pathlib import Path
 
 import pytest
 
-from repro.audit.cli import TIER as AUDIT_TIER
 from repro.audit.project import Project
 from repro.blockchain.block import genesis_block
-from repro.flow.cli import TIER as FLOW_TIER
+from repro.check import TIERS
 from repro.lint import lint_paths
 from repro.netsim.latency import ConstantLatency
 from repro.netsim.network import Network, NetworkConfig
 from repro.topology.builder import build_paper_topology
 from repro.topology.topology import Topology
-from repro.vec.cli import TIER as VEC_TIER
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-#: What ``repro-lint`` checks by default: every Python tree of the repo.
+#: What the lint tier checks by default: every Python tree of the repo.
 LINT_TARGETS = [
     REPO_ROOT / name for name in ("src", "benchmarks", "tests", "examples")
 ]
-
-#: The whole-program tiers by manifest section, in ``repro-check`` order.
-TIERS = {tier.section: tier for tier in (AUDIT_TIER, VEC_TIER, FLOW_TIER)}
 
 
 @pytest.fixture(scope="session")

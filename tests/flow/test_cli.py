@@ -1,13 +1,17 @@
-"""``repro-flow`` CLI contract: exit codes, formats, the manifest gate."""
+"""The flow tier under ``repro-check``: exit codes, formats, the manifest
+gate.  ``main`` is ``repro-check`` with every other tier skipped
+(``repro.check.TOOLS``)."""
 
 import json
 
+from repro.check import TOOLS
 from repro.flow import run_flow
-from repro.flow.cli import main
 from repro.flow.rules import build_flow_section
 from repro.lint.manifest import MANIFEST_FILE, write_section
 
 from .conftest import FIXTURES
+
+main = next(entry for name, entry, _base, _g in TOOLS if name == "flow")
 
 
 class TestListRules:
@@ -51,7 +55,7 @@ class TestExitCodes:
 class TestJsonFormat:
     def test_findings_serialize(self, capsys):
         assert main(["--format", "json", str(FIXTURES / "rpl405_bad")]) == 1
-        payload = json.loads(capsys.readouterr().out)
+        payload = json.loads(capsys.readouterr().out)["tools"]["flow"]["report"]
         rule_ids = {finding["rule"] for finding in payload["findings"]}
         assert rule_ids == {"RPL405"}
         assert payload["summary"]["by_rule"]["RPL405"] == 2
@@ -62,9 +66,9 @@ class TestManifestGate:
 
     def test_write_then_check_roundtrips(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        assert main([self.TREE, "--write-manifest"]) == 0
+        assert main([self.TREE, "--write-manifests"]) == 0
         capsys.readouterr()
-        assert main([self.TREE, "--check-manifest"]) == 0
+        assert main([self.TREE, "--check-manifests"]) == 0
         out = capsys.readouterr().out
         assert "is current" in out
 
@@ -73,7 +77,7 @@ class TestManifestGate:
         payload = build_flow_section(run_flow([self.TREE]))
         payload["sanctioned"] = []
         write_section("flow", payload)
-        assert main([self.TREE, "--check-manifest"]) == 1
+        assert main([self.TREE, "--check-manifests"]) == 1
         captured = capsys.readouterr()
         assert "manifest drift" in captured.err
         assert "RPL401" in captured.err
@@ -81,5 +85,5 @@ class TestManifestGate:
     def test_missing_manifest_fails_the_gate(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert not (tmp_path / MANIFEST_FILE).exists()
-        assert main([self.TREE, "--check-manifest"]) == 1
+        assert main([self.TREE, "--check-manifests"]) == 1
         capsys.readouterr()

@@ -113,6 +113,33 @@ class TestBadTreesFire:
         assert "run_table" in finding.message
         assert "->" in finding.message
 
+    def test_rpl403_reports_a_cache_with_no_fingerprint_declaration(
+        self, tmp_path
+    ):
+        # A worker and a ResultCache, but nothing declares the modules
+        # the cache's code fingerprint covers.
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        (pkg / "__init__.py").write_text("", encoding="utf-8")
+        (pkg / "work.py").write_text(
+            "def run(config, seed):\n"
+            "    return {'config': config, 'seed': seed}\n"
+            "\n"
+            "\n"
+            "REGISTRY = {'t1': run}\n",
+            encoding="utf-8",
+        )
+        (pkg / "cache.py").write_text(
+            "class ResultCache:\n"
+            "    def __init__(self, fingerprint=()):\n"
+            "        self.fingerprint = fingerprint\n",
+            encoding="utf-8",
+        )
+        report = run_flow([tmp_path], select=["RPL403"])
+        (finding,) = report.findings
+        assert (Path(finding.path).name, finding.line) == ("cache.py", 1)
+        assert "no FINGERPRINT_MODULES declaration" in finding.message
+
     def test_rpl404_names_the_lacking_artifact(self):
         report = run_flow([FIXTURES / "rpl404_bad"], suppressions="line")
         messages = [f.message for f in report.findings]

@@ -1,9 +1,9 @@
 """The acceptance bar: the caching layer passes its own flow analysis.
 
-``repro-flow src --check-manifest`` must exit 0 on this tree — every
-result-influencing parameter of every cache boundary is either key
-material or carries a reasoned line sanction, every spec field enters
-the digest, and the ``flow`` section of the committed
+``repro-check --skip lint,audit,vec --check-manifests`` must exit 0 on
+this tree — every result-influencing parameter of every cache boundary
+is either key material or carries a reasoned line sanction, every spec
+field enters the digest, and the ``flow`` section of the committed
 ``ANALYSIS_MANIFEST.json`` matches what the analyzer derives from
 source.
 

@@ -1,10 +1,21 @@
-"""CLI contract tests: exit codes, filtering, formats, suppressions."""
+"""The lint tier under ``repro-check``: exit codes, filtering, formats,
+suppressions.  ``main`` is ``repro-check`` with every other tier skipped
+(``repro.check.TOOLS``)."""
 
 import json
 
 import pytest
 
-from repro.lint.cli import main
+from repro.check import TOOLS
+
+main, LINT_PATHS = next(
+    (entry, base) for name, entry, base, _g in TOOLS if name == "lint"
+)
+
+
+def _report(out):
+    """The lint tier's report in ``repro-check``'s merged JSON document."""
+    return json.loads(out)["tools"]["lint"]["report"]
 
 CLEAN = "def f(x):\n    return x + 1\n"
 DIRTY = (
@@ -81,7 +92,7 @@ class TestRuleFiltering:
 class TestJsonFormat:
     def test_schema(self, tree, capsys):
         assert main([str(tree), "--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
+        payload = _report(capsys.readouterr().out)
         assert set(payload) == {"version", "findings", "summary"}
         assert payload["version"] == 1
         for finding in payload["findings"]:
@@ -100,7 +111,7 @@ class TestJsonFormat:
     def test_clean_json_still_valid(self, tmp_path, capsys):
         (tmp_path / "ok.py").write_text(CLEAN)
         assert main([str(tmp_path), "-f", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = _report(capsys.readouterr().out)
         assert payload["findings"] == []
 
     def test_findings_sorted_and_deterministic(self, tree, capsys):
@@ -109,7 +120,7 @@ class TestJsonFormat:
         main([str(tree), "--format", "json"])
         second = capsys.readouterr().out
         assert first == second
-        payload = json.loads(first)
+        payload = _report(first)
         keys = [(f["path"], f["line"], f["col"], f["rule"]) for f in payload["findings"]]
         assert keys == sorted(keys)
 
@@ -118,17 +129,13 @@ class TestDefaultPaths:
     def test_default_path_list_pinned(self):
         """The production lint surface: source, benchmarks, tests, AND
         the runnable examples — scripts drift first when untested."""
-        from repro.lint.cli import _DEFAULT_PATHS
-
-        assert _DEFAULT_PATHS == ["src", "benchmarks", "tests", "examples"]
+        assert LINT_PATHS == ["src", "benchmarks", "tests", "examples"]
 
     def test_default_paths_all_exist(self):
         from pathlib import Path
 
-        from repro.lint.cli import _DEFAULT_PATHS
-
         repo_root = Path(__file__).resolve().parents[2]
-        for path in _DEFAULT_PATHS:
+        for path in LINT_PATHS:
             assert (repo_root / path).is_dir(), path
 
 
@@ -155,16 +162,19 @@ class TestListRules:
 
     def test_listing_snapshot_is_stable(self, capsys):
         """The listing is part of the CLI contract: pin its shape (one
-        id+summary line and one rationale line per rule, RPL900 entry,
-        suppression footer) so help output cannot drift silently."""
+        id+summary line and one rationale line per rule, suppression
+        footer, then the RPL900 block every tier shares) so help output
+        cannot drift silently."""
         from repro.lint import RULES
 
         main(["--list-rules"])
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "repro-lint rules:"
-        # one (header, rationale) pair per rule + the RPL900 pair.
-        body = lines[1:-1]
-        assert len(body) == 2 * (len(RULES) + 1)
-        ids = [line.split()[0] for line in body[::2]]
-        assert ids == [rule.rule_id for rule in RULES] + ["RPL900"]
-        assert lines[-1].startswith("suppress a finding with")
+        assert lines[0] == "lint rules:"
+        # one (header, rationale) pair per rule, then the footer.
+        footer = 1 + 2 * len(RULES)
+        ids = [line.split()[0] for line in lines[1:footer:2]]
+        assert ids == [rule.rule_id for rule in RULES]
+        assert lines[footer].startswith("suppress a finding with")
+        # The RPL900 pair every tier shares closes the listing.
+        assert lines[footer + 1 :] == ["every tier:", lines[-2], lines[-1]]
+        assert lines[-2].split()[0] == "RPL900"

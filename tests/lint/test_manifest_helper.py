@@ -1,6 +1,6 @@
 """The one analyzer manifest and the helpers every tier reads it through.
 
-``repro-audit``, ``repro-vec`` and ``repro-flow`` each own one section
+The audit, vec and flow tiers each own one section
 of ``ANALYSIS_MANIFEST.json`` and render, diff and write it through
 ``repro.lint.manifest`` — one implementation of the byte-exact
 contract (sorted keys, two-space indent, trailing newline, unified
@@ -59,12 +59,9 @@ class TestDiffManifest:
 
 class TestSharedAcrossTiers:
     def test_every_tier_uses_the_one_implementation(self):
-        from repro.audit.cli import TIER as audit
-        from repro.check import TOOLS
-        from repro.flow.cli import TIER as flow
-        from repro.vec.cli import TIER as vec
+        from repro.check import TIERS, TOOLS
 
-        tiers = (audit, vec, flow)
+        tiers = tuple(TIERS.values())
         gated = [name for name, _entry, _base, takes in TOOLS if takes]
         assert [tier.section for tier in tiers] == gated
         for tier in tiers:

@@ -28,7 +28,7 @@ class TestTextReporter:
 
     def test_clean_summary(self):
         report = RunReport(files=[lint_source("x = 1\n", path="ok.py")])
-        assert render_text(report).startswith("repro-lint: clean")
+        assert render_text(report).startswith("lint: clean")
 
 
 class TestJsonReporter:

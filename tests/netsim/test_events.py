@@ -57,7 +57,7 @@ class TestCrossInstanceDeterminism:
     (``events.py``'s ``self._counter``), a queue created *after* another
     queue had consumed tokens would break same-time ties differently —
     and every downstream simulation would silently diverge between a
-    fresh process and one that had already run a trial.  repro-lint's
+    fresh process and one that had already run a trial.  The lint tier's
     RPL102 (global-state) guards the pattern statically; this test pins
     the observable behaviour.
     """

@@ -1,13 +1,17 @@
-"""``repro-vec`` CLI contract: exit codes, formats, the manifest gate."""
+"""The vec tier under ``repro-check``: exit codes, formats, the manifest
+gate.  ``main`` is ``repro-check`` with every other tier skipped
+(``repro.check.TOOLS``)."""
 
 import json
 
+from repro.check import TOOLS
 from repro.lint.manifest import MANIFEST_FILE, write_section
 from repro.vec import run_vec
-from repro.vec.cli import main
 from repro.vec.rules import build_vec_section
 
 from .conftest import FIXTURES
+
+main = next(entry for name, entry, _base, _g in TOOLS if name == "vec")
 
 
 class TestListRules:
@@ -53,7 +57,7 @@ class TestExitCodes:
 class TestJsonFormat:
     def test_findings_serialize(self, capsys):
         assert main(["--format", "json", str(FIXTURES / "rpl311_bad")]) == 1
-        payload = json.loads(capsys.readouterr().out)
+        payload = json.loads(capsys.readouterr().out)["tools"]["vec"]["report"]
         rule_ids = {finding["rule"] for finding in payload["findings"]}
         assert rule_ids == {"RPL311"}
         assert payload["summary"]["by_rule"]["RPL311"] == 3
@@ -64,9 +68,9 @@ class TestManifestGate:
 
     def test_write_then_check_roundtrips(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        assert main([self.TREE, "--write-manifest"]) == 0
+        assert main([self.TREE, "--write-manifests"]) == 0
         capsys.readouterr()
-        assert main([self.TREE, "--check-manifest"]) == 0
+        assert main([self.TREE, "--check-manifests"]) == 0
         out = capsys.readouterr().out
         assert "is current" in out
 
@@ -75,7 +79,7 @@ class TestManifestGate:
         payload = build_vec_section(run_vec([self.TREE]))
         payload["sanctioned_loops"] = []
         write_section("vec", payload)
-        assert main([self.TREE, "--check-manifest"]) == 1
+        assert main([self.TREE, "--check-manifests"]) == 1
         captured = capsys.readouterr()
         assert "manifest drift" in captured.err
         assert "RPL311" in captured.err
@@ -83,5 +87,5 @@ class TestManifestGate:
     def test_missing_manifest_fails_the_gate(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert not (tmp_path / MANIFEST_FILE).exists()
-        assert main([self.TREE, "--check-manifest"]) == 1
+        assert main([self.TREE, "--check-manifests"]) == 1
         capsys.readouterr()

@@ -1,10 +1,10 @@
 """The acceptance bar: the kernel layer passes its own vec analysis.
 
-``repro-vec src --check-manifest`` must exit 0 on this tree — every
-pass-1 dtype finding gets fixed (never suppressed), every standing
-scalar loop in hot code carries a reasoned sanction, and the ``vec``
-section of the committed ``ANALYSIS_MANIFEST.json`` matches what the
-analyzer derives from source.
+``repro-check --skip lint,audit,flow --check-manifests`` must exit 0 on
+this tree — every pass-1 dtype finding gets fixed (never suppressed),
+every standing scalar loop in hot code carries a reasoned sanction, and
+the ``vec`` section of the committed ``ANALYSIS_MANIFEST.json`` matches
+what the analyzer derives from source.
 """
 
 from repro.lint.manifest import MANIFEST_FILE, diff_section
