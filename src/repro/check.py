@@ -11,7 +11,8 @@ other tiers check ``src``; given paths, every tier checks them.
 
 Audit, vec and flow each own a section of the committed
 ``ANALYSIS_MANIFEST.json``; ``--check-manifests`` fails on drift and
-``--write-manifests`` regenerates the sections of the tiers that ran.
+``--write-manifests`` regenerates the sections of the tiers that ran
+from every rule's findings (so it takes no ``--select``/``--ignore``).
 
 Usage::
 
@@ -292,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--write-manifests",
         action="store_true",
-        help="regenerate each tier's manifest section from source",
+        help="regenerate each tier's manifest section from source (every rule)",
     )
     return parser
 
@@ -308,6 +309,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             raise UsageError(
                 "--write-manifests and --check-manifests are mutually exclusive"
             )
+        if args.write_manifests and (args.select or args.ignore):
+            # A section written from some rules drifts from every rule's.
+            raise UsageError("--write-manifests takes no --select or --ignore")
         wanted = args.paths or [
             path for name, _e, base, _g in TOOLS if name in names for path in base
         ]

@@ -334,7 +334,10 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for the sweep's trials (default: 1)",
+        help=(
+            "worker processes for the sweep's trials (default: 1); used only "
+            "when the specs average 10^5 node-steps or more, or with --trial-timeout"
+        ),
     )
     parser.add_argument(
         "--cache",

@@ -12,13 +12,12 @@ This module is the layer that fixes that bug class:
   with the *same seed*, so a retried success is bit-identical to a
   first-try success (trial functions draw all randomness from
   ``trial.seed``, the engine's standing contract);
-- the pool sends trials to its workers in chunks, k trials per round
-  trip, with k sized from the measured per-trial cost, yet every fault
-  is still charged to one trial: workers announce each trial as they
-  start it, per-trial timeouts run from that announcement, and a dead
-  or hung worker costs only the trial it had announced; the pool is
-  respawned and every other unfinished trial is re-dispatched
-  uncharged;
+- the pool sends each worker one trial per round trip, yet keeps
+  several queued per worker; every fault is charged to one trial:
+  workers announce each trial as they start it, per-trial timeouts run
+  from that announcement, and a dead or hung worker costs only the
+  trial it had announced; the pool is respawned and every other
+  unfinished trial is re-dispatched uncharged;
 - a :class:`FailurePolicy` chooses between fail-fast (``"raise"``),
   degrade-and-report (``"skip"``), and a bounded failure budget
   (``max_failures=N``), and the engine returns partial results plus
@@ -52,7 +51,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -78,15 +76,10 @@ __all__ = [
 #: cadence of the checks that no result announces.
 _POLL_INTERVAL = 0.02
 
-#: Chunks kept dispatched per worker.  The pool's task queue holds
-#: the surplus, so a worker that finishes one chunk picks up the next
+#: Trials kept dispatched per worker.  The pool's task queue holds
+#: the surplus, so a worker that finishes one trial picks up the next
 #: without waiting for the parent's round trip.
 _PREFETCH = 4
-
-#: Target compute time of one chunk (seconds).  A chunk holds as many
-#: trials as the batch's measured per-trial cost fits in this time, so
-#: a trial that takes this long or longer travels alone.
-_CHUNK_SECONDS = 0.01
 
 #: Exit code used by injected crashes (visible in worker exitcodes).
 CRASH_EXIT_CODE = 87
@@ -327,7 +320,6 @@ def call_trial(fn: Callable[..., Any], trial: Any, attempt: int) -> Any:
 class _Attempt:
     """One attempt's outcome as shipped back from the executing process."""
 
-    index: int
     ok: bool
     payload: Any
     seconds: float
@@ -348,16 +340,8 @@ def _worker_init(announce: Any) -> None:
     _WORKER_ANNOUNCE = announce
 
 
-def _run_chunk(
-    task: Tuple[Callable[..., Any], Tuple[Tuple[Any, int], ...]]
-) -> List[_Attempt]:
-    """Worker entry point: run a chunk's ``(trial, attempt)`` pairs in order."""
-    fn, items = task
-    return [_run_attempt(fn, trial, attempt) for trial, attempt in items]
-
-
 def _run_attempt(fn: Callable[..., Any], trial: Any, attempt: int) -> _Attempt:
-    """Announce ownership of one trial, run it, capture any error."""
+    """Worker entry point: announce one trial, run it, capture any error."""
     pid = os.getpid()
     announce = _WORKER_ANNOUNCE
     if announce is not None:
@@ -367,7 +351,6 @@ def _run_attempt(fn: Callable[..., Any], trial: Any, attempt: int) -> _Attempt:
         payload = call_trial(fn, trial, attempt)
     except Exception as exc:
         return _Attempt(
-            index=trial.index,
             ok=False,
             payload=None,
             seconds=time.perf_counter() - start,
@@ -377,7 +360,6 @@ def _run_attempt(fn: Callable[..., Any], trial: Any, attempt: int) -> _Attempt:
             traceback_text=traceback.format_exc(),
         )
     return _Attempt(
-        index=trial.index,
         ok=True,
         payload=payload,
         seconds=time.perf_counter() - start,
@@ -444,7 +426,6 @@ def _run_serial(
                 last_exc = exc
                 continue
             successes[trial.index] = _Attempt(
-                index=trial.index,
                 ok=True,
                 payload=payload,
                 seconds=time.perf_counter() - start,
@@ -473,21 +454,21 @@ def _run_serial(
 # ----------------------------------------------------------------------
 @dataclass
 class _InFlight:
-    """Bookkeeping for one dispatched-but-unfinished chunk of attempts.
+    """Bookkeeping for one dispatched-but-unfinished attempt.
 
     The pool's result-handler thread calls :meth:`landed` or
     :meth:`raised`.  Both record the outcome *before* setting ``wake``,
     and the parent clears ``wake`` before it scans for outcomes, so no
-    landing is ever slept through.  ``running`` names the trial its
-    worker last announced and ``deadline`` is that trial's timeout.
+    landing is ever slept through.  ``started`` is set once a worker
+    has announced the attempt, and ``deadline`` is its timeout.
     """
 
-    trials: Tuple[Any, ...]
-    attempts: Dict[int, int]  # trial index -> attempt number
+    trial: Any
+    attempt: int
     wake: threading.Event
     outcome: Optional[Tuple[bool, Any]] = None
     deadline: Optional[float] = None
-    running: Optional[int] = None
+    started: bool = False
 
     def landed(self, value: Any) -> None:
         self.outcome = (True, value)
@@ -501,27 +482,21 @@ class _InFlight:
 class _PoolExecutor:
     """Runs one batch over a worker pool with fault recovery.
 
-    Trials travel in chunks: each round trip carries k trials, with k
-    sized so a chunk takes about ``_CHUNK_SECONDS`` at the batch's mean
-    measured per-trial cost.  Until a first result lands k is 1, and k
-    never exceeds a ``2 * workers``-th of the pending trials, so the
-    tail still spreads over every worker.  Up to ``_PREFETCH * workers``
-    chunks are dispatched at once; the ones no worker has picked up yet
-    wait in the pool's FIFO task queue.  Every landing result wakes the
-    parent loop, which otherwise sleeps at most ``_POLL_INTERVAL``
-    between timeout and liveness checks.
+    Each task carries one ``(trial, attempt)``.  Up to
+    ``_PREFETCH * workers`` are dispatched at once; the ones no worker
+    has picked up yet wait in the pool's FIFO task queue.  Every
+    landing result wakes the parent loop, which otherwise sleeps at
+    most ``_POLL_INTERVAL`` between timeout and liveness checks.
 
-    Faults are charged per trial, never per chunk.  A worker announces
-    each trial as it starts it; the trial's ``trial_timeout`` clock runs
-    from that announcement until the same worker announces its next
-    trial or the chunk lands, so neither queueing nor chunk-mates count
-    against it.  A hung trial (deadline exceeded) or a dead worker
-    poisons only the announced trial's attempt count: the pool is torn
-    down, respawned, and every *other* unfinished trial, chunk-mates
-    included, is re-dispatched without being charged an attempt.  A
-    chunk whose result cannot cross the process boundary is re-sent one
-    trial per task, uncharged, so the payload failure lands on the
-    trial that caused it.
+    A worker announces each trial as it starts it; the trial's
+    ``trial_timeout`` clock runs from that announcement until the same
+    worker announces its next trial or the result lands, so time spent
+    queued never counts against it.  A hung trial (deadline exceeded)
+    or a dead worker poisons only the announced trial's attempt count:
+    the pool is torn down, respawned, and every *other* unfinished
+    trial is re-dispatched without being charged an attempt.  A result
+    that landed before the pool was torn down is collected, never
+    charged.
     """
 
     def __init__(
@@ -540,15 +515,11 @@ class _PoolExecutor:
         self._on_success = on_success
         self._wake = threading.Event()
         self._pending: Deque[Any] = deque(self._order)
-        self._solo: Set[int] = set()  # trials that must travel alone
-        # Keyed by each chunk's first trial index; dicts keep insertion
-        # order, so this one iterates in dispatch order.
+        # Keyed by trial index; dicts keep insertion order, so this one
+        # iterates in dispatch order.
         self._inflight: Dict[int, _InFlight] = {}
-        self._holder: Dict[int, _InFlight] = {}  # trial index -> its chunk
         self._failed_attempts: Dict[int, int] = {t.index: 0 for t in self._order}
         self._owner: Dict[int, int] = {}  # worker pid -> announced trial index
-        self._measured = 0  # attempts whose run time has landed
-        self._measured_seconds = 0.0
         self._successes: Dict[int, _Attempt] = {}
         self._failures: Dict[int, TrialFailure] = {}
         self._causes: Dict[int, BaseException] = {}
@@ -575,7 +546,7 @@ class _PoolExecutor:
         return self._successes, self._failures, self._causes
 
     def _idle_wait(self) -> bool:
-        """Sleep until a chunk lands or ``_POLL_INTERVAL`` passes.
+        """Sleep until a result lands or ``_POLL_INTERVAL`` passes.
 
         Returns ``True`` when a landing woke the loop, ``False`` when
         the interval ran out.
@@ -598,12 +569,12 @@ class _PoolExecutor:
         self._owner = {}
 
     def _teardown_pool(self) -> None:
+        """Stop the pool; once this returns, no further result can land."""
         pool, self._pool = self._pool, None
         announce, self._announce = self._announce, None
         self._procs = []
-        self._owner = {}
         if pool is not None:
-            pool.terminate()
+            pool.terminate()  # joins the result-handler thread
             pool.join()
         if announce is not None:
             try:
@@ -614,62 +585,18 @@ class _PoolExecutor:
                 pass
 
     # -- scheduling ----------------------------------------------------
-    def _chunk_size(self) -> int:
-        """Trials for the next chunk: the target time over the mean cost,
-        capped so the pending trials still make ``2 * workers`` chunks."""
-        if not self._measured:
-            return 1
-        tail_cap = len(self._pending) // (2 * self._workers)
-        per_trial = self._measured_seconds / self._measured
-        if per_trial * tail_cap <= _CHUNK_SECONDS:
-            return max(1, tail_cap)
-        return max(1, int(_CHUNK_SECONDS / per_trial))
-
-    def _take_chunk(self) -> List[Any]:
-        """Pop the next chunk off the pending queue (at least one trial)."""
-        size = self._chunk_size()
-        chunk = [self._pending.popleft()]
-        if chunk[0].index in self._solo:
-            return chunk
-        while (
-            len(chunk) < size
-            and self._pending
-            and self._pending[0].index not in self._solo
-        ):
-            chunk.append(self._pending.popleft())
-        return chunk
-
     def _dispatch(self) -> None:
         assert self._pool is not None
         while self._pending and len(self._inflight) < self._window:
-            trials = tuple(self._take_chunk())
-            flight = _InFlight(
-                trials,
-                {t.index: self._failed_attempts[t.index] for t in trials},
-                self._wake,
-            )
+            trial = self._pending.popleft()
+            flight = _InFlight(trial, self._failed_attempts[trial.index], self._wake)
             self._pool.apply_async(
-                _run_chunk,
-                ((self._fn, tuple((t, flight.attempts[t.index]) for t in trials)),),
+                _run_attempt,
+                (self._fn, trial, flight.attempt),
                 callback=flight.landed,
                 error_callback=flight.raised,
             )
-            self._track(flight)
-
-    def _track(self, flight: _InFlight) -> None:
-        self._inflight[flight.trials[0].index] = flight
-        for trial in flight.trials:
-            self._holder[trial.index] = flight
-
-    def _untrack(self, flight: _InFlight) -> None:
-        del self._inflight[flight.trials[0].index]
-        for trial in flight.trials:
-            del self._holder[trial.index]
-
-    def _requeue(self, trials: Sequence[Any]) -> None:
-        """Put trials back at the head of the queue in index order, uncharged."""
-        for trial in sorted(trials, key=lambda t: t.index, reverse=True):
-            self._pending.appendleft(trial)
+            self._inflight[trial.index] = flight
 
     # -- progress ------------------------------------------------------
     def _drain_announcements(self) -> None:
@@ -681,16 +608,16 @@ class _PoolExecutor:
                 pid, index, attempt = announce.get()
                 # The worker has moved past the trial it announced
                 # before: that trial's clock stops here.
-                previous = self._holder.get(self._owner.pop(pid, None))
+                previous = self._inflight.get(self._owner.pop(pid, None))
                 if previous is not None:
                     previous.deadline = None
-                flight = self._holder.get(index)
-                if flight is None or flight.attempts[index] != attempt:
+                flight = self._inflight.get(index)
+                if flight is None or flight.attempt != attempt:
                     # That attempt landed before its announcement was
                     # read: the worker has moved on to an unnamed trial.
                     continue
                 self._owner[pid] = index
-                flight.running = index
+                flight.started = True
                 if self._policy.trial_timeout is not None:
                     flight.deadline = time.perf_counter() + self._policy.trial_timeout
         except (OSError, EOFError):  # pragma: no cover - queue torn down mid-read
@@ -699,22 +626,15 @@ class _PoolExecutor:
     def _collect_landed(self) -> bool:
         landed = [f for f in self._inflight.values() if f.outcome is not None]
         for flight in landed:
-            self._untrack(flight)
+            trial = flight.trial
+            del self._inflight[trial.index]
             ok, value = flight.outcome
-            indices = set(flight.attempts)
             if ok:
-                for trial, attempt in zip(flight.trials, value):
-                    self._attempt_landed(trial, attempt)
-            elif len(flight.trials) > 1:
-                # One of these payloads cannot cross the process
-                # boundary; sent alone, each trial answers for its own.
-                self._solo.update(indices)
-                self._requeue(flight.trials)
+                self._attempt_landed(trial, value)
             else:
                 # The attempt ran but its outcome could not cross the
                 # process boundary (e.g. an unpicklable payload raised
                 # MaybeEncodingError in the pool's result handler).
-                trial = flight.trials[0]
                 self._attempt_failed(
                     trial,
                     kind="payload",
@@ -724,13 +644,11 @@ class _PoolExecutor:
                     worker=self._pid_running(trial.index),
                 )
             self._owner = {
-                pid: owned for pid, owned in self._owner.items() if owned not in indices
+                pid: owned for pid, owned in self._owner.items() if owned != trial.index
             }
         return bool(landed)
 
     def _attempt_landed(self, trial: Any, attempt: _Attempt) -> None:
-        self._measured += 1
-        self._measured_seconds += attempt.seconds
         if not attempt.ok:
             self._attempt_failed(
                 trial,
@@ -752,8 +670,8 @@ class _PoolExecutor:
         self._drain_announcements()
         now = time.perf_counter()
         expired = [
-            flight.running
-            for flight in self._inflight.values()
+            index
+            for index, flight in self._inflight.items()
             if flight.deadline is not None and now > flight.deadline
         ]
         if not expired:
@@ -775,15 +693,15 @@ class _PoolExecutor:
         victims = [
             index
             for index in (self._owner.get(proc.pid) for proc in dead)
-            if index in self._holder
+            if index in self._inflight
         ]
         # A worker that died before announcing had taken the oldest
-        # unstarted chunk from the pool's FIFO queue and died in its
-        # first trial: charge one attempt per such death, to the first
-        # trial of each oldest unstarted chunk, and no more.
+        # unstarted trial from the pool's FIFO queue and died in it:
+        # charge one attempt per such death, to each oldest unstarted
+        # trial, and no more.
         ownerless = len(dead) - len(victims)
-        unstarted = [f for f in self._inflight.values() if f.running is None]
-        victims.extend(flight.trials[0].index for flight in unstarted[:ownerless])
+        unstarted = [i for i, f in self._inflight.items() if not f.started]
+        victims.extend(unstarted[:ownerless])
         exitcodes = sorted({proc.exitcode for proc in dead if proc.exitcode})
         self._recover(
             victims,
@@ -799,16 +717,24 @@ class _PoolExecutor:
     def _recover(
         self, victims: Sequence[int], kind: str, error_type: str, message: str
     ) -> None:
-        """Charge ``victims`` one attempt each, requeue every other
-        unfinished trial uncharged, and respawn the pool."""
+        """Respawn the pool, charge each victim whose result has not
+        landed one attempt, and requeue every other unfinished trial
+        uncharged."""
+        # A hung worker still occupies a slot; reclaim it by respawning
+        # the pool (the next loop iteration recreates it).  With the
+        # pool stopped nothing more can land, so collect what has.
+        self._teardown_pool()
+        self._collect_landed()
         charged = set(victims)
-        unfinished = [
-            trial for flight in self._inflight.values() for trial in flight.trials
-        ]
+        unfinished = sorted(
+            (flight.trial for flight in self._inflight.values()), key=lambda t: t.index
+        )
         self._inflight.clear()
-        self._holder.clear()
-        self._requeue([t for t in unfinished if t.index not in charged])
-        for trial in sorted(unfinished, key=lambda t: t.index):
+        # The others go back to the head of the queue, in index order.
+        self._pending.extendleft(
+            t for t in reversed(unfinished) if t.index not in charged
+        )
+        for trial in unfinished:
             if trial.index in charged:
                 self._attempt_failed(
                     trial,
@@ -818,9 +744,6 @@ class _PoolExecutor:
                     traceback_text="",
                     worker=self._pid_running(trial.index),
                 )
-        # A hung worker still occupies a slot; reclaim it by respawning
-        # the pool (the next loop iteration recreates it).
-        self._teardown_pool()
 
     # -- bookkeeping ---------------------------------------------------
     def _pid_running(self, index: int) -> Optional[int]:
@@ -868,17 +791,16 @@ def execute_batch(
     Serial execution handles ``jobs == 1`` and — unless a timeout needs
     process isolation to be enforceable — single-trial batches.  The
     pool path adds timeout and worker-death recovery on top of the
-    shared retry semantics.  It sends trials in chunks sized from their
-    measured cost (about ``_CHUNK_SECONDS`` of work per round trip; a
-    trial that costs that much travels alone), keeps ``_PREFETCH``
-    chunks per worker dispatched and wakes as each chunk lands.  Each
-    trial's timeout clock runs from its worker's announcement of it,
-    not from when its chunk was queued, and every fault is charged to
-    one trial, not to its chunk.
+    shared retry semantics.  It sends one trial per task, keeps
+    ``_PREFETCH`` trials per worker dispatched and wakes as each result
+    lands.  Each trial's timeout clock runs from its worker's
+    announcement of it, not from when it was queued.  A round trip
+    costs a few tenths of a millisecond, so trials that cheap gain
+    nothing from the pool; the sweep driver runs such sweeps inline.
 
     ``on_success(trial, payload)``, when given, is called in this
     process once per successful trial as soon as its result is back:
-    after each trial inline, as each chunk lands in the pool.  It is
+    after each trial inline, as each result lands in the pool.  It is
     never called for a failed attempt.
     """
     use_pool = jobs > 1 and (len(batch) > 1 or policy.trial_timeout is not None)

@@ -19,12 +19,13 @@ make sweeps bit-reproducible and safely cacheable:
 
 The driver resolves cache hits in the parent before dispatch: a warm
 re-run of an identical sweep executes zero trials regardless of
-``jobs``.  Executed results are stored as they land, while the workers
-are still computing the rest, inside one :meth:`ResultCache.batch`
-scope: the cache writes them a pack of entries at a time (one new file
-per pack, not per spec) and writes the last pack however the run ends,
-so a sweep that aborts on a failure keeps every spec that finished
-before it and a re-run executes only the others.
+``jobs``.  Only sweeps that gain from worker processes use them (see
+:func:`run_sweep`); the rest run inline.  Executed results are stored
+as they land, inside one :meth:`ResultCache.batch` scope: the cache
+writes them a pack of entries at a time (one new file per pack, not
+per spec) and writes the last pack however the run ends, so a sweep
+that aborts on a failure keeps every spec that finished before it and
+a re-run executes only the others.
 """
 
 from __future__ import annotations
@@ -47,10 +48,25 @@ SWEEP_EXPERIMENT_ID = "sweep"
 #: Artifact schema version (bumped on any layout change).
 ARTIFACT_SCHEMA = 1
 
+#: Mean work per pending spec, in node-steps (``total_nodes * steps``),
+#: from which a sweep fans out over its ``jobs`` workers.  A spec of
+#: this size costs 10-25 ms against a few tenths of a millisecond per
+#: round trip to a worker; below it the pool stops paying
+#: (EXPERIMENTS.md, "Pool decision: one trial per task").
+_POOL_NODE_STEPS = 100_000
+
 
 def sweep_seed(root_seed: int, spec: ScenarioSpec) -> int:
     """Content-derived trial seed: stable under reordering/slicing."""
     return derive_seed(root_seed, f"sweep:{spec.digest()}")
+
+
+def _fans_out(specs: Sequence[ScenarioSpec], policy: Optional[FailurePolicy]) -> bool:
+    """Whether running ``specs`` over worker processes can pay off."""
+    if policy is not None and policy.trial_timeout is not None:
+        return True
+    work = sum(spec.total_nodes * spec.steps for spec in specs)
+    return work >= _POOL_NODE_STEPS * len(specs)
 
 
 def _sweep_worker(trial: Trial) -> Dict[str, object]:
@@ -111,7 +127,10 @@ def run_sweep(
     Cache hits are resolved in the parent before the batch is
     dispatched, so a fully warm sweep performs zero trial executions.
     Each executed summary is offered to ``cache`` as soon as it lands
-    and written with its pack.
+    and written with its pack.  ``jobs`` workers run the pending specs
+    only under a trial timeout (only a worker can be preempted) or when
+    they average ``_POOL_NODE_STEPS`` of work; cheaper specs cost less
+    than their round trips, so those sweeps run inline.
     Failures follow ``policy`` (default: strict raise); under a
     ``"skip"`` policy a failed spec's summary slot holds ``None`` and
     the failure is recorded on the result.  Under ``"raise"`` the
@@ -126,6 +145,7 @@ def run_sweep(
     summaries: List[Optional[Dict[str, object]]] = [None] * len(specs)
     cached = 0
     pending: List[Trial] = []
+    pending_specs: List[ScenarioSpec] = []
     for position, spec in enumerate(specs):
         if cache is not None:
             hit = cache.get(
@@ -145,6 +165,7 @@ def run_sweep(
                 params=(("spec", canonical[position]),),
             )
         )
+        pending_specs.append(spec)
     failures: List[Tuple[int, str]] = []
     if pending:
 
@@ -156,7 +177,8 @@ def run_sweep(
                 payload,
             )
 
-        engine = TrialEngine(jobs=jobs, policy=policy)
+        fan_out = _fans_out(pending_specs, policy)
+        engine = TrialEngine(jobs=jobs if fan_out else 1, policy=policy)
         with nullcontext() if cache is None else cache.batch():
             batch = engine.run(
                 _sweep_worker, pending, on_success=None if cache is None else store

@@ -123,11 +123,20 @@ class TestMergedExecution:
         assert "audit: 1 finding(s) in 2 file(s)" in out
 
     def test_write_manifests_then_check_manifests(self, seed_drop_tree, capsys):
-        assert main(["--write-manifests", "--ignore", "RPL202"]) == 0
+        assert main(["--write-manifests", "--skip", "audit"]) == 0
         assert (seed_drop_tree / MANIFEST_FILE).exists()
         capsys.readouterr()
-        assert main(["--check-manifests", "--ignore", "RPL202"]) == 0
+        assert main(["--check-manifests", "--skip", "audit"]) == 0
         assert "[flow] is current" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("option", ["--select", "--ignore"])
+    def test_write_manifests_takes_no_rule_selection(
+        self, seed_drop_tree, capsys, option
+    ):
+        """A section written from some rules would drift from every rule's."""
+        assert main(["--write-manifests", "--skip", "lint", option, "RPL401"]) == 2
+        assert "takes no --select or --ignore" in capsys.readouterr().err
+        assert not (seed_drop_tree / MANIFEST_FILE).exists()
 
     def test_json_mode_merges_the_tool_reports(self, seed_drop_tree, capsys):
         assert main(["--format", "json", "--check-manifests"]) == 1

@@ -1,16 +1,14 @@
-"""Pool dispatch: chunks, the prefetch window, wake-on-landing, and
-attribution.
+"""Pool dispatch: the prefetch window, wake-on-landing, and attribution.
 
-The pool executor sends trials k to a round trip, keeps several chunks
-per worker queued in the pool, wakes the moment a chunk lands instead
-of polling, and starts a trial's timeout clock at pickup.  These tests
-pin what chunks and the window could break: a queued trial is never
-timed out for waiting, nor for its chunk-mates' time; the parent loop
-sleeps through no landing result; a worker that dies costs only the
-trial it announced, or at most one attempt when it named none; a
-stale announcement never starts a retry's clock; an unpicklable
-payload fails only its own trial; and the committed sweep plan really
-travels in multi-trial chunks.
+The pool executor sends one trial per task, keeps several tasks per
+worker queued in the pool, wakes the moment a result lands instead of
+polling, and starts a trial's timeout clock at pickup.  These tests pin
+what the window could break: a queued trial is never timed out for
+waiting; the parent loop sleeps through no landing result; a worker
+that dies costs only the trial it announced, or at most one attempt
+when it named none; a stale announcement never starts a retry's clock;
+a result that has landed is never charged; and an unpicklable payload
+fails only its own trial.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ import random
 import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
@@ -34,7 +31,6 @@ from repro.parallel import (
     make_trials,
 )
 from repro.parallel import faults
-from repro.sweeps import load_specfile, run_sweep
 
 EXPERIMENT = "dispatchsuite"
 
@@ -59,19 +55,6 @@ def slow_start_payload(trial):
 
 def noop_payload(trial):
     return trial.index
-
-
-#: Each trial of the chunked-timeout test takes this long.
-FAST_SECONDS = 0.05
-
-PLAN_PATH = (
-    Path(__file__).resolve().parents[2] / "examples" / "sweeps" / "frontier_fast.json"
-)
-
-
-def fast_payload(trial):
-    time.sleep(FAST_SECONDS)
-    return seeded_payload(trial)
 
 
 def _engine(jobs, policy=None):
@@ -173,34 +156,30 @@ class _StubProc:
 def _stub_executor(dispatch_order, procs, owners=(), policy=FailurePolicy()):
     """An executor with ``dispatch_order`` in flight and no real pool.
 
-    Each entry of ``dispatch_order`` is one chunk: a trial index, or a
-    tuple of indices sent in one round trip.  ``owners`` maps worker
-    pids to the trial each announced; that trial's chunk is running it.
+    Each entry of ``dispatch_order`` is one task's trial index.
+    ``owners`` maps worker pids to the trial each announced.
     """
-    chunks = [
-        (entry,) if isinstance(entry, int) else tuple(entry)
-        for entry in dispatch_order
-    ]
-    trials = make_trials(
-        EXPERIMENT, 0, count=max(i for chunk in chunks for i in chunk) + 1
-    )
+    trials = make_trials(EXPERIMENT, 0, count=max(dispatch_order) + 1)
     executor = faults._PoolExecutor(
         noop_payload, trials, jobs=2, policy=policy
     )
     executor._pending.clear()
-    for chunk in chunks:
-        executor._track(
-            faults._InFlight(
-                tuple(trials[i] for i in chunk),
-                {i: 0 for i in chunk},
-                executor._wake,
-            )
+    for index in dispatch_order:
+        executor._inflight[index] = faults._InFlight(
+            trials[index], 0, executor._wake
         )
     for pid, index in dict(owners).items():
         executor._owner[pid] = index
-        executor._holder[index].running = index
+        executor._inflight[index].started = True
     executor._procs = list(procs)
     return executor
+
+
+def _land(executor, index, worker):
+    """Deliver trial ``index``'s successful result, as the result handler does."""
+    executor._inflight[index].landed(
+        faults._Attempt(ok=True, payload=index, seconds=0.0, worker=worker)
+    )
 
 
 def _charged(executor):
@@ -285,175 +264,151 @@ class TestAnnouncements:
             policy=FailurePolicy(retries=1, trial_timeout=TRIAL_TIMEOUT),
         )
         flight = executor._inflight[3]
-        flight.attempts[3] = 1
+        flight.attempt = 1
         executor._owner[101] = 3
         executor._announce = _StubAnnounce([(101, 3, 0)])
         executor._drain_announcements()
-        assert flight.running is None and flight.deadline is None
+        assert not flight.started and flight.deadline is None
         assert executor._owner == {}
 
         executor._announce = _StubAnnounce([(102, 3, 1)])
         executor._drain_announcements()
-        assert flight.running == 3 and flight.deadline is not None
+        assert flight.started and flight.deadline is not None
         assert executor._owner == {102: 3}
 
 
-def _spy_chunks(monkeypatch):
-    """Record the trial indices of every chunk the executor dispatches."""
-    chunks = []
-    take = faults._PoolExecutor._take_chunk
-
-    def spy(executor):
-        chunk = take(executor)
-        chunks.append(tuple(trial.index for trial in chunk))
-        return chunk
-
-    monkeypatch.setattr(faults._PoolExecutor, "_take_chunk", spy)
-    return chunks
-
-
 class TestChunkAttribution:
-    """A fault inside a multi-trial chunk is charged to one trial."""
+    """A fault is charged to the one trial its task carried; every
+    other trial in flight is requeued uncharged, and one whose result
+    has landed is kept."""
 
     def test_death_charges_the_announced_trial_and_requeues_its_mates(self):
-        # Worker 101 had finished trials 0 and 1 of its chunk (their
-        # results travel with the chunk, so none came back), was running
-        # 2 when it died, and had not started 3.
+        # Worker 101 was running trial 2 when it died; 0, 1 and 3-7
+        # were queued or running on worker 102.
         executor = _stub_executor(
-            [(0, 1, 2, 3), (4, 5, 6, 7)],
+            range(8),
             [_StubProc(101, alive=False, exitcode=-9), _StubProc(102)],
-            owners={101: 2},
+            owners={101: 2, 102: 0},
         )
         assert executor._reap_dead_workers()
         assert _charged(executor) == {2}
         assert executor._failures[2].kind == "worker-death"
         assert executor._failures[2].worker == 101
         assert _pending(executor) == [0, 1, 3, 4, 5, 6, 7]
-        assert executor._inflight == {} and executor._holder == {}
+        assert executor._inflight == {}
 
-    def test_ownerless_death_charges_the_oldest_unstarted_chunk(self):
-        # Worker 102 is inside the first chunk (trial 1 announced, 2 and
-        # 3 still to come).  The dead worker named nothing, so it had
-        # taken the oldest chunk no worker had started.
+    def test_ownerless_death_charges_the_oldest_unstarted_trial(self):
+        # Worker 102 is running trial 1.  The dead worker named
+        # nothing, so it had taken the oldest trial no worker had
+        # started.
         executor = _stub_executor(
-            [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9)],
+            range(6),
             [_StubProc(101, alive=False), _StubProc(102)],
             owners={102: 1},
         )
         assert executor._reap_dead_workers()
-        assert _charged(executor) == {4}
-        assert _pending(executor) == [0, 1, 2, 3, 5, 6, 7, 8, 9]
+        assert _charged(executor) == {0}
+        assert _pending(executor) == [1, 2, 3, 4, 5]
 
     def test_next_announcement_stops_the_previous_trials_clock(self):
+        # Worker 101 finished trial 0 and picked up trial 1 before 0's
+        # result was read: 0's running time is over.
         executor = _stub_executor(
-            [(0, 1, 2)],
+            [0, 1],
             [_StubProc(101), _StubProc(102)],
             policy=FailurePolicy(trial_timeout=TRIAL_TIMEOUT),
         )
-        flight = executor._inflight[0]
+        first, second = executor._inflight[0], executor._inflight[1]
         executor._announce = _StubAnnounce([(101, 0, 0)])
         executor._drain_announcements()
-        assert flight.running == 0 and flight.deadline is not None
-        # Trial 0's budget has run out, but worker 101 has announced
-        # trial 1 since: the chunk's running time is not trial 1's.
-        flight.deadline = time.perf_counter() - 1.0
+        assert first.started and first.deadline is not None
+        first.deadline = time.perf_counter() - 1.0
         executor._announce = _StubAnnounce([(101, 1, 0)])
         assert not executor._reap_timeouts()
-        assert flight.running == 1 and flight.deadline > time.perf_counter()
+        assert first.deadline is None
+        assert second.started and second.deadline > time.perf_counter()
+        assert executor._owner == {101: 1}
         assert _charged(executor) == set()
 
     def test_pickup_of_the_next_chunk_stops_the_last_trials_clock(self):
-        # Worker 101 ran trial 1, the last of its chunk, and picked up
-        # chunk (2, 3) before the first chunk's result was read.
+        # Worker 101 ran trial 1 and picked up trial 2 before 1's result
+        # was read, while worker 102 is still inside trial 0.
         executor = _stub_executor(
-            [(0, 1), (2, 3)],
+            [0, 1, 2],
             [_StubProc(101), _StubProc(102)],
-            owners={101: 1},
+            owners={101: 1, 102: 0},
             policy=FailurePolicy(trial_timeout=TRIAL_TIMEOUT),
         )
-        executor._inflight[0].deadline = time.perf_counter() - 1.0
+        executor._inflight[1].deadline = time.perf_counter() - 1.0
         executor._announce = _StubAnnounce([(101, 2, 0)])
         assert not executor._reap_timeouts()
-        assert executor._inflight[0].deadline is None
-        assert executor._owner == {101: 2}
+        assert executor._inflight[1].deadline is None
+        assert executor._inflight[2].started
+        assert executor._owner == {101: 2, 102: 0}
+        assert _charged(executor) == set()
 
     def test_timeout_charges_the_running_trial_alone(self):
         executor = _stub_executor(
-            [(0, 1, 2, 3), (4, 5)],
+            range(6),
             [_StubProc(101), _StubProc(102)],
             owners={101: 1},
             policy=FailurePolicy(mode="skip", trial_timeout=TRIAL_TIMEOUT),
         )
-        executor._inflight[0].deadline = time.perf_counter() - 1.0
+        executor._inflight[1].deadline = time.perf_counter() - 1.0
         assert executor._reap_timeouts()
         assert _charged(executor) == {1}
         assert executor._failures[1].kind == "timeout"
         assert executor._failures[1].worker == 101
         assert _pending(executor) == [0, 2, 3, 4, 5]
 
-    def test_unpicklable_chunk_is_resent_one_trial_per_task(self):
+    def test_unpicklable_payload_is_charged_to_its_trial(self):
         executor = _stub_executor(
-            [(0, 1, 2), 3], [_StubProc(101), _StubProc(102)]
+            [0, 1], [_StubProc(101), _StubProc(102)], owners={101: 0}
         )
         executor._inflight[0].raised(TypeError("cannot pickle"))
-        executor._inflight[3].raised(TypeError("cannot pickle"))
         assert executor._collect_landed()
-        # The lone trial answers for its payload; the chunk goes back
-        # uncharged, and each of its trials will travel alone.
-        assert _charged(executor) == {3}
-        assert executor._failures[3].kind == "payload"
-        assert _pending(executor) == [0, 1, 2]
-        executor._measured, executor._measured_seconds = 100, 1e-4
-        assert [executor._take_chunk() for _ in range(3)] == [
-            [executor._order[0]],
-            [executor._order[1]],
-            [executor._order[2]],
-        ]
+        assert _charged(executor) == {0}
+        assert executor._failures[0].kind == "payload"
+        assert executor._failures[0].worker == 101
+        assert list(executor._inflight) == [1]
+        assert executor._owner == {}
 
-
-class TestChunkSize:
-    def _executor(self, pending, per_trial):
-        trials = make_trials(EXPERIMENT, 0, count=pending)
-        executor = faults._PoolExecutor(
-            noop_payload, trials, jobs=2, policy=FailurePolicy()
+    def test_landed_result_is_not_charged_for_a_timeout(self):
+        # Trial 0's deadline has passed, but its result landed before
+        # the loop collected it: nothing is hung.
+        executor = _stub_executor(
+            [0, 1],
+            [_StubProc(101), _StubProc(102)],
+            owners={101: 0},
+            policy=FailurePolicy(mode="skip", trial_timeout=TRIAL_TIMEOUT),
         )
-        executor._measured = 10
-        executor._measured_seconds = 10 * per_trial
-        return executor
+        executor._inflight[0].deadline = time.perf_counter() - 1.0
+        _land(executor, 0, worker=101)
+        executor._reap_timeouts()
+        assert executor._failures == {}
+        assert _charged(executor) == set()
+        assert set(executor._successes) == {0}
+        assert _pending(executor) == [1]
 
-    def test_unmeasured_trials_travel_alone(self):
-        executor = self._executor(1024, 1e-4)
-        executor._measured = executor._measured_seconds = 0
-        assert executor._chunk_size() == 1
-
-    def test_slow_trials_travel_alone(self):
-        assert self._executor(1024, 0.02)._chunk_size() == 1
-
-    def test_fast_trials_fill_the_target_time(self):
-        k = self._executor(1024, 2.5e-4)._chunk_size()
-        assert abs(k * 2.5e-4 - faults._CHUNK_SECONDS) <= 2.5e-4
-
-    def test_tail_keeps_two_chunks_per_worker(self):
-        assert self._executor(40, 1e-6)._chunk_size() == 10
-        assert self._executor(3, 1e-6)._chunk_size() == 1
+    def test_landed_result_is_not_charged_for_its_workers_death(self):
+        # Worker 101 sent trial 0's result back, then died before the
+        # loop collected it.
+        executor = _stub_executor(
+            [0, 1],
+            [_StubProc(101, alive=False, exitcode=-9), _StubProc(102)],
+            owners={101: 0, 102: 1},
+            policy=FailurePolicy(mode="skip"),
+        )
+        _land(executor, 0, worker=101)
+        assert executor._reap_dead_workers()
+        assert executor._failures == {}
+        assert _charged(executor) == set()
+        assert set(executor._successes) == {0}
+        assert _pending(executor) == [1]
 
 
 class TestChunkedPool:
-    def test_chunk_longer_than_the_timeout_does_not_time_out(self, monkeypatch):
-        # Chunks of up to a second of 50 ms trials, under a 0.4 s
-        # per-trial budget.
-        monkeypatch.setattr(faults, "_CHUNK_SECONDS", 1.0)
-        chunks = _spy_chunks(monkeypatch)
-        trials = make_trials(EXPERIMENT, 0, count=64)
-        batch = _engine(2, FailurePolicy(mode="skip", trial_timeout=0.4)).run(
-            fast_payload, trials
-        )
-        assert batch.failures == ()
-        assert list(batch.payloads) == [seeded_payload(t) for t in trials]
-        assert max(map(len, chunks)) * FAST_SECONDS > 0.4
-
-    def test_corrupt_payload_fails_only_its_own_trial(self, monkeypatch):
-        chunks = _spy_chunks(monkeypatch)
+    def test_corrupt_payload_fails_only_its_own_trial(self):
         trials = make_trials(EXPERIMENT, 0, count=128)
         victim = 64
         plan = FaultPlan(corrupt=(victim,), recover_after=99)
@@ -469,19 +424,28 @@ class TestChunkedPool:
         assert [p for i, p in enumerate(batch.payloads) if i != victim] == [
             seeded_payload(t) for t in trials if t.index != victim
         ]
-        first_trip = next(chunk for chunk in chunks if victim in chunk)
-        assert len(first_trip) > 1
-        assert (victim,) in chunks
 
-    def test_sweep_plan_travels_in_multi_trial_chunks(self, monkeypatch):
-        plan = load_specfile(PLAN_PATH)
-        serial = run_sweep(plan.specs, root_seed=plan.seed, jobs=1)
-        chunks = _spy_chunks(monkeypatch)
-        fanned = run_sweep(plan.specs, root_seed=plan.seed, jobs=2)
-        assert fanned.failed == 0
-        assert fanned.summaries == serial.summaries
-        assert sorted(i for chunk in chunks for i in chunk) == list(
-            range(len(plan.specs))
+
+class _StubPool:
+    """Stands in for the pool: runs each task at once, in this process."""
+
+    def __init__(self):
+        self.tasks = []
+
+    def apply_async(self, func, args, callback, error_callback):
+        self.tasks.append((func, args[1:]))
+        callback(func(*args))
+
+
+class TestOneTrialPerTask:
+    def test_every_task_carries_one_trial(self):
+        trials = make_trials(EXPERIMENT, 0, count=16)
+        executor = faults._PoolExecutor(
+            noop_payload, trials, jobs=2, policy=FailurePolicy()
         )
-        assert max(map(len, chunks)) > 1
-        assert len(chunks) < len(plan.specs) // 4
+        executor._pool = _StubPool()
+        executor._dispatch()
+        window = trials[: faults._PREFETCH * 2]
+        assert executor._pool.tasks == [(faults._run_attempt, (t, 0)) for t in window]
+        assert executor._collect_landed()
+        assert sorted(executor._successes) == [t.index for t in window]

@@ -1,14 +1,17 @@
 """Sweep driver determinism, caching, and the frontier reduction.
 
 The heart of this module is the acceptance triangle: a 64-spec sweep
-is bit-identical between ``jobs=1`` and ``jobs=4``, a warm re-run
+is bit-identical inline and over a 4-worker pool, a warm re-run
 executes zero trials, and the warm artifact equals the cold one byte
 for byte.  The cache-collision regression pins that sweep cache keys
 carry the full spec digest, so two specs differing in any single field
 can never share an entry.  The streamed-store tests pin that results
 are cached as they land: the cache a cold sweep leaves is the same at
 any ``jobs``, each success is stored once, and a sweep that aborts
-keeps what finished before the failure.
+keeps what finished before the failure.  The fan-out tests pin which
+sweeps use the pool at all: cheap specs run inline whatever ``jobs``
+says, while heavy specs or a trial timeout send them to workers.  Those
+specs are cheap, so every pooled comparison here sets a trial timeout.
 """
 
 from __future__ import annotations
@@ -16,11 +19,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.parallel import (
+    METRICS,
     FailurePolicy,
     FaultPlan,
     ResultCache,
@@ -40,7 +46,9 @@ from repro.sweeps import (
     sample_random,
     sweep_seed,
 )
-from repro.sweeps.driver import _sweep_worker
+from repro.parallel import faults
+from repro.sweeps import driver
+from repro.sweeps.driver import _POOL_NODE_STEPS, _fans_out, _sweep_worker
 
 BASE = {
     "topology": "grid",
@@ -49,6 +57,27 @@ BASE = {
     "steps_per_block": 3,
     "sample_every": 3,
 }
+
+
+#: Only a worker process can enforce a trial timeout, so a sweep under
+#: this policy runs in the pool however cheap its specs are.
+POOLED = FailurePolicy(trial_timeout=60)
+
+
+def _sweep(specs, jobs, **kwargs):
+    """``run_sweep`` at ``jobs``, pooled (under ``POOLED``) when ``jobs > 1``.
+
+    Checks where its trials ran, also when it raises: all in this
+    process at ``jobs=1``, at least one in a worker otherwise.
+    """
+    before = len(METRICS.records)
+    try:
+        return driver.run_sweep(
+            specs, jobs=jobs, policy=POOLED if jobs > 1 else None, **kwargs
+        )
+    finally:
+        workers = {record.worker for record in METRICS.records[before:]}
+        assert bool(workers - {os.getpid()}) == (jobs > 1), workers
 
 
 def _grid64():
@@ -67,7 +96,7 @@ class TestDeterminism:
         specs = _grid64()
         assert len(specs) == 64
         serial = run_sweep(specs, root_seed=11, jobs=1)
-        fanned = run_sweep(specs, root_seed=11, jobs=4)
+        fanned = _sweep(specs, 4, root_seed=11)
         assert serial.summaries == fanned.summaries
         assert json.dumps(serial.to_artifact(), sort_keys=True) == json.dumps(
             fanned.to_artifact(), sort_keys=True
@@ -172,8 +201,6 @@ def _cache_entries(directory):
 class TestSerialization:
     def test_each_spec_is_serialized_once_per_sweep(self, monkeypatch):
         """A spec's digest and its trial params come from one canonical string."""
-        import repro.sweeps.driver as driver
-
         serialized = []
         real_to_dict = ScenarioSpec.to_dict
 
@@ -198,9 +225,7 @@ class TestStreamedStores:
     def test_cold_cache_is_identical_across_jobs(self, tmp_path):
         specs = _grid64()
         for jobs in (1, 2):
-            run_sweep(
-                specs, root_seed=7, jobs=jobs, cache=ResultCache(tmp_path / f"j{jobs}")
-            )
+            _sweep(specs, jobs, root_seed=7, cache=ResultCache(tmp_path / f"j{jobs}"))
         serial = _cache_entries(tmp_path / "j1")
         assert len(serial) == len(specs)
         assert _cache_entries(tmp_path / "j2") == serial
@@ -211,7 +236,7 @@ class TestStreamedStores:
 
         specs = _grid64()
         directory = tmp_path / "cache"
-        run_sweep(specs, root_seed=7, jobs=jobs, cache=ResultCache(directory))
+        _sweep(specs, jobs, root_seed=7, cache=ResultCache(directory))
         names = list(directory.glob("*.json"))
         assert len(names) == len(specs)
         inodes = {path.stat().st_ino for path in names}
@@ -240,9 +265,10 @@ class TestStreamedStores:
         plan = FaultPlan(error=(2, 5, 7), recover_after=1)
         flaky = inject(_indexed, FaultPlan(error=(7,), recover_after=99))
         calls = []
+        collector = TrialMetricsCollector()
         engine = TrialEngine(
             jobs=jobs,
-            collector=TrialMetricsCollector(),
+            collector=collector,
             policy=FailurePolicy(mode="skip", retries=1),
         )
         batch = engine.run(
@@ -253,33 +279,83 @@ class TestStreamedStores:
         assert batch.failed_indices == frozenset({7})
         assert sorted(calls) == sorted(batch.completed().items())
         assert len(calls) == 11
+        workers = {record.worker for record in collector.records}
+        assert (workers == {os.getpid()}) == (jobs == 1)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_raise_keeps_what_finished_and_rerun_runs_the_rest(
         self, jobs, tmp_path, monkeypatch
     ):
-        import repro.sweeps.driver as driver
-
         specs = _grid64()[:8]
         cache = ResultCache(tmp_path / "cache")
         monkeypatch.setattr(driver, "_sweep_worker", _fail_doomed)
         with pytest.raises(TrialExecutionError):
-            driver.run_sweep(specs, root_seed=1, jobs=jobs, cache=cache)
+            _sweep(specs, jobs, root_seed=1, cache=cache)
         stored = cache.stores
         if jobs == 1:
             # Inline execution stops at the failure: everything before it.
             assert stored == DOOMED
         monkeypatch.setattr(driver, "_sweep_worker", _sweep_worker)
-        rerun = driver.run_sweep(specs, root_seed=1, jobs=jobs, cache=cache)
+        rerun = _sweep(specs, jobs, root_seed=1, cache=cache)
         assert rerun.cached == stored
         assert rerun.executed == len(specs) - stored
         assert rerun.summaries == run_sweep(specs, root_seed=1).summaries
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """Records each pool executor built; its batch then runs inline."""
+    built = []
+
+    def spy(fn, batch, jobs, policy, on_success):
+        built.append(jobs)
+        return SimpleNamespace(
+            run=lambda: faults._run_serial(fn, batch, policy, on_success)
+        )
+
+    monkeypatch.setattr(faults, "_PoolExecutor", spy)
+    return built
+
+
+def _heavy(count):
+    """Power-law specs of exactly ``_POOL_NODE_STEPS`` node-steps each."""
+    base = ScenarioSpec(topology="power_law", num_nodes=1000, steps=100)
+    assert base.total_nodes * base.steps == _POOL_NODE_STEPS
+    return [
+        dataclasses.replace(base, attacker_share=0.1 * (i + 1)) for i in range(count)
+    ]
+
+
+class TestFanOut:
+    def test_specs_at_the_threshold_fan_out(self, pools):
+        run_sweep(_heavy(2), root_seed=0, jobs=2)
+        assert pools == [2]
+
+    def test_a_trial_timeout_fans_out_cheap_specs(self, pools):
+        run_sweep(_grid64()[:4], root_seed=0, jobs=2, policy=POOLED)
+        assert pools == [2]
+
+    def test_the_rule_reads_the_mean_work(self):
+        heavy, cheap = _heavy(1)[0], _grid64()[0]
+        lighter = dataclasses.replace(heavy, steps=heavy.steps - 1)
+        assert _fans_out([heavy], None)
+        assert not _fans_out([lighter], None)
+        assert not _fans_out([heavy, cheap], None)
+        doubled = dataclasses.replace(heavy, steps=2 * heavy.steps)
+        assert _fans_out([doubled, cheap], None)
+        assert _fans_out([cheap], POOLED)
+
+    def test_cached_heavy_specs_leave_cheap_ones_inline(self, pools, tmp_path):
+        heavy = _heavy(2)
+        cache = ResultCache(tmp_path / "cache")
+        run_sweep(heavy, root_seed=0, jobs=1, cache=cache)
+        mixed = run_sweep(heavy + _grid64()[:2], root_seed=0, jobs=2, cache=cache)
+        assert (mixed.cached, mixed.executed) == (2, 2)
+        assert pools == []
+
+
 class TestFailures:
     def test_skip_policy_leaves_none_and_records_failure(self, monkeypatch):
-        import repro.sweeps.driver as driver
-
         specs = _grid64()[:3]
         doomed = specs[1].digest()
 
@@ -302,8 +378,6 @@ class TestFailures:
         assert result.executed == 2
 
     def test_artifact_carries_null_summary_for_failures(self, monkeypatch):
-        import repro.sweeps.driver as driver
-
         monkeypatch.setattr(driver, "_sweep_worker", _boom)
         result = driver.run_sweep(
             _grid64()[:2], policy=FailurePolicy(mode="skip")

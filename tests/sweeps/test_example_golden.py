@@ -3,22 +3,24 @@
 ``examples/sweeps/frontier_fast.json`` is the repo's reference sweep:
 1024 specs (a 256-point grid plus 768 random samples) at ``--fast``
 scale.  This module pins the acceptance triangle on that exact file —
-the artifact is bit-identical between serial and ``jobs=4``, a
-warm-cache re-run executes zero trials, and the frontier summary
-matches the committed golden fixture byte for byte.  A golden drift
-means scenario semantics changed: regenerate deliberately with
-``repro-experiments sweep examples/sweeps/frontier_fast.json`` and
-review the diff.
+the artifact is bit-identical between serial and a 4-worker pool (its
+specs are cheap enough to run inline, so the pooled run sets a trial
+timeout, which only a worker can enforce), a warm-cache re-run
+executes zero trials, and the frontier summary matches the committed
+golden fixture byte for byte.  A golden drift means scenario semantics
+changed: regenerate deliberately with ``repro-experiments sweep
+examples/sweeps/frontier_fast.json`` and review the diff.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
-from repro.parallel import ResultCache
+from repro.parallel import METRICS, FailurePolicy, ResultCache, faults
 from repro.sweeps import compute_frontier, load_specfile, run_sweep
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -42,7 +44,15 @@ class TestExampleSweep:
         assert plan.name == "frontier-fast"
 
     def test_artifact_identical_serial_vs_jobs4(self, plan, serial_result):
-        fanned = run_sweep(plan.specs, root_seed=plan.seed, jobs=4)
+        before = len(METRICS.records)
+        fanned = run_sweep(
+            plan.specs,
+            root_seed=plan.seed,
+            jobs=4,
+            policy=FailurePolicy(trial_timeout=60),
+        )
+        workers = {record.worker for record in METRICS.records[before:]}
+        assert workers - {os.getpid()}, "no trial ran in a worker process"
         serial_bytes = json.dumps(
             serial_result.to_artifact(), sort_keys=True
         ).encode()
@@ -50,6 +60,12 @@ class TestExampleSweep:
             fanned.to_artifact(), sort_keys=True
         ).encode()
         assert serial_bytes == fanned_bytes
+
+    def test_plan_runs_inline_at_jobs_2(self, plan, serial_result, monkeypatch):
+        """Its specs cost less than a round trip to a worker: no pool."""
+        monkeypatch.setattr(faults, "_PoolExecutor", None)  # not callable
+        inline = run_sweep(plan.specs, root_seed=plan.seed, jobs=2)
+        assert inline.summaries == serial_result.summaries
 
     def test_warm_cache_rerun_executes_nothing(
         self, plan, serial_result, tmp_path
