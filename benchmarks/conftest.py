@@ -4,36 +4,15 @@ Each ``bench_*.py`` regenerates one of the paper's tables or figures at
 full scale, times it with pytest-benchmark, prints the artifact next to
 the paper's reference numbers, and asserts the reproduction's shape
 targets (see DESIGN.md §4).  Absolute timings are informational; the
-assertions are the reproduction audit.
-
-Set ``REPRO_BENCH_JOBS=N`` to fan each artifact's independent trials
-over N worker processes (results are bit-identical for every N; the
-per-trial records printed after each run make the fan-out observable).
-``REPRO_BENCH_RETRIES=N`` and ``REPRO_BENCH_TRIAL_TIMEOUT=S`` harden
-long unattended runs: failed trials are retried with their original
-seed (bit-identical on recovery) and hung/dead workers are respawned
-after S seconds instead of wedging the benchmark session.
+assertions are the reproduction audit.  Each artifact is one trial and
+runs in the benchmark's own process.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.experiments import run_experiment
-from repro.parallel import METRICS, FailurePolicy
-
-
-def _bench_jobs() -> int:
-    return int(os.environ.get("REPRO_BENCH_JOBS", "1"))
-
-
-def _bench_policy() -> FailurePolicy:
-    retries = int(os.environ.get("REPRO_BENCH_RETRIES", "0"))
-    timeout_text = os.environ.get("REPRO_BENCH_TRIAL_TIMEOUT", "")
-    timeout = float(timeout_text) if timeout_text else None
-    return FailurePolicy(mode="raise", retries=retries, trial_timeout=timeout)
 
 
 def bench_opt_in(markexpr) -> bool:
@@ -83,30 +62,15 @@ def run_artifact(benchmark):
     """Run one experiment under the benchmark timer and print it."""
 
     def _run(experiment_id: str, seed: int = 0):
-        jobs = _bench_jobs()
-        records_before = len(METRICS.records)
         result = benchmark.pedantic(
             run_experiment,
             args=(experiment_id,),
-            kwargs={
-                "seed": seed,
-                "fast": False,
-                "jobs": jobs,
-                "policy": _bench_policy(),
-            },
+            kwargs={"seed": seed, "fast": False},
             rounds=1,
             iterations=1,
         )
         print()
         print(result.render())
-        trial_records = METRICS.records[records_before:]
-        if trial_records:
-            workers = len({record.worker for record in trial_records})
-            print(
-                f"trials: {len(trial_records)} executed on {workers} "
-                f"worker(s) (jobs={jobs}), "
-                f"{sum(r.seconds for r in trial_records):.2f}s trial time"
-            )
         paper_pairs = [
             (key[: -len("_paper")], value)
             for key, value in result.metrics.items()

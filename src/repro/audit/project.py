@@ -326,7 +326,7 @@ class Project:
         """Resolve a canonical name as seen *from inside* ``record``.
 
         Names the import map left untouched are module-local: a bare
-        ``_band_trial`` resolves to the sibling function, ``Pool.make``
+        ``_artifact_trial`` resolves to the sibling function, ``Pool.make``
         to the sibling classmethod.  Falls back to project-wide
         resolution for imported names.
         """

@@ -5,18 +5,19 @@ purity the trial ensemble's statistics (and the result cache's
 correctness) rest on:
 
 - **trial workers**: the callable in the worker slot of
-  ``TrialEngine.map`` / ``.run`` / ``.first_match`` — shipped to worker
-  processes, re-executed on retry, expected to be a pure function of
-  its :class:`~repro.parallel.trials.Trial`;
+  ``TrialEngine.run`` — shipped to worker processes, re-executed on
+  retry, expected to be a pure function of its
+  :class:`~repro.parallel.trials.Trial`;
 - **entry workers**: the per-artifact ``run`` callables registered in
   an experiment ``REGISTRY`` dict and dispatched through
-  ``run_experiment`` — their results are what the content-keyed
+  ``run_artifacts`` — their results are what the content-keyed
   :class:`~repro.parallel.cache.ResultCache` stores, so *their* effect
   closure is what the cache's code fingerprint must cover.
 
-Both are found statically, with the dispatch matcher the per-file
-RPL105 rule uses (:func:`~repro.lint.rules.pickling.engine_worker`), so
-the two tools agree about what counts as an engine dispatch.
+Both are found statically, with the dispatch matcher and method set
+the per-file RPL105 rule uses
+(:func:`~repro.lint.rules.pickling.engine_worker`), so the two tools
+agree about what counts as an engine dispatch.
 """
 
 from __future__ import annotations
@@ -30,12 +31,6 @@ from ..lint.rules.pickling import engine_worker
 from .project import MODULE_BODY, FunctionNode, ModuleRecord, Project
 
 __all__ = ["Worker", "find_workers"]
-
-#: Engine methods whose first argument is a worker callable.  ``run``
-#: joins the RPL105 set here: the audit cares about everything the
-#: engine executes, not only the unpicklable-lambda hazard.
-_ENGINE_METHODS = frozenset({"map", "run", "first_match"})
-
 
 @dataclass(frozen=True)
 class Worker:
@@ -68,7 +63,7 @@ def _worker(
 def _find_trial_workers(project: Project) -> Iterator[Optional[Worker]]:
     for record in project.modules.values():
         for node in record.info.index.of(ast.Call):
-            worker_expr = engine_worker(record.info, node, _ENGINE_METHODS)
+            worker_expr = engine_worker(record.info, node)
             if worker_expr is not None:
                 yield _worker(project, record, worker_expr, "trial", None, node.lineno)
 

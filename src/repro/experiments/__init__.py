@@ -1,18 +1,31 @@
 """Experiment registry: one regenerator per paper table/figure.
 
-Each module exposes ``run(seed=0, fast=False, jobs=1) ->
-ExperimentResult``; the :data:`REGISTRY` maps artifact ids to those
-callables and the :mod:`repro.experiments.runner` CLI executes them.
-:func:`run_experiment` is the single entry point: it validates the
-worker budget, consults the optional on-disk result cache, and only
-then dispatches to the experiment module.
+Each module exposes ``run(seed=0, fast=False) -> ExperimentResult``
+(figure7's also takes ``engine`` and ``delay_model``); the
+:data:`REGISTRY` maps artifact ids to those callables.
+:func:`run_artifacts` is the one place they are run: it resolves cache
+hits here, then runs the misses as one batch of trials (one trial per
+artifact) through a single :class:`~repro.parallel.TrialEngine`, and
+stores each result as it lands.  :func:`run_experiment` is that batch
+for one id; the :mod:`repro.experiments.runner` CLI runs every chosen
+id in one batch.
 """
 
 import inspect
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
-from ..parallel import FailurePolicy, ResultCache, resolve_jobs
+from ..parallel import (
+    ExcessiveFailuresError,
+    FailurePolicy,
+    ResultCache,
+    Trial,
+    TrialEngine,
+    TrialExecutionError,
+    TrialFailure,
+    resolve_jobs,
+)
 from . import (
     figure3,
     figure4,
@@ -30,7 +43,14 @@ from . import (
 )
 from .base import ExperimentResult
 
-__all__ = ["REGISTRY", "ExperimentResult", "run_experiment"]
+__all__ = [
+    "REGISTRY",
+    "ArtifactBatch",
+    "ExperimentResult",
+    "run_artifacts",
+    "run_experiment",
+    "unsupported_overrides",
+]
 
 REGISTRY: Dict[str, Callable[..., ExperimentResult]] = {
     "table1": table1.run,
@@ -49,90 +69,192 @@ REGISTRY: Dict[str, Callable[..., ExperimentResult]] = {
 }
 
 
-def run_experiment(
-    experiment_id: str,
-    seed: int = 0,
-    fast: bool = False,
-    jobs: int = 1,  # repro-lint: disable=RPL401 jobs only fans out independent trials; results are bit-identical for every value
-    cache: Optional[ResultCache] = None,
-    policy: Optional[FailurePolicy] = None,  # repro-lint: disable=RPL401 retries reuse the trial's seed, so a recovered run is bit-identical to an undisturbed one
+def unsupported_overrides(
+    experiment_ids: Sequence[str],
     engine: Optional[str] = None,
     delay_model: Optional[str] = None,
-) -> ExperimentResult:
-    """Run one experiment by id (raises KeyError for unknown ids).
+) -> Dict[str, List[str]]:
+    """Override name -> the ids whose ``run`` takes no such parameter.
+
+    Only overrides that are given (not ``None``) are checked, so an
+    empty result means every id accepts every given override.
+    """
+    given = {"engine": engine, "delay_model": delay_model}
+    misfits = {}
+    for name, value in given.items():
+        if value is None:
+            continue
+        ids = [
+            experiment_id
+            for experiment_id in experiment_ids
+            if name not in inspect.signature(REGISTRY[experiment_id]).parameters
+        ]
+        if ids:
+            misfits[name] = ids
+    return misfits
+
+
+def _artifact_trial(trial: Trial) -> ExperimentResult:
+    """Module-level (picklable) worker: one artifact at the trial's seed.
+
+    The trial's params are the artifact's cache config (``fast`` plus
+    any override), which are exactly its ``run`` keyword arguments.
+    """
+    return REGISTRY[trial.experiment_id](seed=trial.seed, **trial.param_dict)
+
+
+@dataclass(frozen=True)
+class ArtifactBatch:
+    """What one :func:`run_artifacts` call produced.
+
+    Attributes:
+        results: Id -> result for every artifact that finished or was
+            served from the cache.
+        cached: Ids served from the cache, in the order asked for.
+        failures: Each artifact that failed for good (under a
+            ``"skip"`` policy), in the order asked for.
+        aborted: More artifacts failed than the policy's
+            ``max_failures`` allows, so the batch stopped; the ids in
+            neither ``results`` nor ``failures`` never ran.
+    """
+
+    results: Dict[str, ExperimentResult]
+    cached: Tuple[str, ...] = ()
+    failures: Tuple[TrialFailure, ...] = ()
+    aborted: bool = False
+
+
+def run_artifacts(
+    experiment_ids: Sequence[str],
+    seed: int = 0,
+    fast: bool = False,
+    jobs: int = 1,  # repro-lint: disable=RPL401 jobs only fans out independent artifacts; results are bit-identical for every value
+    cache: Optional[ResultCache] = None,
+    policy: Optional[FailurePolicy] = None,  # repro-lint: disable=RPL401 retries reuse the artifact's seed, so a recovered run is bit-identical to an undisturbed one
+    engine: Optional[str] = None,
+    delay_model: Optional[str] = None,
+) -> ArtifactBatch:
+    """Run several artifacts as one batch (raises KeyError for unknown ids).
 
     Parameters:
-        seed: Root experiment seed.
-        fast: Reduced, CI-sized workload.
-        jobs: Worker processes for the experiment's independent trials
-            (validated here; must be an int >= 1).  Results are
-            bit-identical for every value of ``jobs``.
-        cache: Optional :class:`~repro.parallel.ResultCache`.  On a hit
-            the stored result is returned without executing any trial;
-            on a miss the computed result is stored.  The key covers
-            the experiment id, the config (``fast``), the seed, and the
-            cache's code-version tag, so any input change recomputes.
-            An entry that fails to deserialize is counted as a
-            corrupt miss, discarded and recomputed rather than raising.
+        experiment_ids: Artifacts to run; a repeated id runs once.
+        seed: Root experiment seed, shared by every artifact.
+        fast: Reduced, CI-sized workloads.
+        jobs: Worker processes across the batch's artifacts (validated
+            here; must be an int >= 1).  A batch of one runs inline.
+            Results are bit-identical for every value of ``jobs``.
+        cache: Optional :class:`~repro.parallel.ResultCache`.  Hits are
+            returned without running anything; each computed result is
+            stored as soon as it lands.  The key covers the artifact
+            id, the config (``fast`` and any override), the seed and
+            the cache's code-version tag, so any input change
+            recomputes.  An entry that fails to deserialize is counted
+            as a corrupt miss, discarded and recomputed.
         policy: Optional :class:`~repro.parallel.FailurePolicy` for the
-            experiment's trial engine(s): bounded same-seed retries,
-            per-trial timeouts, and degradation mode.  Deliberately
-            *not* part of the cache key — retries reuse the trial's
-            seed, so a recovered run's result is bit-identical to an
-            undisturbed one.  A trial that exhausts its retries
-            surfaces as a
+            batch, counted in artifacts: same-seed retries, a timeout
+            per artifact (enforced only in a worker process), and the
+            degradation mode.  Not part of the cache key: a recovered
+            run is bit-identical to an undisturbed one.  Under the
+            default strict policy the first failure raises
             :class:`~repro.parallel.TrialExecutionError` naming the
-            reproducing ``(experiment_id, index, seed)``.
+            artifact; results stored before it stay in the cache.
         engine: Optional simulation engine override (see
-            :data:`repro.netsim.ENGINES`) for experiments backed by
-            the propagation simulators (e.g. ``figure7``).  ``None``
-            keeps each experiment's default and leaves cache keys
-            untouched; a non-default engine joins the cache config, so
-            engine variants never collide.  Passing an engine to an
-            experiment that does not take one raises
-            :class:`~repro.errors.ConfigurationError` instead of
-            silently ignoring the override.
+            :data:`repro.netsim.ENGINES`) for artifacts backed by the
+            propagation simulators (``figure7``).  ``None`` keeps each
+            artifact's default and leaves cache keys untouched; a given
+            engine joins the cache config, so engine variants never
+            collide.
         delay_model: Optional calibrated propagation-delay model name
             (see :data:`repro.netsim.latency.DELAY_MODELS`) for
-            experiments that take one (``figure7``, with
+            artifacts that take one (``figure7``, with
             ``engine="graph"``).  Joins the cache config like
-            ``engine``; experiments without the knob raise
-            :class:`~repro.errors.ConfigurationError`.
+            ``engine``.
+
+    Raises:
+        ConfigurationError: ``engine`` or ``delay_model`` is given and
+            some chosen artifact takes no such parameter; nothing runs.
     """
-    fn = REGISTRY[experiment_id]
+    ids = list(dict.fromkeys(experiment_ids))
+    unknown = [experiment_id for experiment_id in ids if experiment_id not in REGISTRY]
+    if unknown:
+        raise KeyError(", ".join(unknown))
     jobs = resolve_jobs(jobs)
-    config = {"fast": bool(fast)}
-    kwargs = {}
+    misfits = unsupported_overrides(ids, engine=engine, delay_model=delay_model)
+    if misfits:
+        raise ConfigurationError(
+            "override not accepted by every chosen experiment", **misfits
+        )
+    config: Dict[str, object] = {"fast": bool(fast)}
     if engine is not None:
-        if "engine" not in inspect.signature(fn).parameters:
-            raise ConfigurationError(
-                "experiment does not accept an engine override",
-                experiment=experiment_id,
-                engine=engine,
-            )
         config["engine"] = engine
-        kwargs["engine"] = engine
     if delay_model is not None:
-        if "delay_model" not in inspect.signature(fn).parameters:
-            raise ConfigurationError(
-                "experiment does not accept a delay-model override",
-                experiment=experiment_id,
-                delay_model=delay_model,
-            )
         config["delay_model"] = delay_model
-        kwargs["delay_model"] = delay_model
-    if cache is not None:
-        payload = cache.get(experiment_id, config, seed)
+    results: Dict[str, ExperimentResult] = {}
+    cached: List[str] = []
+    pending: List[Trial] = []
+    params = tuple(sorted(config.items()))
+    for index, experiment_id in enumerate(ids):
+        payload = None if cache is None else cache.get(experiment_id, config, seed)
         if payload is not None:
             try:
-                return ExperimentResult.from_dict(payload)
+                results[experiment_id] = ExperimentResult.from_dict(payload)
             except (KeyError, TypeError, ValueError):
                 # Not a hit after all: the entry is a corrupt miss.
                 cache.hits -= 1
                 cache.misses += 1
                 cache.corrupt_entries += 1
                 cache.discard(experiment_id, config, seed)
-    result = fn(seed=seed, fast=fast, jobs=jobs, policy=policy, **kwargs)
-    if cache is not None:
-        cache.put(experiment_id, config, seed, result.to_dict())
-    return result
+            else:
+                cached.append(experiment_id)
+                continue
+        pending.append(Trial(experiment_id, index, seed, params))
+
+    def land(trial: Trial, result: ExperimentResult) -> None:
+        results[trial.experiment_id] = result
+        if cache is not None:
+            cache.put(trial.experiment_id, config, trial.seed, result.to_dict())
+
+    failures: Tuple[TrialFailure, ...] = ()
+    aborted = False
+    if pending:
+        try:
+            batch = TrialEngine(jobs=jobs, policy=policy).run(
+                _artifact_trial, pending, on_success=land
+            )
+            failures = batch.failures
+        except ExcessiveFailuresError as exc:
+            failures, aborted = exc.failures, True
+    return ArtifactBatch(results, tuple(cached), failures, aborted)
+
+
+def run_experiment(
+    experiment_id: str,
+    seed: int = 0,
+    fast: bool = False,
+    jobs: int = 1,
+    cache: Optional[ResultCache] = None,
+    policy: Optional[FailurePolicy] = None,
+    engine: Optional[str] = None,
+    delay_model: Optional[str] = None,
+) -> ExperimentResult:
+    """Run one experiment by id: :func:`run_artifacts` for that id alone.
+
+    It runs inline unless ``jobs > 1`` and ``policy`` sets a timeout,
+    which only a worker process can enforce.
+    An artifact that fails for good raises
+    :class:`~repro.parallel.TrialExecutionError`, whatever the policy's
+    mode; the other arguments are :func:`run_artifacts`'s.
+    """
+    batch = run_artifacts(
+        [experiment_id],
+        seed=seed,
+        fast=fast,
+        jobs=jobs,
+        cache=cache,
+        policy=policy,
+        engine=engine,
+        delay_model=delay_model,
+    )
+    if batch.failures:
+        raise TrialExecutionError(batch.failures[0])
+    return batch.results[experiment_id]

@@ -1,14 +1,15 @@
 """Common experiment result schema and helpers.
 
-Every experiment module exposes ``run(seed=0, fast=False, jobs=1,
-policy=None) -> ExperimentResult``.  ``fast=True`` shrinks the workload
-(shorter series, smaller populations) for use in the test suite; the
-default parameters regenerate the artifact at paper scale.  ``jobs`` is
-the worker-process budget for experiments whose independent trials fan
-out through :class:`repro.parallel.TrialEngine`, and ``policy`` is an
-optional :class:`repro.parallel.FailurePolicy` governing per-trial
-retries/timeouts in those engines; single-pass experiments accept and
-ignore both so the registry surface stays uniform.
+Every experiment module exposes ``run(seed=0, fast=False) ->
+ExperimentResult``; simulator-backed ones (``figure7``) also take
+``engine`` and ``delay_model`` overrides.  ``fast=True`` shrinks the
+workload (shorter series, smaller populations) for use in the test
+suite; the default parameters regenerate the artifact at paper scale.
+``run`` is a plain function of its arguments: it computes in the
+calling process, draws all randomness from ``seed`` and starts no
+workers.  Each artifact is one trial of the batch that
+:func:`repro.experiments.run_artifacts` runs, which owns worker
+processes, retries, timeouts and the result cache.
 
 Results round-trip through plain dicts (:meth:`ExperimentResult.to_dict`
 / :meth:`ExperimentResult.from_dict`) so the on-disk result cache can

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..analysis.centralization import cdf_points, coverage_count
 from ..topology.builder import build_paper_topology
-from ..parallel import FailurePolicy
 from .base import ExperimentResult
 
 __all__ = ["run"]
@@ -15,12 +12,7 @@ __all__ = ["run"]
 SAMPLE_RANKS = (1, 8, 13, 21, 24, 50, 100, 400, 800, 1600)
 
 
-def run(
-    seed: int = 0,
-    fast: bool = False,
-    jobs: int = 1,
-    policy: Optional[FailurePolicy] = None,
-) -> ExperimentResult:
+def run(seed: int = 0, fast: bool = False) -> ExperimentResult:
     """Regenerate Figure 3's two CDFs."""
     if fast:
         topo = build_paper_topology(seed=seed, scale=0.3)

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..analysis.hijack import hijack_curve
 from ..topology.builder import build_paper_topology
-from ..parallel import FailurePolicy
 from .base import ExperimentResult
 
 __all__ = ["run"]
@@ -18,12 +15,7 @@ FIGURE4_ASES = (24940, 16276, 37963, 16509, 14061)
 SAMPLE_HIJACKS = (5, 10, 15, 20, 40, 80, 140, 160)
 
 
-def run(
-    seed: int = 0,
-    fast: bool = False,
-    jobs: int = 1,
-    policy: Optional[FailurePolicy] = None,
-) -> ExperimentResult:
+def run(seed: int = 0, fast: bool = False) -> ExperimentResult:
     """Regenerate the five hijack-cost curves."""
     topo = build_paper_topology(seed=seed)
     curves = {asn: hijack_curve(topo.pool(asn)) for asn in FIGURE4_ASES}

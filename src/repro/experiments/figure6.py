@@ -8,74 +8,51 @@ import numpy as np
 
 from ..analysis.consensus import consensus_pruning_stats
 from ..datagen.consensus import ConsensusDynamicsGenerator
-from ..parallel import FailurePolicy, Trial, TrialEngine
 from ..types import LagBand
 from .base import ExperimentResult
 
 __all__ = ["run"]
 
 
-def _band_trial(trial: Trial) -> Dict[str, Any]:
+def _bands(
+    num_nodes: int,
+    seed: int,
+    duration: float,
+    interval: float,
+    day_start: Optional[float] = None,
+) -> Dict[str, Any]:
     """One generator run reduced to band-count series and pruning stats.
 
     Panel (a/b) and panel (c) are independent simulations (the paper's
-    trend window vs its ~100-minute pruning stretch), so they execute
-    as separate trials.  The reduction happens in the worker: band
-    counts and stats are tiny compared to the samples x nodes lag
-    matrix, which therefore never crosses the process boundary.
+    trend window vs its ~100-minute pruning stretch).  ``day_start``
+    also cuts the one-day panel (b) out of the run.
     """
-    p = trial.param_dict
-    generator = ConsensusDynamicsGenerator(num_nodes=p["num_nodes"], seed=trial.seed)
-    series = generator.generate(
-        duration=p["duration"], sample_interval=p["interval"]
-    )
+    generator = ConsensusDynamicsGenerator(num_nodes=num_nodes, seed=seed)
+    series = generator.generate(duration=duration, sample_interval=interval)
     payload: Dict[str, Any] = {
         "bands": series.band_count_series(),
         "stats": consensus_pruning_stats(series),
     }
-    if "day_start" in p:
-        day = series.slice_time(p["day_start"], p["day_start"] + 86_400.0)
+    if day_start is not None:
+        day = series.slice_time(day_start, day_start + 86_400.0)
         payload["day_bands"] = day.band_count_series()
     return payload
 
 
-def run(
-    seed: int = 0,
-    fast: bool = False,
-    jobs: int = 1,
-    policy: Optional[FailurePolicy] = None,
-) -> ExperimentResult:
+def run(seed: int = 0, fast: bool = False) -> ExperimentResult:
     """Regenerate the three panels as stacked band series.
 
     (a) multi-day trend at 10-minute sampling; (b) one-day snapshot at
     10-minute sampling; (c) per-minute consensus pruning across a
-    ~100-minute stretch.  The two underlying simulations are
-    independent trials; ``jobs`` fans them over worker processes
-    without changing any output (seeds ``seed`` and ``seed + 1`` are
-    pinned per panel, matching the pre-parallel layout).
+    ~100-minute stretch.  The two underlying simulations are seeded
+    ``seed`` and ``seed + 1`` (the historical per-panel layout).
     """
     num_nodes = 2_000 if fast else 11_000
     days = 2 if fast else 7
-    trials = [
-        Trial(
-            "figure6",
-            0,
-            seed,
-            (
-                ("num_nodes", num_nodes),
-                ("duration", days * 86_400),
-                ("interval", 600.0),
-                ("day_start", (days - 1) * 86_400.0),
-            ),
-        ),
-        Trial(
-            "figure6",
-            1,
-            seed + 1,
-            (("num_nodes", num_nodes), ("duration", 6_000.0), ("interval", 60.0)),
-        ),
-    ]
-    panel_ab, panel_c = TrialEngine(jobs=jobs, policy=policy).map(_band_trial, trials)
+    panel_ab = _bands(
+        num_nodes, seed, days * 86_400, 600.0, day_start=(days - 1) * 86_400.0
+    )
+    panel_c = _bands(num_nodes, seed + 1, 6_000.0, 60.0)
 
     stats_a = panel_ab["stats"]
     stats_c = panel_c["stats"]

@@ -6,10 +6,7 @@ representative run: fork B emerging at node [7,7], growing to control
 the lost synchronization permits a new fork C.  Since individual runs
 vary (block arrivals are Bernoulli), the experiment — like the paper —
 presents a representative seed: the first whose fork-B trajectory
-peaks visibly without sweeping the whole grid.  Candidate seeds are
-independent trials, so the search fans out over workers; selection is
-always the lowest-numbered matching candidate, making the outcome
-identical for every worker count.
+peaks visibly without sweeping the whole grid.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Tuple
 
 from ..netsim.grid import GridConfig, make_simulator, span_ratio_delay
-from ..parallel import FailurePolicy, Trial, TrialEngine
 from .base import ExperimentResult
 
 __all__ = ["run", "run_simulation", "PANEL_STEPS"]
@@ -70,16 +66,15 @@ def run_simulation(
     return sim, trajectory
 
 
-def _candidate_trial(trial: Trial) -> Dict[str, Any]:
+def _candidate(
+    seed: int, size: int, engine: str, delay_model: Optional[str]
+) -> Dict[str, Any]:
     """One candidate seed's run, reduced to the panel-selection facts."""
     sim, trajectory = run_simulation(
-        seed=trial.seed,
-        size=trial.param("size"),
-        engine=trial.param("engine", "auto"),
-        delay_model=trial.param("delay_model", None),
+        seed=seed, size=size, engine=engine, delay_model=delay_model
     )
     return {
-        "seed": trial.seed,
+        "seed": seed,
         "trajectory": trajectory,
         "fork_births": dict(sim.fork_births),
         "peak_b": max(f.get("B", 0.0) for f in trajectory.values()),
@@ -96,44 +91,32 @@ def _matches_narrative(payload: Dict[str, Any]) -> bool:
 def _representative(
     seed: int,
     size: int,
-    attempts: int = 12,
-    jobs: int = 1,
     engine: str = "auto",
     delay_model: Optional[str] = None,
-    policy: Optional[FailurePolicy] = None,
+    attempts: int = 12,
 ) -> Optional[Dict[str, Any]]:
     """First candidate seed matching the paper's panel narrative.
 
-    Candidate ``seed + attempt`` layouts are pinned (they predate the
-    trial engine, and the published panel seed depends on them).  The
-    serial path stops at the first match; the parallel path evaluates
-    wave-by-wave and selects the same lowest-index candidate.
+    Candidates are seeds ``seed``, ``seed + 1``, ... (the published
+    panel seed depends on this layout); the search stops at the first
+    match.  Without one, the first candidate whose fork B appeared at
+    all stands in; ``None`` if even that never happens.
     """
-    trials = [
-        Trial(
-            "figure7",
-            attempt,
-            seed + attempt,
-            (("size", size), ("engine", engine), ("delay_model", delay_model)),
-        )
-        for attempt in range(attempts)
-    ]
-    hit = TrialEngine(jobs=jobs, policy=policy).first_match(
-        _candidate_trial,
-        trials,
-        predicate=_matches_narrative,
-        fallback=lambda payload: payload["peak_b"] > 0.0,
-    )
-    return None if hit is None else hit[1]  # pragma: no branch
+    fallback = None
+    for attempt in range(attempts):
+        payload = _candidate(seed + attempt, size, engine, delay_model)
+        if _matches_narrative(payload):
+            return payload
+        if fallback is None and payload["peak_b"] > 0.0:
+            fallback = payload
+    return fallback
 
 
 def run(
     seed: int = 0,
     fast: bool = False,
-    jobs: int = 1,
     engine: str = "auto",
     delay_model: Optional[str] = None,
-    policy: Optional[FailurePolicy] = None,
 ) -> ExperimentResult:
     """Regenerate Figure 7's fork-fraction trajectory.
 
@@ -145,9 +128,7 @@ def run(
     propagation-delay CDF.
     """
     size = 15 if fast else 25
-    panel = _representative(
-        seed, size, jobs=jobs, engine=engine, delay_model=delay_model, policy=policy
-    )
+    panel = _representative(seed, size, engine=engine, delay_model=delay_model)
     trajectory = panel["trajectory"]
     peak_b, final_a = panel["peak_b"], panel["final_a"]
 

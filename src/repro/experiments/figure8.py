@@ -2,56 +2,22 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
-
-import numpy as np
-
 from ..analysis.synced import synced_band_lines
 from ..attacks.spatiotemporal import SpatioTemporalPlan
-from ..datagen.consensus import ConsensusDynamicsGenerator
-from ..parallel import FailurePolicy, Trial, TrialEngine
-from ..topology.builder import build_paper_topology
 from .base import ExperimentResult
-from .table7 import PAPER_DAY_AS_QUALITY, PAPER_DAY_DEFAULT_QUALITY
+from .table7 import paper_day
 
 __all__ = ["run"]
 
 
-def _day_trial(trial: Trial) -> Dict[str, Any]:
-    """Simulate the paper day and reduce it to lines, plan, and per-AS
-    series.  Topology construction, generation, and the series joins
-    all run inside the worker; only the compact projections return."""
-    p = trial.param_dict
-    topo = build_paper_topology(seed=trial.seed, scale=p["scale"])
-    node_ids = sorted(topo.all_node_ids())
-    node_asns = np.array([topo.asn_of(nid) for nid in node_ids])
-    generator = ConsensusDynamicsGenerator(
-        num_nodes=len(node_ids),
-        seed=trial.seed,
-        node_asns=node_asns,
-        as_quality=PAPER_DAY_AS_QUALITY,
-        default_quality=PAPER_DAY_DEFAULT_QUALITY,
-    )
-    series = generator.generate(duration=p["duration"], sample_interval=600.0)
-    lines = synced_band_lines(series)
-    plan = SpatioTemporalPlan.from_series(series, topology=topo, num_ases=5)
-    per_as = series.synced_per_as_series(list(plan.target_asns))
-    return {"lines": lines, "plan": plan, "per_as": per_as}
-
-
-def run(
-    seed: int = 0,
-    fast: bool = False,
-    jobs: int = 1,
-    policy: Optional[FailurePolicy] = None,
-) -> ExperimentResult:
+def run(seed: int = 0, fast: bool = False) -> ExperimentResult:
     """Regenerate Figure 8: (a) the three lag lines, (b/c) per-AS synced
     series for the top-5 ASes, plus the attack-plan trigger the §V-C
     case study derives from them."""
-    scale, duration = (0.25, 6 * 3600) if fast else (1.0, 86_400)
-    trial = Trial("figure8", 0, seed, (("scale", scale), ("duration", duration)))
-    (payload,) = TrialEngine(jobs=jobs, policy=policy).map(_day_trial, [trial])
-    lines, plan, per_as = payload["lines"], payload["plan"], payload["per_as"]
+    topo, series = paper_day(seed, fast)
+    lines = synced_band_lines(series)
+    plan = SpatioTemporalPlan.from_series(series, topology=topo, num_ases=5)
+    per_as = series.synced_per_as_series(list(plan.target_asns))
 
     rows = []
     for name, line in lines.items():

@@ -16,28 +16,30 @@ plans re-run from a warm ``--cache`` with zero trial executions.
 
 The ``--csv`` directory receives one file per figure series
 (``<experiment>_<series>.csv``), ready for external plotting.
-``--jobs N`` fans each experiment's independent trials over N worker
-processes; results are bit-identical for every N.  ``--cache DIR``
-keys finished results by (experiment, config, seed, code version) so
-re-runs skip completed work; ``--no-cache`` bypasses the cache without
-forgetting the directory flag.  ``--engine`` overrides the simulation
-engine for simulator-backed experiments (``figure7``): ``graph`` runs
-the grid scenario through the sparse CSR engine's exact-equivalence
-bridge; experiments without an engine knob reject the override.
+The chosen artifacts run as one batch, one trial per artifact
+(:func:`repro.experiments.run_artifacts`): ``--jobs N`` spreads them
+over N worker processes, and results print in the chosen order and
+are bit-identical for every N.  ``--cache DIR`` keys finished results
+by (experiment, config, seed, code version) so re-runs skip completed
+work; ``--no-cache`` bypasses the cache without forgetting the
+directory flag.  ``--engine`` overrides the simulation engine for
+simulator-backed experiments (``figure7``): ``graph`` runs the grid
+scenario through the sparse CSR engine's exact-equivalence bridge.
 ``--delay-model calibrated`` (graph engine only) swaps zero-delay
 links for per-edge delays sampled from the measured propagation-delay
 CDF (:data:`repro.netsim.latency.BITCOIN_PROPAGATION_2019`), quantized
-to whole simulation ticks.
+to whole simulation ticks.  Either override with a chosen id that
+takes no such parameter is a usage error (exit 2), and nothing runs.
 
-Failure semantics: ``--retries N`` re-runs a failed trial up to N times
-with its original seed (a recovered run is bit-identical to an
-undisturbed one), ``--trial-timeout S`` bounds each trial and respawns
-hung or dead workers, and ``--max-failures N`` is a sweep-level budget:
-once more than N trials have failed for good, the remaining experiments
-are skipped and the runner exits with status 2, naming every failed
-``(experiment_id, index, seed)``.  Within budget, a failed experiment
-is reported and the sweep continues (exit status 1), so one poisoned
-artifact no longer sinks the others.
+Failure semantics count artifacts: ``--retries N`` re-runs a failed
+artifact up to N times with its original seed (a recovered run is
+bit-identical to an undisturbed one), ``--trial-timeout S`` bounds each
+artifact and respawns hung or dead workers, and ``--max-failures N``
+is the run's budget: once more than N artifacts have failed for good,
+the ones not yet run are skipped and the runner exits with status 2,
+naming every failed ``(experiment_id, index, seed)``.  Within budget,
+a failed artifact is reported and the others still run (exit status
+1), so one poisoned artifact does not sink the rest.
 """
 
 from __future__ import annotations
@@ -58,11 +60,10 @@ from ..parallel import (
     FailurePolicy,
     ResultCache,
     TrialExecutionError,
-    TrialFailure,
 )
 from ..reporting.figures import series_to_csv
 from ..sweeps import compute_frontier, load_specfile, run_sweep
-from . import REGISTRY, run_experiment
+from . import REGISTRY, run_artifacts, unsupported_overrides
 
 __all__ = ["main"]
 
@@ -103,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes per experiment's trial sweep (default: 1)",
+        help="worker processes across the chosen artifacts (default: 1)",
     )
     parser.add_argument(
         "--cache",
@@ -151,21 +152,21 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="retry each failed trial up to N times with its original seed",
+        help="retry each failed artifact up to N times with its original seed",
     )
     parser.add_argument(
         "--trial-timeout",
         type=float,
         default=None,
         metavar="S",
-        help="per-trial timeout in seconds (hung/dead workers are respawned)",
+        help="per-artifact timeout in seconds (hung/dead workers are respawned)",
     )
     parser.add_argument(
         "--max-failures",
         type=int,
         default=None,
         metavar="N",
-        help="abort the sweep (exit 2) once more than N trials have failed",
+        help="stop the run (exit 2) once more than N artifacts have failed",
     )
     return parser
 
@@ -199,7 +200,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # Validation order is part of the CLI contract: experiment ids
     # first (the primary operands), then flag values — a typo'd id is
     # reported as such even when a flag value is also wrong.
-    chosen = args.experiments or sorted(REGISTRY)
+    chosen = list(dict.fromkeys(args.experiments or sorted(REGISTRY)))
     unknown = [e for e in chosen if e not in REGISTRY]
     if unknown:
         parser.error(f"unknown experiment ids: {', '.join(unknown)}")
@@ -216,11 +217,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.delay_model is not None and args.engine != "graph":
         parser.error("--delay-model requires --engine graph")
     _check_run_flags(parser, args)
-    # Registry artifacts aggregate over *all* trials, so experiments run
-    # in raise mode (recovering via retries/timeouts); --max-failures is
-    # a sweep-level budget applied across experiments below.
+    misfits = unsupported_overrides(
+        chosen, engine=args.engine, delay_model=args.delay_model
+    )
+    for name, ids in misfits.items():
+        flag = "--" + name.replace("_", "-")
+        parser.error(f"{flag} is not taken by: {', '.join(ids)}")
+    # Artifacts are the trials: a failed one is reported and the rest
+    # still run, until more than --max-failures have failed for good.
     policy = FailurePolicy(
-        mode="raise", retries=args.retries, trial_timeout=args.trial_timeout
+        mode="skip",
+        retries=args.retries,
+        trial_timeout=args.trial_timeout,
+        max_failures=args.max_failures,
     )
     cache: Optional[ResultCache] = None
     if args.cache is not None and not args.no_cache:
@@ -231,80 +240,56 @@ def main(argv: Optional[List[str]] = None) -> int:
         csv_dir = Path(args.csv)
         csv_dir.mkdir(parents=True, exist_ok=True)
 
-    failures = 0
-    failed_trials: List[TrialFailure] = []
-    budget_exceeded = False
+    records_before = len(METRICS.records)
+    batch = run_artifacts(
+        chosen,
+        seed=args.seed,
+        fast=args.fast,
+        jobs=args.jobs,
+        cache=cache,
+        policy=policy,
+        engine=args.engine,
+        delay_model=args.delay_model,
+    )
+    records = {r.experiment_id: r for r in METRICS.records[records_before:]}
+    failed = {failure.experiment_id: failure for failure in batch.failures}
+    skipped = []
     for experiment_id in chosen:
-        start = time.perf_counter()
-        records_before = len(METRICS.records)
-        failed_before = METRICS.failed()
-        hits_before = cache.hits if cache is not None else 0
-        try:
-            result = run_experiment(
-                experiment_id,
-                seed=args.seed,
-                fast=args.fast,
-                jobs=args.jobs,
-                cache=cache,
-                policy=policy,
-                engine=args.engine,
-                delay_model=args.delay_model,
-            )
-        except TrialExecutionError as exc:
-            failures += 1
-            failed_trials.append(exc.failure)
-            print(f"[FAIL] {experiment_id}: {exc}", file=sys.stderr)
-        except ExcessiveFailuresError as exc:
-            failures += 1
-            failed_trials.extend(exc.failures)
-            print(f"[FAIL] {experiment_id}: {exc}", file=sys.stderr)
-        except Exception as exc:  # pragma: no cover - CLI surface
-            failures += 1
-            print(f"[FAIL] {experiment_id}: {exc}", file=sys.stderr)
-        else:
-            elapsed = time.perf_counter() - start
-            print(result.render())
-            if csv_dir is not None and result.series:
-                written = _dump_series(result, csv_dir)
-                print(f"(wrote {len(written)} series files to {csv_dir})")
-            new_records = METRICS.records[records_before:]
-            if cache is not None and cache.hits > hits_before:
-                detail = "cache hit"
-            else:
-                workers = len({record.worker for record in new_records})
-                detail = (
-                    f"{len(new_records)} trial(s), {workers} worker(s), "
-                    f"jobs={args.jobs}"
-                )
-            new_failed = METRICS.failed() - failed_before
-            if new_failed:
-                detail += f", {new_failed} failed trial(s)"
-            print(f"({experiment_id} completed in {elapsed:.1f}s; {detail})")
-            print()
+        if experiment_id in failed:
+            error = TrialExecutionError(failed[experiment_id])
+            print(f"[FAIL] {experiment_id}: {error}", file=sys.stderr)
             continue
-        if args.max_failures is not None and len(failed_trials) > args.max_failures:
-            budget_exceeded = True
-            remaining = chosen[chosen.index(experiment_id) + 1 :]
-            if remaining:
-                print(
-                    f"aborting sweep, skipping: {', '.join(remaining)}",
-                    file=sys.stderr,
-                )
-            break
-    if failed_trials:
+        result = batch.results.get(experiment_id)
+        if result is None:
+            skipped.append(experiment_id)
+            continue
+        print(result.render())
+        if csv_dir is not None and result.series:
+            written = _dump_series(result, csv_dir)
+            print(f"(wrote {len(written)} series files to {csv_dir})")
+        if experiment_id in batch.cached:
+            print(f"({experiment_id} completed in 0.0s; cache hit)")
+        else:
+            record = records[experiment_id]
+            print(
+                f"({experiment_id} completed in {record.seconds:.1f}s; "
+                f"worker {record.worker}, jobs={args.jobs})"
+            )
+        print()
+    if skipped:
+        print(f"aborting run, skipping: {', '.join(skipped)}", file=sys.stderr)
+    if batch.failures:
         budget = (
-            f" (budget: --max-failures {args.max_failures})"
-            if budget_exceeded
-            else ""
+            f" (budget: --max-failures {args.max_failures})" if batch.aborted else ""
         )
-        print(f"{len(failed_trials)} trial failure(s){budget}:", file=sys.stderr)
-        for failure in failed_trials:
+        print(f"{len(batch.failures)} artifact failure(s){budget}:", file=sys.stderr)
+        for failure in batch.failures:
             print(f"  {failure.describe()}", file=sys.stderr)
     if cache is not None:
         print(cache.format_stats())
-    if budget_exceeded:
+    if batch.aborted:
         return 2
-    return 1 if failures else 0
+    return 1 if batch.failures else 0
 
 
 def build_sweep_parser() -> argparse.ArgumentParser:

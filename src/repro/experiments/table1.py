@@ -2,24 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..analysis.characteristics import type_characteristics_table
 from ..datagen import profiles
 from ..datagen.population import PopulationGenerator
 from ..topology.builder import build_paper_topology
-from ..parallel import FailurePolicy
 from .base import ExperimentResult
 
 __all__ = ["run"]
 
 
-def run(
-    seed: int = 0,
-    fast: bool = False,
-    jobs: int = 1,
-    policy: Optional[FailurePolicy] = None,
-) -> ExperimentResult:
+def run(seed: int = 0, fast: bool = False) -> ExperimentResult:
     """Regenerate Table I from a synthetic snapshot.
 
     ``fast`` shrinks the population ~10x; counts then scale

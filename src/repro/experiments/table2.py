@@ -2,22 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..analysis.centralization import top_entities
 from ..topology.builder import build_paper_topology
-from ..parallel import FailurePolicy
 from .base import ExperimentResult
 
 __all__ = ["run"]
 
 
-def run(
-    seed: int = 0,
-    fast: bool = False,
-    jobs: int = 1,
-    policy: Optional[FailurePolicy] = None,
-) -> ExperimentResult:
+def run(seed: int = 0, fast: bool = False) -> ExperimentResult:
     """Regenerate Table II from the calibrated topology.
 
     The top-10 AS counts are pinned to the paper, so this experiment

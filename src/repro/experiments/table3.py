@@ -2,23 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..analysis.centralization import centralization_change, coverage_count
 from ..datagen import profiles
 from ..topology.builder import build_paper_topology
-from ..parallel import FailurePolicy
 from .base import ExperimentResult
 
 __all__ = ["run"]
 
 
-def run(
-    seed: int = 0,
-    fast: bool = False,
-    jobs: int = 1,
-    policy: Optional[FailurePolicy] = None,
-) -> ExperimentResult:
+def run(seed: int = 0, fast: bool = False) -> ExperimentResult:
     """Regenerate Table III.
 
     The 2018 coverage counts are *measured* from the calibrated

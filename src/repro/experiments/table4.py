@@ -2,23 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..analysis.poolmap import map_pools
 from ..datagen.pools import OTHERS_HASH_SHARE
 from ..topology.builder import build_paper_topology
-from ..parallel import FailurePolicy
 from .base import ExperimentResult
 
 __all__ = ["run"]
 
 
-def run(
-    seed: int = 0,
-    fast: bool = False,
-    jobs: int = 1,
-    policy: Optional[FailurePolicy] = None,
-) -> ExperimentResult:
+def run(seed: int = 0, fast: bool = False) -> ExperimentResult:
     """Regenerate Table IV via the topology join."""
     topo = None if fast else build_paper_topology(seed=seed)
     mapping = map_pools(topology=topo)

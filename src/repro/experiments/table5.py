@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
-
 from ..analysis.vulnerable import vulnerable_table
 from ..datagen import profiles
 from ..datagen.consensus import ConsensusDynamicsGenerator
-from ..parallel import FailurePolicy, Trial, TrialEngine
 from .base import ExperimentResult
 
 __all__ = ["run"]
@@ -16,24 +13,7 @@ __all__ = ["run"]
 PAPER_POPULATION = 10_020
 
 
-def _vulnerable_trial(trial: Trial) -> Dict[int, Any]:
-    """Generate the lag series and run the sustained-lag optimization.
-
-    Both the generation and the window optimization execute in the
-    worker; only the small per-T cell table crosses back, never the
-    samples x nodes lag matrix."""
-    p = trial.param_dict
-    generator = ConsensusDynamicsGenerator(num_nodes=p["num_nodes"], seed=trial.seed)
-    series = generator.generate(duration=p["duration"], sample_interval=60.0)
-    return vulnerable_table(series, t_values=p["t_values"])
-
-
-def run(
-    seed: int = 0,
-    fast: bool = False,
-    jobs: int = 1,
-    policy: Optional[FailurePolicy] = None,
-) -> ExperimentResult:
+def run(seed: int = 0, fast: bool = False) -> ExperimentResult:
     """Regenerate Table V from the calibrated lag dynamics.
 
     Full mode: 10,020 nodes over two days at 1-minute sampling (the T
@@ -45,13 +25,9 @@ def run(
     else:
         num_nodes, duration = PAPER_POPULATION, 2 * 86_400
         t_values = tuple(t for t, _, _ in profiles.TABLE_V_ROWS)
-    trial = Trial(
-        "table5",
-        0,
-        seed,
-        (("num_nodes", num_nodes), ("duration", duration), ("t_values", t_values)),
-    )
-    (table,) = TrialEngine(jobs=jobs, policy=policy).map(_vulnerable_trial, [trial])
+    generator = ConsensusDynamicsGenerator(num_nodes=num_nodes, seed=seed)
+    series = generator.generate(duration=duration, sample_interval=60.0)
+    table = vulnerable_table(series, t_values=t_values)
 
     paper_rows = {t: (counts, pcts) for t, counts, pcts in profiles.TABLE_V_ROWS}
     rows = []

@@ -2,52 +2,22 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 from ..analysis.timing import timing_table
 from ..datagen import profiles
-from ..parallel import FailurePolicy, Trial, TrialEngine, make_trials
 from .base import ExperimentResult
 
 __all__ = ["run"]
 
 
-def _lambda_trial(trial: Trial) -> Tuple[int, ...]:
-    """Bisect the minimum-T row for one block-loss rate lambda.
-
-    Closed-form and seed-free; each lambda is an independent trial so
-    the row computations fan out with the rest of the sweep."""
-    row = timing_table(
-        m_values=trial.param("m_values"),
-        lambdas=(trial.param("lam"),),
-        p=trial.param("p"),
-    )
-    return row[trial.param("lam")]
-
-
-def run(
-    seed: int = 0,
-    fast: bool = False,
-    jobs: int = 1,
-    policy: Optional[FailurePolicy] = None,
-) -> ExperimentResult:
+def run(seed: int = 0, fast: bool = False) -> ExperimentResult:
     """Regenerate Table VI exactly (closed-form; seed unused).
 
     The bound b(m,T) = C(T,m)(1-e^{-lambda T/m})^m is evaluated in log
-    space and bisected for the minimum integer T with b >= 0.8, one
-    trial per lambda row.
+    space and bisected for the minimum integer T with b >= 0.8.
     """
     lambdas = profiles.TABLE_VI_LAMBDAS[:2] if fast else profiles.TABLE_VI_LAMBDAS
     m_values = profiles.TABLE_VI_M_VALUES[:3] if fast else profiles.TABLE_VI_M_VALUES
-    trials = make_trials(
-        "table6",
-        seed,
-        count=len(lambdas),
-        params=[
-            {"lam": lam, "m_values": tuple(m_values), "p": 0.8} for lam in lambdas
-        ],
-    )
-    table = dict(zip(lambdas, TrialEngine(jobs=jobs, policy=policy).map(_lambda_trial, trials)))
+    table = timing_table(m_values, lambdas, p=0.8)
     rows = []
     metrics = {}
     max_abs_delta = 0.0

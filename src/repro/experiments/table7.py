@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Tuple
 
 import numpy as np
 
 from ..analysis.synced import synced_as_table
+from ..crawler.timeseries import ConsensusTimeSeries
 from ..datagen import profiles
 from ..datagen.consensus import ConsensusDynamicsGenerator
-from ..parallel import FailurePolicy, Trial, TrialEngine
 from ..topology.builder import build_paper_topology
+from ..topology.topology import Topology
 from .base import ExperimentResult
 
-__all__ = ["run", "PAPER_DAY_AS_QUALITY", "PAPER_DAY_DEFAULT_QUALITY"]
+__all__ = ["run", "paper_day", "PAPER_DAY_AS_QUALITY", "PAPER_DAY_DEFAULT_QUALITY"]
 
 #: Per-AS catch-up quality multipliers (< 1 = faster sync) calibrated so
 #: the Figure 6(b) day's synced-node ranking matches Table VII.  The
@@ -35,41 +36,30 @@ PAPER_DAY_AS_QUALITY = {
 PAPER_DAY_DEFAULT_QUALITY = 2.6
 
 
-def _ranking_trial(trial: Trial) -> List:
-    """Simulate the paper day in-worker and return the ranked AS rows."""
-    p = trial.param_dict
-    topo = build_paper_topology(seed=trial.seed, scale=p["scale"])
+def paper_day(seed: int, fast: bool) -> Tuple[Topology, ConsensusTimeSeries]:
+    """The paper topology and its lag series over the Figure 6(b) day.
+
+    Table VII and Figure 8 both read this day at 10-minute sampling;
+    ``fast`` shrinks it to a quarter-scale topology over six hours.
+    """
+    scale, duration = (0.25, 6 * 3600) if fast else (1.0, 86_400)
+    topo = build_paper_topology(seed=seed, scale=scale)
     node_ids = sorted(topo.all_node_ids())
     node_asns = np.array([topo.asn_of(nid) for nid in node_ids])
     generator = ConsensusDynamicsGenerator(
         num_nodes=len(node_ids),
-        seed=trial.seed,
+        seed=seed,
         node_asns=node_asns,
         as_quality=PAPER_DAY_AS_QUALITY,
         default_quality=PAPER_DAY_DEFAULT_QUALITY,
     )
-    series = generator.generate(duration=p["duration"], sample_interval=p["interval"])
-    return synced_as_table(series, topology=topo, k=5)
+    return topo, generator.generate(duration=duration, sample_interval=600.0)
 
 
-def run(
-    seed: int = 0,
-    fast: bool = False,
-    jobs: int = 1,
-    policy: Optional[FailurePolicy] = None,
-) -> ExperimentResult:
+def run(seed: int = 0, fast: bool = False) -> ExperimentResult:
     """Regenerate Table VII: simulate the Figure 6(b) day and rank ASes."""
-    if fast:
-        scale, duration, interval = 0.25, 6 * 3600, 600.0
-    else:
-        scale, duration, interval = 1.0, 86_400, 600.0
-    trial = Trial(
-        "table7",
-        0,
-        seed,
-        (("scale", scale), ("duration", duration), ("interval", interval)),
-    )
-    (table,) = TrialEngine(jobs=jobs, policy=policy).map(_ranking_trial, [trial])
+    topo, series = paper_day(seed, fast)
+    table = synced_as_table(series, topology=topo, k=5)
 
     rows = [
         (f"AS{row.asn}", row.org_name, row.mean_synced_nodes, f"{row.percentage:.2f}%")

@@ -2,47 +2,28 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
-
 from ..attacks.logical import LogicalAttack
 from ..datagen.population import PopulationGenerator
 from ..datagen.versions import SOFTWARE_VERSIONS, TOTAL_VARIANTS
-from ..parallel import FailurePolicy, Trial, TrialEngine
 from ..topology.builder import build_paper_topology
 from .base import ExperimentResult
 
 __all__ = ["run"]
 
 
-def _census_trial(trial: Trial) -> Dict[str, Any]:
-    """Build the snapshot and assess the version census in-worker."""
-    topo = build_paper_topology(seed=trial.seed, scale=trial.param("scale"))
-    snapshot = PopulationGenerator(topo, seed=trial.seed).generate()
-    report = LogicalAttack(snapshot).assess()
-    return {
-        "version_shares": dict(report.version_shares),
-        "distinct_versions": report.distinct_versions,
-        "dominant_share": report.dominant_version_share,
-    }
-
-
-def run(
-    seed: int = 0,
-    fast: bool = False,
-    jobs: int = 1,
-    policy: Optional[FailurePolicy] = None,
-) -> ExperimentResult:
+def run(seed: int = 0, fast: bool = False) -> ExperimentResult:
     """Regenerate Table VIII from the snapshot's version census."""
-    trial = Trial("table8", 0, seed, (("scale", 0.2 if fast else 1.0),))
-    (census,) = TrialEngine(jobs=jobs, policy=policy).map(_census_trial, [trial])
+    topo = build_paper_topology(seed=seed, scale=0.2 if fast else 1.0)
+    snapshot = PopulationGenerator(topo, seed=seed).generate()
+    report = LogicalAttack(snapshot).assess()
 
     reference = {rec.version: rec for rec in SOFTWARE_VERSIONS}
-    top = sorted(census["version_shares"].items(), key=lambda kv: -kv[1])[:5]
+    top = sorted(report.version_shares.items(), key=lambda kv: -kv[1])[:5]
     rows = []
     metrics = {
-        "distinct_versions": float(census["distinct_versions"]),
+        "distinct_versions": float(report.distinct_versions),
         "distinct_versions_paper": float(TOTAL_VARIANTS),
-        "dominant_share": census["dominant_share"],
+        "dominant_share": report.dominant_version_share,
         "dominant_share_paper": 0.3628,
     }
     for rank, (version, share) in enumerate(top, start=1):
@@ -65,5 +46,5 @@ def run(
         headers=["Index", "Version", "Release Date", "Lag", "Users %"],
         rows=rows,
         metrics=metrics,
-        notes=f"Census carries {census['distinct_versions']} distinct variants (paper: 288).",
+        notes=f"Census carries {report.distinct_versions} distinct variants (paper: 288).",
     )

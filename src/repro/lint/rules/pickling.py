@@ -1,36 +1,36 @@
 """RPL105 unpicklable-worker: lambdas/closures handed to the trial engine.
 
-``TrialEngine.map``/``first_match`` ship ``(fn, trial)`` pairs to
-worker processes by pickling; pickle serialises functions *by
-reference* (module + qualified name), so lambdas and functions nested
-inside other functions either raise ``PicklingError`` at fan-out time
-or — worse, with ``jobs=1`` inline execution — work in tests and die
-only when someone first passes ``--jobs 4``.  Only the *worker slot*
-(the first argument) must be picklable: ``first_match`` predicates and
-fallbacks run in the parent, so a lambda predicate is fine and is not
-flagged.  A bare name is a nested function when a def of that name sits
-in one of the call site's enclosing function scopes.
+``TrialEngine.run`` ships ``(fn, trial)`` pairs to worker processes by
+pickling; pickle serialises functions *by reference* (module +
+qualified name), so lambdas and functions nested inside other
+functions either raise ``PicklingError`` at fan-out time or — worse,
+with ``jobs=1`` inline execution — work in tests and die only when
+someone first passes ``--jobs 4``.  Only the *worker slot* (the first
+argument) must be picklable: the ``on_success`` callback runs in the
+parent, so a lambda there is fine and is not flagged.  A bare name is a
+nested function when a def of that name sits in one of the call site's
+enclosing function scopes.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import AbstractSet, List, Optional
+from typing import List, Optional
 
 from ..core import Finding, ModuleInfo
 from .base import Rule, looks_like
 
-__all__ = ["UnpicklableWorkerRule", "engine_worker"]
+__all__ = ["ENGINE_METHODS", "UnpicklableWorkerRule", "engine_worker"]
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-_ENGINE_METHODS = frozenset({"map", "first_match"})
+#: ``TrialEngine`` methods whose first argument is a worker callable.
+#: RPL105 and the audit's worker search share this one set.
+ENGINE_METHODS = frozenset({"run"})
 
 
-def engine_worker(
-    module: ModuleInfo, call: ast.Call, methods: AbstractSet[str]
-) -> Optional[ast.AST]:
-    """Worker slot of ``<TrialEngine>.<method>(...)``, ``method`` in ``methods``.
+def engine_worker(module: ModuleInfo, call: ast.Call) -> Optional[ast.AST]:
+    """Worker slot of ``<TrialEngine>.<method>(...)`` for ``ENGINE_METHODS``.
 
     The slot is the first positional argument, else the ``fn`` keyword;
     None when ``call`` is no such dispatch or passes no worker.
@@ -38,7 +38,7 @@ def engine_worker(
     func = call.func
     if not (
         isinstance(func, ast.Attribute)
-        and func.attr in methods
+        and func.attr in ENGINE_METHODS
         and looks_like(module, func.value, "TrialEngine", "engine")
     ):
         return None
@@ -88,7 +88,7 @@ class UnpicklableWorkerRule(Rule):
     def check(self, module: ModuleInfo) -> List[Finding]:
         findings: List[Finding] = []
         for node in module.index.of(ast.Call):
-            worker = engine_worker(module, node, _ENGINE_METHODS)
+            worker = engine_worker(module, node)
             if worker is None:
                 continue
             hazard = self._worker_hazard(module, worker)

@@ -1,17 +1,18 @@
 """Parallel trial execution and result caching.
 
-The paper's temporal artifacts (Figures 6-8, Tables V-VIII) are
-aggregates over independent seeded simulations — exactly the workload
-shape that fans out over processes without coordination.  This package
-provides the two pieces of infrastructure that let the experiment layer
-scale past one core while staying bit-reproducible:
+The paper's 13 artifacts and the scenario sweeps are batches of
+independent seeded computations — exactly the workload shape that fans
+out over processes without coordination (one trial per artifact in
+:func:`repro.experiments.run_artifacts`, one per spec in
+:func:`repro.sweeps.run_sweep`).  This package provides the
+infrastructure that lets them scale past one core while staying
+bit-reproducible:
 
 - :mod:`repro.parallel.trials` — a :class:`TrialEngine` that executes
   independent :class:`Trial` units serially or over a
-  ``multiprocessing`` pool.  Each trial carries its own seed (derived
-  from ``(root_seed, experiment_id, trial_index)`` via
-  :func:`repro.rng.derive_seed`), so the results are identical
-  regardless of worker count or scheduling order;
+  ``multiprocessing`` pool.  Each trial carries its own seed, so the
+  results are identical regardless of worker count or scheduling
+  order;
 - :mod:`repro.parallel.cache` — a content-keyed on-disk
   :class:`ResultCache` that lets re-runs and ``--fast`` CI sweeps skip
   completed work.  Keys hash the experiment id, the config dict, the
@@ -38,7 +39,7 @@ from .faults import (
     inject,
 )
 from .metrics import METRICS, PhaseTimingCollector, TrialMetricsCollector, TrialRecord
-from .trials import Trial, TrialEngine, make_trials, resolve_jobs, trial_seed
+from .trials import Trial, TrialEngine, resolve_jobs, trial_seed
 
 __all__ = [
     "BatchResult",
@@ -58,7 +59,6 @@ __all__ = [
     "TrialRecord",
     "cache_key",
     "inject",
-    "make_trials",
     "resolve_jobs",
     "trial_seed",
 ]

@@ -9,10 +9,10 @@ oblivious to scheduling.
 
 Determinism rests on two rules:
 
-1. every trial owns its seed — either derived from
-   ``(root_seed, experiment_id, trial_index)`` via :func:`trial_seed`
-   (new Monte-Carlo sweeps) or passed explicitly (experiments whose
-   published outputs pin a historical seed layout);
+1. every trial owns its seed — derived from
+   ``(root_seed, experiment_id, trial_index)`` via :func:`trial_seed`,
+   or passed explicitly (an artifact trial takes the run's root seed;
+   a sweep derives each spec's seed from its digest);
 2. trial functions must build *all* randomness from ``trial.seed``
    (through :class:`~repro.rng.RngStreams`) and must not touch shared
    mutable state.  Under those rules, worker count, submission order,
@@ -31,7 +31,7 @@ reproducing ``(experiment_id, index, seed)``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
@@ -48,7 +48,6 @@ from .metrics import METRICS, TrialMetricsCollector, TrialRecord
 __all__ = [
     "Trial",
     "TrialEngine",
-    "make_trials",
     "resolve_jobs",
     "trial_seed",
 ]
@@ -103,39 +102,6 @@ class Trial:
 
     def param(self, name: str, default: Any = None) -> Any:
         return self.param_dict.get(name, default)
-
-
-def make_trials(
-    experiment_id: str,
-    root_seed: int,
-    count: int,
-    params: Optional[Sequence[Dict[str, Any]]] = None,
-    seeds: Optional[Sequence[int]] = None,
-) -> List[Trial]:
-    """Build ``count`` trials with derived (or explicitly given) seeds.
-
-    ``params`` optionally supplies one parameter dict per trial;
-    ``seeds`` overrides the default :func:`trial_seed` derivation for
-    experiments that must preserve a historical seed layout.
-    """
-    if count < 1:
-        raise ConfigurationError("count must be >= 1", count=count)
-    if params is not None and len(params) != count:
-        raise ConfigurationError(
-            "need one params dict per trial", params=len(params), count=count
-        )
-    if seeds is not None and len(seeds) != count:
-        raise ConfigurationError(
-            "need one seed per trial", seeds=len(seeds), count=count
-        )
-    trials = []
-    for index in range(count):
-        seed = seeds[index] if seeds is not None else trial_seed(
-            root_seed, experiment_id, index
-        )
-        param_items = tuple(sorted((params[index] or {}).items())) if params else ()
-        trials.append(Trial(experiment_id, index, seed, param_items))
-    return trials
 
 
 class TrialEngine:
@@ -231,54 +197,3 @@ class TrialEngine:
             for trial in ordered
         )
         return BatchResult(tuple(ordered), payloads, failure_list)
-
-    def map(self, fn: Callable[[Trial], Any], trials: Iterable[Trial]) -> List[Any]:
-        """Run every trial; payloads come back in ascending index order.
-
-        Thin wrapper over :meth:`run` preserving the historical list
-        return.  Under a ``"skip"`` policy a failed trial's slot holds
-        ``None`` — callers that need to distinguish a legitimate
-        ``None`` payload from a failure should use :meth:`run` and
-        consult :attr:`~repro.parallel.faults.BatchResult.failures`.
-        """
-        return list(self.run(fn, trials).payloads)
-
-    # ------------------------------------------------------------------
-    def first_match(
-        self,
-        fn: Callable[[Trial], Any],
-        trials: Iterable[Trial],
-        predicate: Callable[[Any], bool],
-        fallback: Optional[Callable[[Any], bool]] = None,
-    ) -> Optional[Tuple[Trial, Any]]:
-        """Lowest-index trial whose payload satisfies ``predicate``.
-
-        If no trial matches, returns the lowest-index trial satisfying
-        ``fallback`` (when given), else ``None``.  Serial engines stop
-        executing at the first match (the pre-parallel early-exit
-        behaviour); parallel engines evaluate in waves of ``jobs``
-        trials.  Both select the same trial: waves are scanned in index
-        order, so the first wave containing a match always yields the
-        global minimum matching index.  Under a ``"skip"`` policy,
-        failed trials simply cannot match (or fall back) — selection
-        still favours the lowest surviving index.
-        """
-        ordered = sorted(trials, key=lambda trial: trial.index)
-        fallback_hit: Optional[Tuple[Trial, Any]] = None
-        wave_size = self.jobs if self.jobs > 1 else 1
-        for start in range(0, len(ordered), wave_size):
-            wave = ordered[start : start + wave_size]
-            batch = self.run(fn, wave)
-            failed = batch.failed_indices
-            for trial, payload in zip(batch.trials, batch.payloads):
-                if trial.index in failed:
-                    continue
-                if predicate(payload):
-                    return trial, payload
-                if (
-                    fallback is not None
-                    and fallback_hit is None
-                    and fallback(payload)
-                ):
-                    fallback_hit = (trial, payload)
-        return fallback_hit

@@ -59,7 +59,7 @@ def lag_digest(lags: np.ndarray) -> str:
 
 def capture(experiment_id: str, fast: bool) -> dict:
     """Run one artifact at :data:`SEED` and record every lag series it
-    generates and every Table V it computes (``jobs=1`` runs inline)."""
+    generates and every Table V it computes (it runs in this process)."""
     module = importlib.import_module(f"repro.experiments.{experiment_id}")
     consensus: List[Dict[str, Any]] = []
     cells: List[List[Any]] = []
@@ -94,7 +94,7 @@ def capture(experiment_id: str, fast: bool) -> dict:
         )
         if experiment_id == "table5":
             stack.enter_context(mock.patch.object(module, "vulnerable_table", recording_table))
-        module.run(seed=SEED, fast=fast, jobs=1)
+        module.run(seed=SEED, fast=fast)
     entry: Dict[str, Any] = {"consensus": consensus}
     if experiment_id == "table5":
         entry["table5_cells"] = cells

@@ -10,4 +10,4 @@ def _trial(trial):  # expect: RPL201
 
 def run_all(trials):
     engine = TrialEngine()
-    return engine.map(_trial, trials)
+    return engine.run(_trial, trials).payloads

@@ -11,4 +11,4 @@ def _trial(trial):  # expect: RPL203
 
 def run_all(trials):
     engine = TrialEngine()
-    return engine.map(_trial, trials)
+    return engine.run(_trial, trials).payloads

@@ -17,4 +17,4 @@ def _trial(trial):
 
 def run_all(trials):
     engine = TrialEngine()
-    return engine.map(_trial, trials)
+    return engine.run(_trial, trials).payloads

@@ -57,7 +57,7 @@ def bad_tree(make_package):
                 "\n"
                 "def run_all(trials):\n"
                 "    engine = TrialEngine()\n"
-                "    return engine.map(_trial, trials)\n"
+                "    return engine.run(_trial, trials).payloads\n"
             ),
         },
     )

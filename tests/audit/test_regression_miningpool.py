@@ -55,7 +55,7 @@ _WORKER = (
     "\n"
     "def run_all(trials):\n"
     "    engine = TrialEngine()\n"
-    "    return engine.map(_trial, trials)\n"
+    "    return engine.run(_trial, trials).payloads\n"
 )
 
 

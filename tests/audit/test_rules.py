@@ -134,7 +134,7 @@ class TestSanctioning:
                     "\n"
                     "def run_all(trials):\n"
                     "    engine = TrialEngine()\n"
-                    "    return engine.map(_trial, trials)\n"
+                    "    return engine.run(_trial, trials).payloads\n"
                 ),
             },
         )
@@ -175,7 +175,7 @@ class TestSanctioning:
                     "\n"
                     "def run_all(trials):\n"
                     "    engine = TrialEngine()\n"
-                    "    return engine.map(_trial, trials)\n"
+                    "    return engine.run(_trial, trials).payloads\n"
                 ),
             },
         )

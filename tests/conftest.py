@@ -18,6 +18,7 @@ from repro.check import TIERS
 from repro.lint import lint_paths
 from repro.netsim.latency import ConstantLatency
 from repro.netsim.network import Network, NetworkConfig
+from repro.parallel import Trial, trial_seed
 from repro.topology.builder import build_paper_topology
 from repro.topology.topology import Topology
 
@@ -27,6 +28,22 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 LINT_TARGETS = [
     REPO_ROOT / name for name in ("src", "benchmarks", "tests", "examples")
 ]
+
+
+def make_trials(experiment_id, root_seed, count, params=None):
+    """Trials ``0..count-1`` of one experiment, seeded by ``trial_seed``.
+
+    ``params`` optionally gives one parameter dict per trial.
+    """
+    return [
+        Trial(
+            experiment_id,
+            index,
+            trial_seed(root_seed, experiment_id, index),
+            tuple(sorted(params[index].items())) if params else (),
+        )
+        for index in range(count)
+    ]
 
 
 @pytest.fixture(scope="session")

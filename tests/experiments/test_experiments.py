@@ -7,7 +7,9 @@ scale numeric audits live in the benchmarks.
 
 import pytest
 
-from repro.experiments import REGISTRY, run_experiment
+from repro.errors import ConfigurationError
+from repro.experiments import REGISTRY, figure7, run_artifacts, run_experiment
+from repro.parallel import METRICS, FailurePolicy, TrialExecutionError
 
 
 class TestRegistry:
@@ -104,3 +106,84 @@ class TestRunnerCli:
         assert len(files) == 5  # one per Figure-4 AS curve
         header = files[0].read_text().splitlines()[0]
         assert header.startswith("tick,")
+
+
+def _broken(seed=0, fast=False):
+    raise RuntimeError("broken artifact")
+
+
+class TestArtifactBatch:
+    """``run_artifacts``: one batch of artifact trials, cache hits aside."""
+
+    def test_override_without_the_knob_raises_before_anything_runs(self):
+        before = len(METRICS.records)
+        with pytest.raises(ConfigurationError) as excinfo:
+            run_artifacts(["figure7", "table1", "table6"], fast=True, engine="graph")
+        assert "engine=['table1', 'table6']" in str(excinfo.value)
+        assert len(METRICS.records) == before
+        with pytest.raises(ConfigurationError):
+            run_experiment("table1", fast=True, delay_model="calibrated")
+
+    def test_repeated_id_runs_once(self):
+        before = len(METRICS.records)
+        batch = run_artifacts(["table6", "table6"], fast=True)
+        assert list(batch.results) == ["table6"]
+        assert [r.experiment_id for r in METRICS.records[before:]] == ["table6"]
+
+    def test_skip_policy_reports_the_failed_artifact(self, monkeypatch):
+        monkeypatch.setitem(REGISTRY, "broken", _broken)
+        batch = run_artifacts(
+            ["broken", "table6"], fast=True, policy=FailurePolicy(mode="skip")
+        )
+        assert [(f.experiment_id, f.index, f.kind) for f in batch.failures] == [
+            ("broken", 0, "error")
+        ]
+        assert list(batch.results) == ["table6"] and not batch.aborted
+        with pytest.raises(TrialExecutionError, match="broken artifact"):
+            run_experiment("broken", policy=FailurePolicy(mode="skip"))
+
+    def test_strict_policy_raises_naming_the_artifact(self, monkeypatch):
+        monkeypatch.setitem(REGISTRY, "broken", _broken)
+        with pytest.raises(TrialExecutionError) as excinfo:
+            run_artifacts(["table6", "broken"], fast=True)
+        assert excinfo.value.failure.experiment_id == "broken"
+        assert excinfo.value.failure.index == 1
+
+    def test_over_budget_batch_stops(self, monkeypatch):
+        monkeypatch.setitem(REGISTRY, "broken", _broken)
+        batch = run_artifacts(
+            ["broken", "table6"],
+            fast=True,
+            policy=FailurePolicy(mode="skip", max_failures=0),
+        )
+        assert batch.aborted
+        assert [f.experiment_id for f in batch.failures] == ["broken"]
+        assert batch.results == {}
+
+
+class TestFigure7Representative:
+    """The panel search: first narrative match, else first with a fork B."""
+
+    @staticmethod
+    def _search(monkeypatch, candidates):
+        tried = []
+
+        def candidate(seed, size, engine, delay_model):
+            tried.append(seed)
+            peak_b, final_a = candidates[seed - 10]
+            return {"seed": seed, "peak_b": peak_b, "final_a": final_a}
+
+        monkeypatch.setattr(figure7, "_candidate", candidate)
+        picked = figure7._representative(10, 15, attempts=len(candidates))
+        return (None if picked is None else picked["seed"]), tried
+
+    def test_stops_at_the_first_match(self, monkeypatch):
+        candidates = [(0.0, 1.0), (0.9, 1.0), (0.3, 0.95), (0.2, 1.0)]
+        assert self._search(monkeypatch, candidates) == (12, [10, 11, 12])
+
+    def test_falls_back_to_the_first_with_a_fork_b(self, monkeypatch):
+        candidates = [(0.0, 1.0), (0.9, 1.0), (0.7, 1.0)]
+        assert self._search(monkeypatch, candidates) == (11, [10, 11, 12])
+
+    def test_none_without_any_fork_b(self, monkeypatch):
+        assert self._search(monkeypatch, [(0.0, 1.0)] * 3)[0] is None

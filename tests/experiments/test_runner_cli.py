@@ -1,14 +1,17 @@
 """CLI tests for the runner's parallel/caching/failure flags.
 
 Covers ``--jobs`` (including the usage-error rejection of zero and
-negative worker counts), ``--cache`` round trips, the ``--no-cache``
-bypass, the failure-semantics flags (``--retries``, ``--trial-timeout``,
-``--max-failures`` — driven end-to-end with a registry-injected faulty
-experiment), and a snapshot of the ``--help`` text so flag/wording
-changes are deliberate.
+negative worker counts, and identical output across worker counts),
+``--cache`` round trips, the ``--no-cache`` bypass, the
+failure-semantics flags (``--retries``, ``--trial-timeout``,
+``--max-failures`` — driven end-to-end with registry-injected faulty
+artifacts), override misuse, and a snapshot of the ``--help`` text so
+flag/wording changes are deliberate.
 """
 
 import json
+import os
+import re
 import textwrap
 
 import pytest
@@ -16,7 +19,6 @@ import pytest
 from repro.experiments import REGISTRY
 from repro.experiments.base import ExperimentResult
 from repro.experiments.runner import main
-from repro.parallel import FaultPlan, TrialEngine, inject, make_trials
 
 HELP_SNAPSHOT = textwrap.dedent(
     """\
@@ -37,7 +39,7 @@ HELP_SNAPSHOT = textwrap.dedent(
       -h, --help           show this help message and exit
       --seed SEED          experiment seed
       --fast               reduced workloads (CI-sized)
-      --jobs N             worker processes per experiment's trial sweep (default:
+      --jobs N             worker processes across the chosen artifacts (default:
                            1)
       --cache DIR          on-disk result cache directory (reruns skip completed
                            work)
@@ -48,11 +50,11 @@ HELP_SNAPSHOT = textwrap.dedent(
       --delay-model MODEL  calibrated propagation-delay model for simulator-backed
                            experiments (one of: calibrated; requires --engine
                            graph)
-      --retries N          retry each failed trial up to N times with its original
-                           seed
-      --trial-timeout S    per-trial timeout in seconds (hung/dead workers are
+      --retries N          retry each failed artifact up to N times with its
+                           original seed
+      --trial-timeout S    per-artifact timeout in seconds (hung/dead workers are
                            respawned)
-      --max-failures N     abort the sweep (exit 2) once more than N trials have
+      --max-failures N     stop the run (exit 2) once more than N artifacts have
                            failed
 
     Scenario sweeps: 'repro-experiments sweep SPECFILE' runs a declarative spec-
@@ -61,13 +63,31 @@ HELP_SNAPSHOT = textwrap.dedent(
 )
 
 
+def _artifact_text(out):
+    """Runner stdout without the per-artifact timing lines."""
+    return [line for line in out.splitlines() if "completed in" not in line]
+
+
 class TestJobsFlag:
     def test_jobs_runs_and_reports_trials(self, capsys):
         assert main(["--fast", "--jobs", "2", "table6"]) == 0
         out = capsys.readouterr().out
         assert "table6" in out
-        assert "trial(s)" in out
-        assert "jobs=2" in out
+        assert re.search(r"\(table6 completed in \S+; worker \d+, jobs=2\)", out)
+
+    def test_jobs2_prints_what_jobs1_prints(self, capsys):
+        # Not sorted: output follows the chosen order, not landing order.
+        ids = ["table6", "figure7", "table5", "figure6"]
+        assert main(["--fast", "--jobs", "1", *ids]) == 0
+        serial = capsys.readouterr().out
+        assert main(["--fast", "--jobs", "2", *ids]) == 0
+        fanned = capsys.readouterr().out
+        assert _artifact_text(fanned) == _artifact_text(serial)
+        titles = [line.split(":")[0] for line in serial.splitlines() if ": " in line]
+        assert [t for t in titles if t in ids] == ids
+        assert set(re.findall(r"worker (\d+)", serial)) == {str(os.getpid())}
+        pids = set(re.findall(r"worker (\d+)", fanned))
+        assert len(pids) > 1 and str(os.getpid()) not in pids
 
     @pytest.mark.parametrize("bad", ["0", "-1", "-4"])
     def test_zero_and_negative_jobs_rejected(self, bad, capsys):
@@ -124,24 +144,23 @@ class TestCacheFlags:
         assert len(list(cache_dir.glob("*.json"))) == 2
 
 
-def _echo_seed(trial):
-    return {"seed": trial.seed}
+def _make_faulty_run(failing_calls):
+    """Registry-shaped artifact that raises on its first ``failing_calls`` calls.
 
+    The runner retries an artifact inline at ``--jobs 1``, so the call
+    count is this process's.
+    """
+    calls = []
 
-def _make_faulty_run(plan):
-    """Registry-shaped experiment whose middle trial faults per plan."""
-
-    def run(seed=0, fast=False, jobs=1, policy=None):
-        trials = make_trials("faulty", seed, count=3)
-        # The default collector (the process-wide METRICS) feeds the
-        # runner's per-experiment trial/failure detail line.
-        engine = TrialEngine(jobs=jobs, policy=policy)
-        payloads = engine.map(inject(_echo_seed, plan), trials)
+    def run(seed=0, fast=False):
+        calls.append(seed)
+        if len(calls) <= failing_calls:
+            raise RuntimeError(f"injected failure on call {len(calls)}")
         return ExperimentResult(
             experiment_id="faulty",
             title="synthetic faulting experiment",
             headers=["seed"],
-            rows=[(payload["seed"],) for payload in payloads],
+            rows=[(seed,)],
         )
 
     return run
@@ -149,13 +168,9 @@ def _make_faulty_run(plan):
 
 @pytest.fixture()
 def faulty_registry(monkeypatch):
-    """Two injected experiments: one recovers after a retry, one never."""
-    monkeypatch.setitem(
-        REGISTRY, "flaky", _make_faulty_run(FaultPlan(error=(1,), recover_after=1))
-    )
-    monkeypatch.setitem(
-        REGISTRY, "doomed", _make_faulty_run(FaultPlan(error=(1,), recover_after=99))
-    )
+    """Two injected artifacts: one recovers after a retry, one never."""
+    monkeypatch.setitem(REGISTRY, "flaky", _make_faulty_run(1))
+    monkeypatch.setitem(REGISTRY, "doomed", _make_faulty_run(99))
 
 
 class TestFailureFlags:
@@ -198,7 +213,7 @@ class TestFailureFlags:
         assert main(["--fast", "--retries", "2", "flaky"]) == 0
         out = capsys.readouterr().out
         assert "synthetic faulting experiment" in out
-        assert "3 trial(s)" in out
+        assert "(flaky completed in" in out
 
     def test_without_retries_the_flaky_experiment_fails(
         self, faulty_registry, capsys
@@ -206,7 +221,8 @@ class TestFailureFlags:
         assert main(["--fast", "flaky"]) == 1
         err = capsys.readouterr().err
         assert "[FAIL] flaky" in err
-        assert "index=1" in err and "seed=" in err
+        assert "injected failure on call 1" in err
+        assert "index=0" in err and "seed=0" in err
 
     def test_failure_within_budget_continues_the_sweep(
         self, faulty_registry, capsys
@@ -214,17 +230,55 @@ class TestFailureFlags:
         assert main(["--fast", "--max-failures", "3", "doomed", "table6"]) == 1
         captured = capsys.readouterr()
         assert "[FAIL] doomed" in captured.err
-        assert "1 trial failure(s)" in captured.err
-        assert "(faulty, 1," in captured.err  # the reproducing triple
-        assert "table6" in captured.out  # the sweep kept going
+        assert "1 artifact failure(s):" in captured.err
+        assert "(doomed, 0, 0)" in captured.err  # the reproducing triple
+        assert "table6" in captured.out  # the run kept going
 
     def test_budget_exceeded_aborts_with_exit_2(self, faulty_registry, capsys):
         assert main(["--fast", "--max-failures", "0", "doomed", "table6"]) == 2
         captured = capsys.readouterr()
-        assert "aborting sweep, skipping: table6" in captured.err
-        assert "budget: --max-failures 0" in captured.err
-        assert "(faulty, 1," in captured.err
+        assert "aborting run, skipping: table6" in captured.err
+        assert "1 artifact failure(s) (budget: --max-failures 0):" in captured.err
+        assert "(doomed, 0, 0)" in captured.err
         assert "table6" not in captured.out  # never ran
+
+    def test_failures_are_listed_in_chosen_order(self, faulty_registry, capsys):
+        assert main(["--fast", "doomed", "table6", "flaky"]) == 1
+        captured = capsys.readouterr()
+        assert "2 artifact failure(s):" in captured.err
+        roster = captured.err.split("artifact failure(s):")[1]
+        assert roster.index("(doomed, 0, 0)") < roster.index("(flaky, 2, 0)")
+        assert "table6" in captured.out
+
+
+class TestOverrideMisuse:
+    def test_engine_on_ids_without_the_knob_is_a_usage_error(self, capsys):
+        argv = ["--fast", "--engine", "graph", "--max-failures", "0"]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "table6", "table4", "figure7"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "--engine is not taken by: table6, table4" in captured.err
+        assert captured.out == ""  # nothing ran, figure7 included
+
+    def test_delay_model_on_ids_without_the_knob_is_a_usage_error(
+        self, monkeypatch, capsys
+    ):
+        # An artifact that takes an engine but no delay model.
+        monkeypatch.setitem(
+            REGISTRY, "engine_only", lambda seed=0, fast=False, engine="auto": None
+        )
+        argv = ["--engine", "graph", "--delay-model", "calibrated"]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "figure7", "engine_only"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "--delay-model is not taken by: engine_only" in captured.err
+        assert captured.out == ""
+
+    def test_overrides_on_artifacts_that_take_them_run(self, capsys):
+        assert main(["--fast", "--engine", "scalar", "figure7"]) == 0
+        assert "figure7" in capsys.readouterr().out
 
 
 class TestHelpSnapshot:

@@ -1,6 +1,6 @@
 """Regression: every knob the runner CLI forwards is accounted for.
 
-The runner's ``run_experiment(...)`` call is the repo's cache-soundness
+The runner's ``run_artifacts(...)`` call is the repo's cache-soundness
 chokepoint: a new CLI flag forwarded there without joining the cache
 key (or carrying a reviewed sanction) is exactly the stale-result bug
 the flow analyzer exists to catch.  This test extracts the forwarded
@@ -19,26 +19,26 @@ RUNNER = REPO_ROOT / "src" / "repro" / "experiments" / "runner.py"
 
 
 def _forwarded_params():
-    """Parameter names the runner CLI passes into ``run_experiment``."""
+    """Parameter names the runner CLI passes into ``run_artifacts``."""
     tree = ast.parse(RUNNER.read_text(encoding="utf-8"))
-    run_experiment_params = None
+    forwarded = None
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name != "run_experiment":
+        if name != "run_artifacts":
             continue
         params = set()
         for position, _arg in enumerate(node.args):
-            # Positional forwards map onto run_experiment's signature.
+            # Positional forwards map onto run_artifacts's signature.
             params.add(("positional", position))
         for keyword in node.keywords:
             if keyword.arg is not None:
                 params.add(keyword.arg)
-        run_experiment_params = params
-    assert run_experiment_params, "runner no longer calls run_experiment?"
-    return run_experiment_params
+        forwarded = params
+    assert forwarded, "runner no longer calls run_artifacts?"
+    return forwarded
 
 
 class TestRunnerForwarding:
@@ -55,13 +55,13 @@ class TestRunnerForwarding:
         report = src_reports["flow"]
         manifest = build_flow_section(report)
         boundary = manifest["cache_boundaries"][
-            "repro.experiments.run_experiment"
+            "repro.experiments.run_artifacts"
         ]
         accounted = set(boundary["key_params"])
         accounted |= set(boundary["sanctioned_params"])
         signature_params = list(
             report.context.project.modules["repro.experiments"]
-            .functions["run_experiment"]
+            .functions["run_artifacts"]
             .params
         )
         handles = {p for p in signature_params if "cache" in p.lower()}
@@ -76,19 +76,19 @@ class TestRunnerForwarding:
         assert unaccounted == [], (
             "runner CLI forwards parameter(s) the cache key does not "
             f"cover and no sanction acknowledges: {unaccounted}; either "
-            "fold them into the key config in run_experiment or add a "
+            "fold them into the key config in run_artifacts or add a "
             "reasoned `# repro-lint: disable=RPL401 ...` on the "
             "parameter's signature line"
         )
 
     def test_influence_analysis_sees_every_named_forward(self, src_reports):
-        """Each forwarded knob must at least appear in run_experiment's
+        """Each forwarded knob must at least appear in run_artifacts's
         signature — a renamed/removed parameter means the regression
         test (and the CLI) drifted from the boundary."""
         report = src_reports["flow"]
         signature_params = set(
             report.context.project.modules["repro.experiments"]
-            .functions["run_experiment"]
+            .functions["run_artifacts"]
             .params
         )
         named = {p for p in _forwarded_params() if isinstance(p, str)}

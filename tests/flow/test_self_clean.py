@@ -7,9 +7,10 @@ field enters the digest, and the ``flow`` section of the committed
 ``ANALYSIS_MANIFEST.json`` matches what the analyzer derives from
 source.
 
-The mutation self-check proves the analyzer earns its keep: deleting
-the one line that folds ``engine`` into the cache config (the literal
-PR 8 fix) must make RPL401 fire naming ``engine``.
+The mutation self-check proves the analyzer earns its keep: keying
+the artifact cache on ``fast`` alone while the artifacts still get the
+``engine`` override (the stale-result bug the engine key once fixed)
+must make RPL401 fire naming ``engine``.
 """
 
 import shutil
@@ -21,7 +22,19 @@ from repro.lint.manifest import MANIFEST_FILE, diff_section
 from .conftest import REPO_ROOT
 
 EXPERIMENTS = REPO_ROOT / "src" / "repro" / "experiments" / "__init__.py"
-ENGINE_KEY_LINE = '        config["engine"] = engine\n'
+#: Every cache call of ``run_artifacts``, and the same call keyed on
+#: ``fast`` alone.  The artifacts' run arguments stay the full config.
+KEY_CONFIG_CALLS = {
+    "cache.get(experiment_id, config, seed)": (
+        'cache.get(experiment_id, {"fast": bool(fast)}, seed)'
+    ),
+    "cache.discard(experiment_id, config, seed)": (
+        'cache.discard(experiment_id, {"fast": bool(fast)}, seed)'
+    ),
+    "cache.put(trial.experiment_id, config, trial.seed,": (
+        'cache.put(trial.experiment_id, {"fast": bool(fast)}, trial.seed,'
+    ),
+}
 
 
 class TestRepoSelfFlow:
@@ -41,7 +54,7 @@ class TestRepoSelfFlow:
 
     def test_every_suppression_is_a_reviewed_boundary_param(self, src_reports):
         report = src_reports["flow"]
-        assert report.suppressed, "run_experiment keeps reviewed sanctions"
+        assert report.suppressed, "run_artifacts keeps reviewed sanctions"
         assert {f.rule_id for f in report.suppressed} == {"RPL401"}
         # jobs and policy on the two boundaries that run trials.
         assert len(report.suppressed) == 4
@@ -50,10 +63,12 @@ class TestRepoSelfFlow:
 
     def test_run_experiment_boundary_account(self, src_reports):
         manifest = build_flow_section(src_reports["flow"])
+        # run_experiment delegates to the batch, which does the keying.
+        assert "repro.experiments.run_experiment" not in manifest["cache_boundaries"]
         boundary = manifest["cache_boundaries"][
-            "repro.experiments.run_experiment"
+            "repro.experiments.run_artifacts"
         ]
-        for param in ("experiment_id", "seed", "fast", "engine", "delay_model"):
+        for param in ("experiment_ids", "seed", "fast", "engine", "delay_model"):
             assert param in boundary["key_params"]
         assert boundary["sanctioned_params"] == ["jobs", "policy"]
 
@@ -90,12 +105,10 @@ class TestMutationSelfCheck:
     def test_dropping_the_engine_key_fires_rpl401(self, tmp_path):
         pkg = self._scratch_copy(tmp_path)
         source = (pkg / "__init__.py").read_text(encoding="utf-8")
-        assert ENGINE_KEY_LINE in source, (
-            "the engine-into-config line moved; update ENGINE_KEY_LINE"
-        )
-        (pkg / "__init__.py").write_text(
-            source.replace(ENGINE_KEY_LINE, ""), encoding="utf-8"
-        )
+        for call, mutant in KEY_CONFIG_CALLS.items():
+            assert call in source, f"{call} moved; update KEY_CONFIG_CALLS"
+            source = source.replace(call, mutant)
+        (pkg / "__init__.py").write_text(source, encoding="utf-8")
         report = run_flow([tmp_path])
         engine_findings = [
             f
@@ -104,5 +117,5 @@ class TestMutationSelfCheck:
         ]
         assert engine_findings, "dropping the engine key must fire RPL401"
         assert all(
-            "run_experiment" in f.message for f in engine_findings
+            "run_artifacts" in f.message for f in engine_findings
         )

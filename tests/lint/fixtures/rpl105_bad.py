@@ -8,26 +8,25 @@ from repro.parallel import TrialEngine
 
 def sweep_with_lambda(trials):
     engine = TrialEngine(jobs=4)
-    return engine.map(lambda trial: trial.seed, trials)  # expect: RPL105
+    return engine.run(lambda trial: trial.seed, trials)  # expect: RPL105
 
 
 def sweep_with_closure(trials, scale):
     def worker(trial):
         return trial.seed * scale
 
-    return TrialEngine(jobs=2).map(worker, trials)  # expect: RPL105
+    return TrialEngine(jobs=2).run(worker, trials)  # expect: RPL105
 
 
-def search_with_lambda(engine, trials):
-    return engine.first_match(
-        lambda trial: trial.seed,  # expect: RPL105
-        trials,
-        predicate=bool,
+def sweep_with_keyword_lambda(engine, trials):
+    return engine.run(
+        fn=lambda trial: trial.seed,  # expect: RPL105
+        trials=trials,
     )
 
 
 def sweep_with_partial_lambda(engine, trials):
-    return engine.map(functools.partial(lambda t: t.seed), trials)  # expect: RPL105
+    return engine.run(functools.partial(lambda t: t.seed), trials)  # expect: RPL105
 
 
 def sweep_from_inner_function(trials):
@@ -36,6 +35,6 @@ def sweep_from_inner_function(trials):
 
     def run():
         # The closure is found through the enclosing function's scope.
-        return TrialEngine(jobs=2).map(worker, trials)  # expect: RPL105
+        return TrialEngine(jobs=2).run(worker, trials)  # expect: RPL105
 
     return run()

@@ -1,4 +1,4 @@
-"""Good: module-level workers; parent-side predicates may be lambdas."""
+"""Good: module-level workers; parent-side callbacks may be lambdas."""
 
 from repro.parallel import TrialEngine
 
@@ -21,24 +21,28 @@ def local_work(trials):
 
 
 def sweep_shared_name(trials):
-    return TrialEngine(jobs=2).map(work, trials)
+    return TrialEngine(jobs=2).run(work, trials)
 
 
 def sweep(trials, jobs: int = 1):
-    return TrialEngine(jobs=jobs).map(_seed_trial, trials)
+    return TrialEngine(jobs=jobs).run(_seed_trial, trials)
 
 
-def search(engine, trials):
-    # Predicate and fallback run in the parent process: lambdas are fine
-    # in every slot except the worker (first argument).
-    return engine.first_match(
+def sweep_with_callback(engine, trials, landed):
+    # on_success runs in the parent process: a lambda is fine in every
+    # slot except the worker (first argument).
+    return engine.run(
         _seed_trial,
         trials,
-        predicate=lambda payload: payload["seed"] > 0,
-        fallback=lambda payload: True,
+        on_success=lambda trial, payload: landed.append(payload),
     )
 
 
 def plain_map(values):
     # .map on a non-engine receiver is out of scope.
     return list(map(lambda v: v + 1, values))
+
+
+def other_run(runner, trials):
+    # .run on a receiver that is not an engine is out of scope.
+    return runner.run(lambda trial: trial.seed, trials)

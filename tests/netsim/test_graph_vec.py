@@ -133,8 +133,8 @@ class TestGraphDeterminism:
             Trial("graph-vec", index, 100 + index, (("size", 12),))
             for index in range(6)
         ]
-        serial = TrialEngine(jobs=1).map(_graph_trial, trials)
-        parallel = TrialEngine(jobs=4).map(_graph_trial, trials)
+        serial = TrialEngine(jobs=1).run(_graph_trial, trials).payloads
+        parallel = TrialEngine(jobs=4).run(_graph_trial, trials).payloads
         assert serial == parallel
 
     def test_shuffled_registry_yields_identical_csr(self):

@@ -84,8 +84,8 @@ class TestVecDeterminism:
             Trial("grid-vec", index, 200 + index, (("size", 10),))
             for index in range(6)
         ]
-        serial = TrialEngine(jobs=1).map(_bridge_trial, trials)
-        parallel = TrialEngine(jobs=4).map(_bridge_trial, trials)
+        serial = TrialEngine(jobs=1).run(_bridge_trial, trials).payloads
+        parallel = TrialEngine(jobs=4).run(_bridge_trial, trials).payloads
         assert serial == parallel
 
 

@@ -1,27 +1,30 @@
 """Seed-equivalence suite: parallelism must never perturb results.
 
-The acceptance property for ``repro.parallel``: for every registered
-experiment, ``run_experiment(id, seed=s, jobs=4)`` equals the serial
-run with the same seed — same rows, same metrics, same series — and
-trial payloads are independent of submission order and worker count.
+The acceptance property for ``repro.parallel``: every registered
+artifact, run in one ``run_artifacts`` batch over several workers,
+equals its serial run with the same seed — same rows, same metrics,
+same series — and trial payloads are independent of submission order
+and worker count.
 """
 
+import os
 import random
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import REGISTRY, run_experiment
+from repro.experiments import REGISTRY, run_artifacts, run_experiment
 from repro.parallel import (
     METRICS,
     Trial,
     TrialEngine,
     TrialMetricsCollector,
-    make_trials,
     resolve_jobs,
     trial_seed,
 )
 from repro.rng import derive_seed
+
+from ..conftest import make_trials
 
 
 def _draws_trial(trial):
@@ -46,21 +49,39 @@ def assert_results_equal(a, b):
     assert a.notes == b.notes
 
 
+def _fanned(seed, jobs):
+    """All ``--fast`` artifacts as one uncached batch, plus the pids that ran them."""
+    before = len(METRICS.records)
+    batch = run_artifacts(sorted(REGISTRY), seed=seed, fast=True, jobs=jobs)
+    pids = {record.worker for record in METRICS.records[before:]}
+    return batch, pids
+
+
+@pytest.fixture(scope="module")
+def fanned_jobs4(fast_sweep):
+    return _fanned(fast_sweep.seed, jobs=4)
+
+
 class TestExperimentSeedEquivalence:
     @pytest.mark.parametrize("experiment_id", sorted(REGISTRY))
-    def test_jobs4_equals_serial(self, experiment_id, fast_sweep):
+    def test_jobs4_equals_serial(self, experiment_id, fast_sweep, fanned_jobs4):
+        batch, pids = fanned_jobs4
+        assert batch.failures == () and batch.cached == ()
+        assert os.getpid() not in pids and len(pids) > 1
         serial = fast_sweep.results[experiment_id]
-        parallel = run_experiment(
-            experiment_id, seed=fast_sweep.seed, fast=True, jobs=4
-        )
-        assert_results_equal(serial, parallel)
+        assert_results_equal(serial, batch.results[experiment_id])
+        assert batch.results[experiment_id].to_dict() == serial.to_dict()
 
     def test_jobs2_equals_serial_nonzero_seed(self):
         # A second seed guards against seed-0-only accidents (e.g. a
         # worker falling back to a default seed).
-        serial = run_experiment("figure6", seed=7, fast=True, jobs=1)
-        parallel = run_experiment("figure6", seed=7, fast=True, jobs=2)
-        assert_results_equal(serial, parallel)
+        serial, serial_pids = _fanned(7, jobs=1)
+        fanned, pids = _fanned(7, jobs=2)
+        assert serial_pids == {os.getpid()}
+        assert os.getpid() not in pids and len(pids) == 2
+        assert sorted(fanned.results) == sorted(REGISTRY)
+        for experiment_id, result in serial.results.items():
+            assert fanned.results[experiment_id].to_dict() == result.to_dict()
 
 
 class TestEngineOrderIndependence:
@@ -69,38 +90,27 @@ class TestEngineOrderIndependence:
             "toy", 3, count=8, params=[{"tag": i} for i in range(8)]
         )
         engine = TrialEngine(jobs=3, collector=TrialMetricsCollector())
-        forward = engine.map(_draws_trial, trials)
+        forward = engine.run(_draws_trial, trials).payloads
         shuffled = list(trials)
         random.Random(1).shuffle(shuffled)
-        scrambled = engine.map(_draws_trial, shuffled)
+        scrambled = engine.run(_draws_trial, shuffled).payloads
         assert forward == scrambled
         assert [payload["index"] for payload in forward] == list(range(8))
 
     def test_serial_and_parallel_payloads_identical(self):
         trials = make_trials("toy", 5, count=6)
-        serial = TrialEngine(jobs=1, collector=TrialMetricsCollector()).map(
+        serial = TrialEngine(jobs=1, collector=TrialMetricsCollector()).run(
             _draws_trial, trials
-        )
-        parallel = TrialEngine(jobs=4, collector=TrialMetricsCollector()).map(
+        ).payloads
+        parallel = TrialEngine(jobs=4, collector=TrialMetricsCollector()).run(
             _draws_trial, trials
-        )
+        ).payloads
         assert serial == parallel
-
-    def test_first_match_selects_lowest_index_for_any_jobs(self):
-        trials = make_trials("toy", 9, count=10)
-        predicate = lambda payload: payload["draws"][0] > 0.5  # noqa: E731
-        picks = []
-        for jobs in (1, 3, 4):
-            engine = TrialEngine(jobs=jobs, collector=TrialMetricsCollector())
-            hit = engine.first_match(_draws_trial, trials, predicate)
-            assert hit is not None
-            picks.append(hit[0].index)
-        assert len(set(picks)) == 1
 
     def test_duplicate_indices_rejected(self):
         trials = [Trial("toy", 0, 1), Trial("toy", 0, 2)]
         with pytest.raises(ConfigurationError):
-            TrialEngine(collector=TrialMetricsCollector()).map(_draws_trial, trials)
+            TrialEngine(collector=TrialMetricsCollector()).run(_draws_trial, trials)
 
 
 class TestSeedDerivation:
@@ -139,7 +149,7 @@ class TestMetrics:
     def test_engine_records_per_trial_timings(self):
         collector = TrialMetricsCollector()
         trials = make_trials("toy", 0, count=4)
-        TrialEngine(jobs=2, collector=collector).map(_draws_trial, trials)
+        TrialEngine(jobs=2, collector=collector).run(_draws_trial, trials)
         assert collector.executed("toy") == 4
         summary = collector.summary("toy")
         assert summary["trials"] == 4
@@ -149,5 +159,5 @@ class TestMetrics:
 
     def test_global_collector_is_default(self):
         before = METRICS.executed()
-        TrialEngine(jobs=1).map(_draws_trial, make_trials("toy", 1, count=2))
+        TrialEngine(jobs=1).run(_draws_trial, make_trials("toy", 1, count=2))
         assert METRICS.executed() == before + 2

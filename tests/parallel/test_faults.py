@@ -26,8 +26,9 @@ from repro.parallel import (
     TrialExecutionError,
     TrialMetricsCollector,
     inject,
-    make_trials,
 )
+
+from ..conftest import make_trials
 
 EXPERIMENT = "faultsuite"
 TRIAL_COUNT = 12
@@ -55,9 +56,9 @@ def _trials():
 @pytest.fixture(scope="module")
 def baseline():
     """Undisturbed serial payloads — the byte-identity reference."""
-    return TrialEngine(jobs=1, collector=TrialMetricsCollector()).map(
+    return TrialEngine(jobs=1, collector=TrialMetricsCollector()).run(
         seeded_payload, _trials()
-    )
+    ).payloads
 
 
 class TestFailurePolicyValidation:
@@ -125,7 +126,7 @@ class TestByteIdenticalRecovery:
                 mode="raise", retries=2, trial_timeout=TRIAL_TIMEOUT
             ),
         )
-        payloads = engine.map(inject(seeded_payload, plan), _trials())
+        payloads = engine.run(inject(seeded_payload, plan), _trials()).payloads
         assert payloads == baseline
         assert collector.failures == ()
         assert collector.executed(EXPERIMENT) == TRIAL_COUNT
@@ -135,10 +136,10 @@ class TestByteIdenticalRecovery:
         policy = FailurePolicy(mode="raise", retries=1)
         serial = TrialEngine(
             jobs=1, collector=TrialMetricsCollector(), policy=policy
-        ).map(inject(seeded_payload, plan), _trials())
+        ).run(inject(seeded_payload, plan), _trials()).payloads
         parallel = TrialEngine(
             jobs=3, collector=TrialMetricsCollector(), policy=policy
-        ).map(inject(seeded_payload, plan), _trials())
+        ).run(inject(seeded_payload, plan), _trials()).payloads
         assert serial == baseline
         assert parallel == baseline
 
@@ -149,7 +150,7 @@ class TestByteIdenticalRecovery:
             collector=TrialMetricsCollector(),
             policy=FailurePolicy(mode="raise", retries=1),
         )
-        assert engine.map(inject(seeded_payload, plan), _trials()) == baseline
+        assert engine.run(inject(seeded_payload, plan), _trials()).payloads == baseline
 
     def test_hung_worker_recovery(self, baseline):
         plan = FaultPlan(
@@ -162,7 +163,7 @@ class TestByteIdenticalRecovery:
                 mode="raise", retries=1, trial_timeout=TRIAL_TIMEOUT
             ),
         )
-        assert engine.map(inject(seeded_payload, plan), _trials()) == baseline
+        assert engine.run(inject(seeded_payload, plan), _trials()).payloads == baseline
 
     def test_corrupt_payload_recovery(self, baseline):
         plan = FaultPlan(corrupt=(6,), recover_after=1)
@@ -171,7 +172,7 @@ class TestByteIdenticalRecovery:
             collector=TrialMetricsCollector(),
             policy=FailurePolicy(mode="raise", retries=1),
         )
-        assert engine.map(inject(seeded_payload, plan), _trials()) == baseline
+        assert engine.run(inject(seeded_payload, plan), _trials()).payloads == baseline
 
 
 class TestFinalFailureAttribution:
@@ -186,7 +187,7 @@ class TestFinalFailureAttribution:
             policy=FailurePolicy(mode="raise", retries=1),
         )
         with pytest.raises(TrialExecutionError) as excinfo:
-            engine.map(inject(seeded_payload, plan), trials)
+            engine.run(inject(seeded_payload, plan), trials)
         failure = excinfo.value.failure
         assert failure.experiment_id == EXPERIMENT
         assert failure.index == 4
@@ -206,7 +207,7 @@ class TestFinalFailureAttribution:
             policy=FailurePolicy(mode="raise", retries=0),
         )
         with pytest.raises(TrialExecutionError) as excinfo:
-            engine.map(inject(seeded_payload, plan), _trials())
+            engine.run(inject(seeded_payload, plan), _trials())
         assert excinfo.value.__cause__ is not None
         assert "InjectedFault" in excinfo.value.failure.traceback_text
 
@@ -223,7 +224,7 @@ class TestFinalFailureAttribution:
             ),
         )
         with pytest.raises(TrialExecutionError) as excinfo:
-            engine.map(inject(seeded_payload, plan), _trials())
+            engine.run(inject(seeded_payload, plan), _trials())
         assert excinfo.value.failure.kind == "timeout"
         assert collector.failed(EXPERIMENT) == 1
 
@@ -235,7 +236,7 @@ class TestFinalFailureAttribution:
             policy=FailurePolicy(mode="raise", retries=0),
         )
         with pytest.raises(TrialExecutionError) as excinfo:
-            engine.map(inject(seeded_payload, plan), _trials())
+            engine.run(inject(seeded_payload, plan), _trials())
         assert excinfo.value.failure.kind == "worker-death"
 
     def test_corrupt_payload_failure_kind(self):
@@ -246,7 +247,7 @@ class TestFinalFailureAttribution:
             policy=FailurePolicy(mode="raise", retries=0),
         )
         with pytest.raises(TrialExecutionError) as excinfo:
-            engine.map(inject(seeded_payload, plan), _trials())
+            engine.run(inject(seeded_payload, plan), _trials())
         assert excinfo.value.failure.kind == "payload"
 
 
@@ -325,6 +326,6 @@ class TestMetricsIntegration:
             collector=collector,
             policy=FailurePolicy(mode="raise", retries=1),
         )
-        engine.map(inject(seeded_payload, plan), _trials())
+        engine.run(inject(seeded_payload, plan), _trials())
         assert collector.failures == ()
         assert collector.executed(EXPERIMENT) == TRIAL_COUNT

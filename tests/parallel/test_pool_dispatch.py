@@ -28,9 +28,10 @@ from repro.parallel import (
     TrialExecutionError,
     TrialMetricsCollector,
     inject,
-    make_trials,
 )
 from repro.parallel import faults
+
+from ..conftest import make_trials
 
 EXPERIMENT = "dispatchsuite"
 
@@ -64,18 +65,18 @@ def _engine(jobs, policy=None):
 class TestDeadlinesStartAtPickup:
     def test_queued_trials_do_not_time_out(self):
         trials = make_trials(EXPERIMENT, 0, count=12)
-        serial = _engine(1).map(slow_start_payload, trials)
+        serial = _engine(1).run(slow_start_payload, trials).payloads
         batch = _engine(
             2, FailurePolicy(mode="skip", trial_timeout=TRIAL_TIMEOUT)
         ).run(slow_start_payload, trials)
         assert [f for f in batch.failures if f.kind == "timeout"] == []
-        assert list(batch.payloads) == serial
+        assert batch.payloads == serial
 
     def test_hung_queued_trial_still_times_out(self):
         trials = make_trials(EXPERIMENT, 0, count=12)
         plan = FaultPlan(hang=(6,), recover_after=99, hang_seconds=8.0)
         with pytest.raises(TrialExecutionError) as excinfo:
-            _engine(2, FailurePolicy(trial_timeout=TRIAL_TIMEOUT)).map(
+            _engine(2, FailurePolicy(trial_timeout=TRIAL_TIMEOUT)).run(
                 inject(slow_start_payload, plan), trials
             )
         assert excinfo.value.failure.kind == "timeout"
@@ -100,10 +101,10 @@ class TestWakeOnLanding:
             return woke
 
         monkeypatch.setattr(faults._PoolExecutor, "_idle_wait", counted)
-        payloads = _engine(2).map(
+        payloads = _engine(2).run(
             noop_payload, make_trials(EXPERIMENT, 0, count=count)
-        )
-        assert payloads == list(range(count))
+        ).payloads
+        assert payloads == tuple(range(count))
         assert waits, "the dispatch loop never went idle"
         # Worker start-up may outlast a few intervals; count from the
         # first landing on.
@@ -125,9 +126,9 @@ class TestWakeOnLanding:
         result = {}
 
         def run():
-            result["payloads"] = _engine((os.cpu_count() or 1) + 1).map(
+            result["payloads"] = _engine((os.cpu_count() or 1) + 1).run(
                 noop_payload, make_trials(EXPERIMENT, 0, count=count)
-            )
+            ).payloads
 
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -138,7 +139,7 @@ class TestWakeOnLanding:
         finally:
             sys.setswitchinterval(previous)
         assert not runner.is_alive(), "the batch never finished"
-        assert result["payloads"] == list(range(count))
+        assert result["payloads"] == tuple(range(count))
 
 
 class _StubProc:

@@ -34,7 +34,6 @@ from repro.parallel import (
     TrialExecutionError,
     TrialMetricsCollector,
     inject,
-    make_trials,
 )
 from repro.scenarios import ScenarioSpec
 from repro.sweeps import (
@@ -49,6 +48,8 @@ from repro.sweeps import (
 from repro.parallel import faults
 from repro.sweeps import driver
 from repro.sweeps.driver import _POOL_NODE_STEPS, _fans_out, _sweep_worker
+
+from ..conftest import make_trials
 
 BASE = {
     "topology": "grid",
