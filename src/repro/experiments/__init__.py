@@ -141,8 +141,9 @@ def run_artifacts(
         seed: Root experiment seed, shared by every artifact.
         fast: Reduced, CI-sized workloads.
         jobs: Worker processes across the batch's artifacts (validated
-            here; must be an int >= 1).  A batch of one runs inline.
-            Results are bit-identical for every value of ``jobs``.
+            here; must be an int >= 1).  A batch of one runs inline
+            unless ``policy`` sets a timeout.  Results are
+            bit-identical for every value of ``jobs``.
         cache: Optional :class:`~repro.parallel.ResultCache`.  Hits are
             returned without running anything; each computed result is
             stored as soon as it lands.  The key covers the artifact
@@ -152,10 +153,11 @@ def run_artifacts(
             as a corrupt miss, discarded and recomputed.
         policy: Optional :class:`~repro.parallel.FailurePolicy` for the
             batch, counted in artifacts: same-seed retries, a timeout
-            per artifact (enforced only in a worker process), and the
-            degradation mode.  Not part of the cache key: a recovered
-            run is bit-identical to an undisturbed one.  Under the
-            default strict policy the first failure raises
+            per artifact, and the degradation mode.  Only a worker
+            process can enforce a timeout, so a timed batch always runs
+            in workers, one at ``jobs=1``.  Not part of the cache key:
+            a recovered run is bit-identical to an undisturbed one.
+            Under the default strict policy the first failure raises
             :class:`~repro.parallel.TrialExecutionError` naming the
             artifact; results stored before it stay in the cache.
         engine: Optional simulation engine override (see
@@ -239,8 +241,8 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one experiment by id: :func:`run_artifacts` for that id alone.
 
-    It runs inline unless ``jobs > 1`` and ``policy`` sets a timeout,
-    which only a worker process can enforce.
+    It runs inline unless ``policy`` sets a timeout, which only a
+    worker process can enforce; then it runs in one worker.
     An artifact that fails for good raises
     :class:`~repro.parallel.TrialExecutionError`, whatever the policy's
     mode; the other arguments are :func:`run_artifacts`'s.

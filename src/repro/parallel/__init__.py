@@ -9,10 +9,9 @@ infrastructure that lets them scale past one core while staying
 bit-reproducible:
 
 - :mod:`repro.parallel.trials` — a :class:`TrialEngine` that executes
-  independent :class:`Trial` units serially or over a
-  ``multiprocessing`` pool.  Each trial carries its own seed, so the
-  results are identical regardless of worker count or scheduling
-  order;
+  independent :class:`Trial` units serially or over worker processes
+  it owns.  Each trial carries its own seed, so the results are
+  identical regardless of worker count or scheduling order;
 - :mod:`repro.parallel.cache` — a content-keyed on-disk
   :class:`ResultCache` that lets re-runs and ``--fast`` CI sweeps skip
   completed work.  Keys hash the experiment id, the config dict, the
@@ -21,10 +20,9 @@ bit-reproducible:
   speedups (and cache-driven *non*-executions) are observable;
 - :mod:`repro.parallel.faults` — the fault-tolerance layer: per-trial
   failure capture (:class:`TrialFailure`), bounded deterministic
-  retries, per-trial timeouts with hung/dead-worker pool respawn,
-  graceful degradation via :class:`FailurePolicy`, and a deterministic
-  fault-injection harness (:func:`~repro.parallel.faults.inject`) used
-  by the fault-smoke suite.
+  retries, per-trial timeouts, a hung or dead worker replaced at the
+  cost of its own trial alone, and graceful degradation via
+  :class:`FailurePolicy`.
 """
 
 from .cache import CODE_VERSION, ResultCache, cache_key
@@ -32,22 +30,17 @@ from .faults import (
     BatchResult,
     ExcessiveFailuresError,
     FailurePolicy,
-    FaultPlan,
-    InjectedFault,
     TrialExecutionError,
     TrialFailure,
-    inject,
 )
 from .metrics import METRICS, PhaseTimingCollector, TrialMetricsCollector, TrialRecord
-from .trials import Trial, TrialEngine, resolve_jobs, trial_seed
+from .trials import Trial, TrialEngine, resolve_jobs
 
 __all__ = [
     "BatchResult",
     "CODE_VERSION",
     "ExcessiveFailuresError",
     "FailurePolicy",
-    "FaultPlan",
-    "InjectedFault",
     "METRICS",
     "PhaseTimingCollector",
     "ResultCache",
@@ -58,7 +51,5 @@ __all__ = [
     "TrialMetricsCollector",
     "TrialRecord",
     "cache_key",
-    "inject",
     "resolve_jobs",
-    "trial_seed",
 ]

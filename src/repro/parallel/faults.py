@@ -12,12 +12,12 @@ This module is the layer that fixes that bug class:
   with the *same seed*, so a retried success is bit-identical to a
   first-try success (trial functions draw all randomness from
   ``trial.seed``, the engine's standing contract);
-- the pool sends each worker one trial per round trip, yet keeps
-  several queued per worker; every fault is charged to one trial:
-  workers announce each trial as they start it, per-trial timeouts run
-  from that announcement, and a dead or hung worker costs only the
-  trial it had announced; the pool is respawned and every other
-  unfinished trial is re-dispatched uncharged;
+- the engine owns its worker processes: each holds one pipe and runs
+  one trial at a time, and the parent sends a trial only to an idle
+  worker, so every fault is charged to the one trial its worker held.
+  A trial's timeout runs from its send; a hung or dead worker is
+  killed or reaped and costs only its own trial an attempt, and it is
+  replaced only when there is more to run;
 - a :class:`FailurePolicy` chooses between fail-fast (``"raise"``),
   degrade-and-report (``"skip"``), and a bounded failure budget
   (``max_failures=N``), and the engine returns partial results plus
@@ -26,23 +26,19 @@ This module is the layer that fixes that bug class:
   success as it lands, so callers can store results while the workers
   are still computing.
 
-The bottom of the module is a deterministic fault-injection harness
-(:func:`inject` / :class:`FaultPlan`): crash, hang, error, and
-corrupt-payload modes keyed off the trial index, recovering after a
-configurable number of attempts.  The fault-smoke test suite and CI
-job drive the executors through every failure path with it.
+The fault-smoke test suite and CI job drive both executors through
+every failure path with a deterministic fault-injection harness that
+lives beside the tests (``tests/parallel/injection.py``).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import random
-import threading
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     Any,
     Callable,
@@ -55,34 +51,16 @@ from typing import (
 )
 
 from ..errors import ConfigurationError, ReproError
-from ..rng import derive_seed
 
 __all__ = [
     "BatchResult",
     "ExcessiveFailuresError",
     "FailurePolicy",
-    "FaultPlan",
-    "InjectedFault",
     "TrialExecutionError",
     "TrialFailure",
     "WorkerTraceback",
-    "call_trial",
     "execute_batch",
-    "inject",
 ]
-
-#: Longest the parent sleeps between timeout and liveness checks
-#: (seconds).  Result arrival wakes it at once; this is only the
-#: cadence of the checks that no result announces.
-_POLL_INTERVAL = 0.02
-
-#: Trials kept dispatched per worker.  The pool's task queue holds
-#: the surplus, so a worker that finishes one trial picks up the next
-#: without waiting for the parent's round trip.
-_PREFETCH = 4
-
-#: Exit code used by injected crashes (visible in worker exitcodes).
-CRASH_EXIT_CODE = 87
 
 
 # ----------------------------------------------------------------------
@@ -191,9 +169,10 @@ class FailurePolicy:
         retries: Re-dispatches allowed per trial after its first
             failure, with the same seed — a retried success is
             bit-identical to a first-try success.
-        trial_timeout: Per-trial wall-clock budget in seconds.  Only
-            enforceable across a process boundary (``jobs > 1``):
-            inline execution cannot be preempted.
+        trial_timeout: Per-trial wall-clock budget in seconds, counted
+            from the trial's send to its worker.  Only a worker process
+            can be preempted, so a batch with a timeout always runs in
+            workers, one at ``jobs=1``.
         max_failures: In ``"skip"`` mode, the failure budget — when the
             batch ends with *more* than this many failed trials, the
             engine raises :class:`ExcessiveFailuresError` naming every
@@ -300,55 +279,32 @@ class BatchResult:
 
 
 # ----------------------------------------------------------------------
-# Attempt execution (shared by the serial and pool paths)
+# Attempt execution (shared by the serial and worker paths)
 # ----------------------------------------------------------------------
-def call_trial(fn: Callable[..., Any], trial: Any, attempt: int) -> Any:
-    """Invoke a trial function, passing the attempt number when asked.
-
-    Ordinary trial functions take ``(trial)`` only; attempt-aware
-    callables (the fault injectors) declare ``_accepts_attempt = True``
-    and receive ``(trial, attempt)``.  Payload determinism must never
-    depend on ``attempt`` — the injectors use it exclusively to decide
-    whether to fault, not what to compute.
-    """
-    if getattr(fn, "_accepts_attempt", False):
-        return fn(trial, attempt)
-    return fn(trial)
-
-
 @dataclass(frozen=True)
 class _Attempt:
-    """One attempt's outcome as shipped back from the executing process."""
+    """One attempt's outcome as shipped back from the executing process
+    (or, for a timeout or a worker death, as the parent records it).
+
+    ``kind`` is a failed attempt's :attr:`TrialFailure.kind`.
+    """
 
     ok: bool
     payload: Any
     seconds: float
     worker: int
+    kind: str = "error"
     error_type: str = ""
     message: str = ""
     traceback_text: str = ""
 
 
-#: Worker-process handle to the announce queue (set by ``_worker_init``;
-#: ``None`` in the parent and in inline execution).
-_WORKER_ANNOUNCE = None
-
-
-def _worker_init(announce: Any) -> None:
-    """Pool initializer: stash the announce queue in the worker."""
-    global _WORKER_ANNOUNCE
-    _WORKER_ANNOUNCE = announce
-
-
-def _run_attempt(fn: Callable[..., Any], trial: Any, attempt: int) -> _Attempt:
-    """Worker entry point: announce one trial, run it, capture any error."""
+def _run_attempt(fn: Callable[..., Any], trial: Any) -> _Attempt:
+    """Run one trial in this process, capturing any error."""
     pid = os.getpid()
-    announce = _WORKER_ANNOUNCE
-    if announce is not None:
-        announce.put((pid, trial.index, attempt))
     start = time.perf_counter()
     try:
-        payload = call_trial(fn, trial, attempt)
+        payload = fn(trial)
     except Exception as exc:
         return _Attempt(
             ok=False,
@@ -365,6 +321,30 @@ def _run_attempt(fn: Callable[..., Any], trial: Any, attempt: int) -> _Attempt:
         seconds=time.perf_counter() - start,
         worker=pid,
     )
+
+
+def _serve(conn: Any, fn: Callable[..., Any]) -> None:
+    """Worker loop: run each trial the parent sends, send back its outcome.
+
+    Runs until the parent kills the worker.  A payload that fails to
+    pickle fails before any byte is written, so the pipe stays clean
+    and a ``"payload"`` failure goes back in its place.
+    """
+    while True:
+        attempt = _run_attempt(fn, conn.recv())
+        try:
+            conn.send(attempt)
+        except Exception as exc:
+            conn.send(
+                replace(
+                    attempt,
+                    ok=False,
+                    payload=None,
+                    kind="payload",
+                    error_type=type(exc).__name__,
+                    message=str(exc),
+                )
+            )
 
 
 def _format_exception(exc: BaseException) -> str:
@@ -418,10 +398,10 @@ def _run_serial(
         if policy.over_budget(len(failures)):
             break
         last_exc: Optional[BaseException] = None
-        for attempt in range(policy.attempts_per_trial):
+        for _ in range(policy.attempts_per_trial):
             start = time.perf_counter()
             try:
-                payload = call_trial(fn, trial, attempt)
+                payload = fn(trial)
             except Exception as exc:
                 last_exc = exc
                 continue
@@ -450,53 +430,38 @@ def _run_serial(
 
 
 # ----------------------------------------------------------------------
-# Pool execution with retries, timeouts, and worker-death recovery
+# Worker execution with retries, timeouts, and worker-death recovery
 # ----------------------------------------------------------------------
 @dataclass
-class _InFlight:
-    """Bookkeeping for one dispatched-but-unfinished attempt.
+class _Worker:
+    """One worker process, the parent's end of its pipe, and the trial
+    it was last sent with that trial's deadline."""
 
-    The pool's result-handler thread calls :meth:`landed` or
-    :meth:`raised`.  Both record the outcome *before* setting ``wake``,
-    and the parent clears ``wake`` before it scans for outcomes, so no
-    landing is ever slept through.  ``started`` is set once a worker
-    has announced the attempt, and ``deadline`` is its timeout.
-    """
-
-    trial: Any
-    attempt: int
-    wake: threading.Event
-    outcome: Optional[Tuple[bool, Any]] = None
+    proc: Any
+    conn: Any
+    trial: Any = None
     deadline: Optional[float] = None
-    started: bool = False
 
-    def landed(self, value: Any) -> None:
-        self.outcome = (True, value)
-        self.wake.set()
-
-    def raised(self, exc: BaseException) -> None:
-        self.outcome = (False, exc)
-        self.wake.set()
+    def stop(self) -> Optional[int]:
+        """Kill and join the process; returns its exit code."""
+        self.proc.kill()
+        self.proc.join()
+        self.conn.close()
+        return self.proc.exitcode
 
 
-class _PoolExecutor:
-    """Runs one batch over a worker pool with fault recovery.
+class _WorkerExecutor:
+    """Runs one batch over engine-owned worker processes.
 
-    Each task carries one ``(trial, attempt)``.  Up to
-    ``_PREFETCH * workers`` are dispatched at once; the ones no worker
-    has picked up yet wait in the pool's FIFO task queue.  Every
-    landing result wakes the parent loop, which otherwise sleeps at
-    most ``_POLL_INTERVAL`` between timeout and liveness checks.
-
-    A worker announces each trial as it starts it; the trial's
-    ``trial_timeout`` clock runs from that announcement until the same
-    worker announces its next trial or the result lands, so time spent
-    queued never counts against it.  A hung trial (deadline exceeded)
-    or a dead worker poisons only the announced trial's attempt count:
-    the pool is torn down, respawned, and every *other* unfinished
-    trial is re-dispatched without being charged an attempt.  A result
-    that landed before the pool was torn down is collected, never
-    charged.
+    Up to ``min(jobs, len(batch))`` daemonic workers are forked, each
+    with one duplex pipe.  The parent sends a trial only to an idle
+    worker, so it always knows which trial each worker holds, and it
+    blocks on the busy workers' pipes until a result lands or the
+    nearest deadline passes.  A trial's ``trial_timeout`` runs from its
+    send.  A timeout or a death kills or reaps only that worker and
+    charges only its trial; a result already read, or waiting in the
+    pipe, is never charged.  A dead idle worker is replaced before a
+    trial is sent to it, and no worker outlives :meth:`run`.
     """
 
     def __init__(
@@ -508,275 +473,124 @@ class _PoolExecutor:
         on_success: _OnSuccess = None,
     ) -> None:
         self._fn = fn
-        self._order = sorted(batch, key=lambda t: t.index)
-        self._workers = max(1, min(jobs, len(self._order)))
-        self._window = _PREFETCH * self._workers
+        order = sorted(batch, key=lambda t: t.index)
+        self._size = min(jobs, len(order))
         self._policy = policy
         self._on_success = on_success
-        self._wake = threading.Event()
-        self._pending: Deque[Any] = deque(self._order)
-        # Keyed by trial index; dicts keep insertion order, so this one
-        # iterates in dispatch order.
-        self._inflight: Dict[int, _InFlight] = {}
-        self._failed_attempts: Dict[int, int] = {t.index: 0 for t in self._order}
-        self._owner: Dict[int, int] = {}  # worker pid -> announced trial index
+        self._pending: Deque[Any] = deque(order)
+        self._failed_attempts: Dict[int, int] = {t.index: 0 for t in order}
+        self._idle: List[_Worker] = []
+        self._busy: List[_Worker] = []
         self._successes: Dict[int, _Attempt] = {}
         self._failures: Dict[int, TrialFailure] = {}
         self._causes: Dict[int, BaseException] = {}
-        self._pool: Optional[multiprocessing.pool.Pool] = None
-        self._procs: List[Any] = []
-        self._announce: Any = None
 
-    # -- main loop -----------------------------------------------------
     def run(self) -> _ExecResult:
+        from multiprocessing.connection import wait
+
         try:
-            while (self._pending or self._inflight) and not self._policy.over_budget(
+            while (self._pending or self._busy) and not self._policy.over_budget(
                 len(self._failures)
             ):
-                self._ensure_pool()
-                self._dispatch()
-                self._drain_announcements()
-                progressed = self._collect_landed()
-                progressed = self._reap_timeouts() or progressed
-                progressed = self._reap_dead_workers() or progressed
-                if not progressed and (self._pending or self._inflight):
-                    self._idle_wait()
+                while self._pending and len(self._busy) < self._size:
+                    self._send(self._pending.popleft())
+                ready = wait([w.conn for w in self._busy], self._wait_seconds())
+                for worker in [w for w in self._busy if w.conn in ready]:
+                    self._receive(worker)
+                self._reap_timeouts()
         finally:
-            self._teardown_pool()
+            for worker in self._idle + self._busy:
+                worker.stop()
         return self._successes, self._failures, self._causes
 
-    def _idle_wait(self) -> bool:
-        """Sleep until a result lands or ``_POLL_INTERVAL`` passes.
+    def _wait_seconds(self) -> Optional[float]:
+        """Time left until the nearest deadline (``None``: no timeout)."""
+        if self._policy.trial_timeout is None:
+            return None
+        nearest = min(w.deadline for w in self._busy)
+        return max(0.0, nearest - time.perf_counter())
 
-        Returns ``True`` when a landing woke the loop, ``False`` when
-        the interval ran out.
-        """
-        woke = self._wake.wait(_POLL_INTERVAL)
-        self._wake.clear()
-        return woke
-
-    # -- pool lifecycle ------------------------------------------------
-    def _ensure_pool(self) -> None:
-        if self._pool is not None:
-            return
-        self._announce = multiprocessing.SimpleQueue()
-        self._pool = multiprocessing.Pool(
-            processes=self._workers,
-            initializer=_worker_init,
-            initargs=(self._announce,),
-        )
-        self._procs = list(getattr(self._pool, "_pool", []))
-        self._owner = {}
-
-    def _teardown_pool(self) -> None:
-        """Stop the pool; once this returns, no further result can land."""
-        pool, self._pool = self._pool, None
-        announce, self._announce = self._announce, None
-        self._procs = []
-        if pool is not None:
-            pool.terminate()  # joins the result-handler thread
-            pool.join()
-        if announce is not None:
-            try:
-                while not announce.empty():
-                    announce.get()
-                announce.close()
-            except (OSError, EOFError):  # pragma: no cover - teardown best effort
-                pass
-
-    # -- scheduling ----------------------------------------------------
-    def _dispatch(self) -> None:
-        assert self._pool is not None
-        while self._pending and len(self._inflight) < self._window:
-            trial = self._pending.popleft()
-            flight = _InFlight(trial, self._failed_attempts[trial.index], self._wake)
-            self._pool.apply_async(
-                _run_attempt,
-                (self._fn, trial, flight.attempt),
-                callback=flight.landed,
-                error_callback=flight.raised,
+    def _send(self, trial: Any) -> None:
+        worker = self._idle.pop() if self._idle else None
+        if worker is None or not worker.proc.is_alive():
+            if worker is not None:
+                worker.stop()
+            parent, child = multiprocessing.Pipe()
+            proc = multiprocessing.Process(
+                target=_serve, args=(child, self._fn), daemon=True
             )
-            self._inflight[trial.index] = flight
+            proc.start()
+            child.close()
+            worker = _Worker(proc, parent)
+        worker.trial = trial
+        self._busy.append(worker)  # stopped by run's finally if send raises
+        worker.conn.send(trial)
+        if self._policy.trial_timeout is not None:
+            worker.deadline = time.perf_counter() + self._policy.trial_timeout
 
-    # -- progress ------------------------------------------------------
-    def _drain_announcements(self) -> None:
-        announce = self._announce
-        if announce is None:
-            return
+    def _receive(self, worker: _Worker) -> None:
+        self._busy.remove(worker)
         try:
-            while not announce.empty():
-                pid, index, attempt = announce.get()
-                # The worker has moved past the trial it announced
-                # before: that trial's clock stops here.
-                previous = self._inflight.get(self._owner.pop(pid, None))
-                if previous is not None:
-                    previous.deadline = None
-                flight = self._inflight.get(index)
-                if flight is None or flight.attempt != attempt:
-                    # That attempt landed before its announcement was
-                    # read: the worker has moved on to an unnamed trial.
-                    continue
-                self._owner[pid] = index
-                flight.started = True
-                if self._policy.trial_timeout is not None:
-                    flight.deadline = time.perf_counter() + self._policy.trial_timeout
-        except (OSError, EOFError):  # pragma: no cover - queue torn down mid-read
-            pass
-
-    def _collect_landed(self) -> bool:
-        landed = [f for f in self._inflight.values() if f.outcome is not None]
-        for flight in landed:
-            trial = flight.trial
-            del self._inflight[trial.index]
-            ok, value = flight.outcome
-            if ok:
-                self._attempt_landed(trial, value)
-            else:
-                # The attempt ran but its outcome could not cross the
-                # process boundary (e.g. an unpicklable payload raised
-                # MaybeEncodingError in the pool's result handler).
-                self._attempt_failed(
-                    trial,
-                    kind="payload",
-                    error_type=type(value).__name__,
-                    message=str(value),
-                    traceback_text="",
-                    worker=self._pid_running(trial.index),
-                )
-            self._owner = {
-                pid: owned for pid, owned in self._owner.items() if owned != trial.index
-            }
-        return bool(landed)
-
-    def _attempt_landed(self, trial: Any, attempt: _Attempt) -> None:
-        if not attempt.ok:
-            self._attempt_failed(
-                trial,
-                kind="error",
-                error_type=attempt.error_type,
-                message=attempt.message,
-                traceback_text=attempt.traceback_text,
-                worker=attempt.worker,
+            attempt = worker.conn.recv()
+        except (EOFError, OSError):
+            exitcode = worker.stop()
+            death = _Attempt(
+                ok=False,
+                payload=None,
+                seconds=0.0,
+                worker=worker.proc.pid,
+                kind="worker-death",
+                error_type="WorkerDeath",
+                message=f"worker process died mid-trial (exitcode {exitcode})",
             )
+            self._charge(worker.trial, death)
             return
-        self._successes[trial.index] = attempt
+        self._idle.append(worker)
+        if not attempt.ok:
+            self._charge(worker.trial, attempt)
+            return
+        self._successes[worker.trial.index] = attempt
         if self._on_success is not None:
-            self._on_success(trial, attempt.payload)
+            self._on_success(worker.trial, attempt.payload)
 
-    def _reap_timeouts(self) -> bool:
-        if self._policy.trial_timeout is None or not self._inflight:
-            return False
-        # A trial finished just now may have stopped its own clock.
-        self._drain_announcements()
+    def _reap_timeouts(self) -> None:
+        timeout = self._policy.trial_timeout
+        if timeout is None:
+            return
         now = time.perf_counter()
-        expired = [
-            index
-            for index, flight in self._inflight.items()
-            if flight.deadline is not None and now > flight.deadline
-        ]
-        if not expired:
-            return False
-        self._recover(
-            expired,
-            kind="timeout",
-            error_type="TimeoutError",
-            message=f"trial exceeded trial_timeout={self._policy.trial_timeout:g}s",
-        )
-        return True
+        # A result waiting in the pipe has landed: the next wait reads it.
+        expired = [w for w in self._busy if now >= w.deadline and not w.conn.poll()]
+        for worker in expired:
+            self._busy.remove(worker)
+            worker.stop()
+            hung = _Attempt(
+                ok=False,
+                payload=None,
+                seconds=timeout,
+                worker=worker.proc.pid,
+                kind="timeout",
+                error_type="TimeoutError",
+                message=f"trial exceeded trial_timeout={timeout:g}s",
+            )
+            self._charge(worker.trial, hung)
 
-    def _reap_dead_workers(self) -> bool:
-        dead = [proc for proc in self._procs if not proc.is_alive()]
-        if not dead:
-            return False
-        # A pickup announced just before the death names its victim.
-        self._drain_announcements()
-        victims = [
-            index
-            for index in (self._owner.get(proc.pid) for proc in dead)
-            if index in self._inflight
-        ]
-        # A worker that died before announcing had taken the oldest
-        # unstarted trial from the pool's FIFO queue and died in it:
-        # charge one attempt per such death, to each oldest unstarted
-        # trial, and no more.
-        ownerless = len(dead) - len(victims)
-        unstarted = [i for i, f in self._inflight.items() if not f.started]
-        victims.extend(unstarted[:ownerless])
-        exitcodes = sorted({proc.exitcode for proc in dead if proc.exitcode})
-        self._recover(
-            victims,
-            kind="worker-death",
-            error_type="WorkerDeath",
-            message=(
-                "worker process died mid-trial"
-                + (f" (exitcode(s) {exitcodes})" if exitcodes else "")
-            ),
-        )
-        return True
-
-    def _recover(
-        self, victims: Sequence[int], kind: str, error_type: str, message: str
-    ) -> None:
-        """Respawn the pool, charge each victim whose result has not
-        landed one attempt, and requeue every other unfinished trial
-        uncharged."""
-        # A hung worker still occupies a slot; reclaim it by respawning
-        # the pool (the next loop iteration recreates it).  With the
-        # pool stopped nothing more can land, so collect what has.
-        self._teardown_pool()
-        self._collect_landed()
-        charged = set(victims)
-        unfinished = sorted(
-            (flight.trial for flight in self._inflight.values()), key=lambda t: t.index
-        )
-        self._inflight.clear()
-        # The others go back to the head of the queue, in index order.
-        self._pending.extendleft(
-            t for t in reversed(unfinished) if t.index not in charged
-        )
-        for trial in unfinished:
-            if trial.index in charged:
-                self._attempt_failed(
-                    trial,
-                    kind=kind,
-                    error_type=error_type,
-                    message=message,
-                    traceback_text="",
-                    worker=self._pid_running(trial.index),
-                )
-
-    # -- bookkeeping ---------------------------------------------------
-    def _pid_running(self, index: int) -> Optional[int]:
-        for pid, owned in self._owner.items():
-            if owned == index:
-                return pid
-        return None
-
-    def _attempt_failed(
-        self,
-        trial: Any,
-        kind: str,
-        error_type: str,
-        message: str,
-        traceback_text: str,
-        worker: Optional[int],
-    ) -> None:
+    def _charge(self, trial: Any, attempt: _Attempt) -> None:
+        """Count a failed attempt: requeue the trial or record its failure."""
         self._failed_attempts[trial.index] += 1
         if self._failed_attempts[trial.index] <= self._policy.retries:
             self._pending.append(trial)
             return
-        failure = _make_failure(
+        self._failures[trial.index] = _make_failure(
             trial,
-            kind=kind,
-            error_type=error_type,
-            message=message,
-            traceback_text=traceback_text,
-            worker=worker,
+            kind=attempt.kind,
+            error_type=attempt.error_type,
+            message=attempt.message,
+            traceback_text=attempt.traceback_text,
+            worker=attempt.worker,
             attempts=self._failed_attempts[trial.index],
         )
-        self._failures[trial.index] = failure
-        if traceback_text:
-            self._causes[trial.index] = WorkerTraceback(traceback_text)
+        if attempt.traceback_text:
+            self._causes[trial.index] = WorkerTraceback(attempt.traceback_text)
 
 
 def execute_batch(
@@ -788,162 +602,21 @@ def execute_batch(
 ) -> _ExecResult:
     """Run a batch under a policy; returns (successes, failures, causes).
 
-    Serial execution handles ``jobs == 1`` and — unless a timeout needs
-    process isolation to be enforceable — single-trial batches.  The
-    pool path adds timeout and worker-death recovery on top of the
-    shared retry semantics.  It sends one trial per task, keeps
-    ``_PREFETCH`` trials per worker dispatched and wakes as each result
-    lands.  Each trial's timeout clock runs from its worker's
-    announcement of it, not from when it was queued.  A round trip
-    costs a few tenths of a millisecond, so trials that cheap gain
-    nothing from the pool; the sweep driver runs such sweeps inline.
+    A batch runs in worker processes when a trial timeout needs one to
+    be enforceable (at every ``jobs``, so a timed batch at ``jobs=1``
+    runs in one worker) or when ``jobs > 1`` and there is more than one
+    trial; otherwise it runs inline.  The worker path adds timeout and
+    worker-death recovery on top of the shared retry semantics, with
+    one trial per worker at a time and each timeout counted from the
+    trial's send.  A round trip costs a few tenths of a millisecond,
+    so trials that cheap gain nothing from workers; the sweep driver
+    runs such sweeps inline.
 
     ``on_success(trial, payload)``, when given, is called in this
     process once per successful trial as soon as its result is back:
-    after each trial inline, as each result lands in the pool.  It is
-    never called for a failed attempt.
+    after each trial inline, as each result is read from a worker.  It
+    is never called for a failed attempt.
     """
-    use_pool = jobs > 1 and (len(batch) > 1 or policy.trial_timeout is not None)
-    if use_pool:
-        return _PoolExecutor(fn, batch, jobs, policy, on_success).run()
+    if policy.trial_timeout is not None or (jobs > 1 and len(batch) > 1):
+        return _WorkerExecutor(fn, batch, jobs, policy, on_success).run()
     return _run_serial(fn, batch, policy, on_success)
-
-
-# ----------------------------------------------------------------------
-# Deterministic fault injection
-# ----------------------------------------------------------------------
-class InjectedFault(RuntimeError):
-    """Raised (or simulated) by the fault-injection harness."""
-
-
-class _CorruptPayload:
-    """A payload that refuses to pickle — the corrupt-payload mode.
-
-    Crossing the pool boundary raises in the worker's result encoder,
-    surfacing as a ``"payload"``-kind attempt failure in the parent.
-    Inline execution has no pickle boundary, so corruption is only
-    observable with ``jobs > 1``.
-    """
-
-    def __init__(self, payload: Any) -> None:
-        self.payload = payload
-
-    def __reduce__(self) -> Any:
-        raise TypeError("injected corrupt payload refuses to pickle")
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """Which trials fault, how, and for how many attempts.
-
-    Modes (all keyed off the trial *index*, so a plan is deterministic
-    by construction):
-
-    - ``error``: the trial raises :class:`InjectedFault`;
-    - ``crash``: the executing worker process dies hard
-      (``os._exit``); inline execution raises instead of killing the
-      parent process;
-    - ``hang``: the trial sleeps ``hang_seconds`` before computing its
-      real payload — under a shorter ``trial_timeout`` this presents as
-      a hung worker, without one it is merely slow;
-    - ``corrupt``: the trial computes its real payload but wraps it in
-      an unpicklable envelope, so it cannot cross the pool boundary.
-
-    Every mode recovers after ``recover_after`` faulted attempts: the
-    retried trial runs clean with the same seed, which is what lets the
-    fault-smoke suite assert byte-identical recovery.
-    """
-
-    error: Tuple[int, ...] = ()
-    crash: Tuple[int, ...] = ()
-    hang: Tuple[int, ...] = ()
-    corrupt: Tuple[int, ...] = ()
-    recover_after: int = 1
-    hang_seconds: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.recover_after < 0:
-            raise ConfigurationError(
-                "recover_after must be >= 0", recover_after=self.recover_after
-            )
-        if self.hang_seconds <= 0:
-            raise ConfigurationError(
-                "hang_seconds must be > 0", hang_seconds=self.hang_seconds
-            )
-
-    def faulty_indices(self) -> Tuple[int, ...]:
-        return tuple(
-            sorted(set(self.error) | set(self.crash) | set(self.hang) | set(self.corrupt))
-        )
-
-    @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        count: int,
-        fraction: float = 0.3,
-        modes: Sequence[str] = ("error", "crash", "hang", "corrupt"),
-        recover_after: int = 1,
-        hang_seconds: float = 30.0,
-    ) -> "FaultPlan":
-        """Derive a plan faulting ``<= fraction`` of ``count`` trials.
-
-        The victim set and mode assignment come from a
-        :func:`~repro.rng.derive_seed`-seeded generator, so the same
-        ``(seed, count, fraction, modes)`` always yields the same plan
-        on every platform.
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise ConfigurationError("fraction must be in [0, 1]", fraction=fraction)
-        unknown = [m for m in modes if m not in ("error", "crash", "hang", "corrupt")]
-        if unknown:
-            raise ConfigurationError("unknown fault modes", modes=unknown)
-        rng = random.Random(derive_seed(seed, "fault-plan"))
-        victims = sorted(rng.sample(range(count), int(count * fraction)))
-        buckets: Dict[str, List[int]] = {m: [] for m in modes}
-        for position, index in enumerate(victims):
-            buckets[modes[position % len(modes)]].append(index)
-        return cls(
-            error=tuple(buckets.get("error", ())),
-            crash=tuple(buckets.get("crash", ())),
-            hang=tuple(buckets.get("hang", ())),
-            corrupt=tuple(buckets.get("corrupt", ())),
-            recover_after=recover_after,
-            hang_seconds=hang_seconds,
-        )
-
-
-class FaultInjector:
-    """Wraps a trial function with a :class:`FaultPlan` (picklable)."""
-
-    _accepts_attempt = True
-
-    def __init__(self, fn: Callable[..., Any], plan: FaultPlan) -> None:
-        self._fn = fn
-        self._plan = plan
-
-    def __call__(self, trial: Any, attempt: int = 0) -> Any:
-        plan = self._plan
-        faulting = attempt < plan.recover_after
-        if faulting and trial.index in plan.crash:
-            if multiprocessing.current_process().daemon:
-                os._exit(CRASH_EXIT_CODE)
-            raise InjectedFault(
-                f"injected crash (trial {trial.index}, attempt {attempt}; "
-                "raised instead of killing the non-worker process)"
-            )
-        if faulting and trial.index in plan.hang:
-            time.sleep(plan.hang_seconds)
-        if faulting and trial.index in plan.error:
-            raise InjectedFault(
-                f"injected error (trial {trial.index}, attempt {attempt})"
-            )
-        payload = call_trial(self._fn, trial, attempt)
-        if faulting and trial.index in plan.corrupt:
-            return _CorruptPayload(payload)
-        return payload
-
-
-def inject(fn: Callable[..., Any], plan: FaultPlan) -> FaultInjector:
-    """Wrap ``fn`` so the plan's trials fault deterministically."""
-    return FaultInjector(fn, plan)

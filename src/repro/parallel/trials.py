@@ -3,16 +3,15 @@
 A *trial* is one self-contained unit of stochastic work: a seeded
 simulation or generator run plus its reduction to a compact, picklable
 payload.  The :class:`TrialEngine` executes a batch of trials either
-inline (``jobs=1``) or across a ``multiprocessing`` pool (``jobs>1``)
+inline (``jobs=1``) or across worker processes (``jobs>1``)
 and always returns payloads in trial-index order, so downstream code is
 oblivious to scheduling.
 
 Determinism rests on two rules:
 
-1. every trial owns its seed — derived from
-   ``(root_seed, experiment_id, trial_index)`` via :func:`trial_seed`,
-   or passed explicitly (an artifact trial takes the run's root seed;
-   a sweep derives each spec's seed from its digest);
+1. every trial owns its seed, passed explicitly (an artifact trial
+   takes the run's root seed; a sweep derives each spec's seed from
+   its digest);
 2. trial functions must build *all* randomness from ``trial.seed``
    (through :class:`~repro.rng.RngStreams`) and must not touch shared
    mutable state.  Under those rules, worker count, submission order,
@@ -35,7 +34,6 @@ from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
-from ..rng import derive_seed
 from .faults import (
     BatchResult,
     ExcessiveFailuresError,
@@ -49,24 +47,7 @@ __all__ = [
     "Trial",
     "TrialEngine",
     "resolve_jobs",
-    "trial_seed",
 ]
-
-
-def trial_seed(root_seed: int, experiment_id: str, trial_index: int) -> int:
-    """Derive the seed for one trial of one experiment.
-
-    The derivation goes through :func:`repro.rng.derive_seed`, so child
-    seeds are statistically independent across trial indices and across
-    experiments, and stable across platforms and Python versions.
-    """
-    if not experiment_id:
-        raise ConfigurationError("experiment_id must be non-empty")
-    if trial_index < 0:
-        raise ConfigurationError(
-            "trial_index must be non-negative", index=trial_index
-        )
-    return derive_seed(root_seed, f"{experiment_id}:trial:{trial_index}")
 
 
 def resolve_jobs(jobs: Any) -> int:
@@ -105,10 +86,12 @@ class Trial:
 
 
 class TrialEngine:
-    """Executes batches of independent trials serially or in a pool.
+    """Executes batches of independent trials inline or in workers.
 
     Parameters:
-        jobs: Worker processes; ``1`` executes inline in this process.
+        jobs: Worker processes; ``1`` executes inline in this process,
+            unless the policy sets a trial timeout, which runs the
+            batch in one worker.
         collector: Destination for per-trial timing and failure records
             (defaults to the process-wide
             :data:`~repro.parallel.metrics.METRICS`).

@@ -128,9 +128,10 @@ def run_sweep(
     dispatched, so a fully warm sweep performs zero trial executions.
     Each executed summary is offered to ``cache`` as soon as it lands
     and written with its pack.  ``jobs`` workers run the pending specs
-    only under a trial timeout (only a worker can be preempted) or when
-    they average ``_POOL_NODE_STEPS`` of work; cheaper specs cost less
-    than their round trips, so those sweeps run inline.
+    only under a trial timeout (only a worker can be preempted, so a
+    timed sweep at ``jobs=1`` runs in one worker) or when they average
+    ``_POOL_NODE_STEPS`` of work; cheaper specs cost less than their
+    round trips, so those sweeps run inline.
     Failures follow ``policy`` (default: strict raise); under a
     ``"skip"`` policy a failed spec's summary slot holds ``None`` and
     the failure is recorded on the result.  Under ``"raise"`` the

@@ -18,7 +18,8 @@ from repro.check import TIERS
 from repro.lint import lint_paths
 from repro.netsim.latency import ConstantLatency
 from repro.netsim.network import Network, NetworkConfig
-from repro.parallel import Trial, trial_seed
+from repro.parallel import Trial
+from repro.rng import derive_seed
 from repro.topology.builder import build_paper_topology
 from repro.topology.topology import Topology
 
@@ -31,7 +32,8 @@ LINT_TARGETS = [
 
 
 def make_trials(experiment_id, root_seed, count, params=None):
-    """Trials ``0..count-1`` of one experiment, seeded by ``trial_seed``.
+    """Trials ``0..count-1`` of one experiment, each seeded from
+    ``(root_seed, experiment_id, index)`` through ``derive_seed``.
 
     ``params`` optionally gives one parameter dict per trial.
     """
@@ -39,7 +41,7 @@ def make_trials(experiment_id, root_seed, count, params=None):
         Trial(
             experiment_id,
             index,
-            trial_seed(root_seed, experiment_id, index),
+            derive_seed(root_seed, f"{experiment_id}:trial:{index}"),
             tuple(sorted(params[index].items())) if params else (),
         )
         for index in range(count)

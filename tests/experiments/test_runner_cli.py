@@ -242,6 +242,14 @@ class TestFailureFlags:
         assert "(doomed, 0, 0)" in captured.err
         assert "table6" not in captured.out  # never ran
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_trial_timeout_is_enforced_at_every_jobs(self, jobs, capsys):
+        # table5 takes about 0.2 s at --fast; a timed run uses a worker
+        # even at --jobs 1, so the timeout is enforced there too.
+        argv = ["--fast", "--jobs", jobs, "--trial-timeout", "0.01", "table5"]
+        assert main(argv) == 1
+        assert "(table5, 0, 0) timeout" in capsys.readouterr().err
+
     def test_failures_are_listed_in_chosen_order(self, faulty_registry, capsys):
         assert main(["--fast", "doomed", "table6", "flaky"]) == 1
         captured = capsys.readouterr()
@@ -346,13 +354,13 @@ class TestValidationOrdering:
         assert "requires --engine graph" in capsys.readouterr().err
 
 
-def _write_plan(tmp_path, name="mini", count=None):
+def _write_plan(tmp_path, name="mini", count=None, size=3, steps=6):
     plan = {
         "name": name,
         "base": {
             "topology": "grid",
-            "size": 3,
-            "steps": 6,
+            "size": size,
+            "steps": steps,
             "steps_per_block": 3,
             "sample_every": 3,
         },
@@ -432,6 +440,16 @@ class TestSweepSubcommand:
             main(["sweep", str(plan), flag, value])
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_trial_timeout_is_enforced_at_every_jobs(
+        self, jobs, tmp_path, capsys
+    ):
+        # Each spec takes about 0.3 s, far over the timeout.
+        plan = _write_plan(tmp_path, size=40, steps=600)
+        argv = ["sweep", str(plan), "--jobs", jobs, "--trial-timeout", "0.01"]
+        assert main(argv) == 1
+        assert "trial failed (timeout)" in capsys.readouterr().err
 
     def test_sweep_negative_retries_rejected(self, tmp_path, capsys):
         plan = _write_plan(tmp_path)

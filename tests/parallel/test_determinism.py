@@ -20,9 +20,7 @@ from repro.parallel import (
     TrialEngine,
     TrialMetricsCollector,
     resolve_jobs,
-    trial_seed,
 )
-from repro.rng import derive_seed
 
 from ..conftest import make_trials
 
@@ -111,25 +109,6 @@ class TestEngineOrderIndependence:
         trials = [Trial("toy", 0, 1), Trial("toy", 0, 2)]
         with pytest.raises(ConfigurationError):
             TrialEngine(collector=TrialMetricsCollector()).run(_draws_trial, trials)
-
-
-class TestSeedDerivation:
-    def test_matches_rng_stream_derivation(self):
-        assert trial_seed(42, "figure6", 3) == derive_seed(42, "figure6:trial:3")
-
-    def test_distinct_across_indices_and_experiments(self):
-        seeds = {
-            trial_seed(0, experiment_id, index)
-            for experiment_id in ("figure6", "figure7", "table5")
-            for index in range(20)
-        }
-        assert len(seeds) == 60
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ConfigurationError):
-            trial_seed(0, "", 0)
-        with pytest.raises(ConfigurationError):
-            trial_seed(0, "x", -1)
 
 
 class TestJobsValidation:

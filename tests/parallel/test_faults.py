@@ -12,6 +12,7 @@ driven to *final* failure to pin the structured attribution
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -20,15 +21,13 @@ from repro.errors import ConfigurationError
 from repro.parallel import (
     ExcessiveFailuresError,
     FailurePolicy,
-    FaultPlan,
-    InjectedFault,
     TrialEngine,
     TrialExecutionError,
     TrialMetricsCollector,
-    inject,
 )
 
 from ..conftest import make_trials
+from .injection import FaultPlan, InjectedFault, inject
 
 EXPERIMENT = "faultsuite"
 TRIAL_COUNT = 12
@@ -108,7 +107,7 @@ class TestFaultPlan:
 class TestByteIdenticalRecovery:
     """The headline acceptance test: injected faults + retries == clean run."""
 
-    def test_mixed_faults_recover_bit_identically(self, baseline):
+    def test_mixed_faults_recover_bit_identically(self, tmp_path, baseline):
         plan = FaultPlan.seeded(
             seed=7,
             count=TRIAL_COUNT,
@@ -126,33 +125,35 @@ class TestByteIdenticalRecovery:
                 mode="raise", retries=2, trial_timeout=TRIAL_TIMEOUT
             ),
         )
-        payloads = engine.run(inject(seeded_payload, plan), _trials()).payloads
+        flaky = inject(seeded_payload, plan, tmp_path)
+        payloads = engine.run(flaky, _trials()).payloads
         assert payloads == baseline
         assert collector.failures == ()
         assert collector.executed(EXPERIMENT) == TRIAL_COUNT
 
-    def test_serial_error_recovery_matches_parallel(self, baseline):
+    def test_serial_error_recovery_matches_parallel(self, tmp_path, baseline):
         plan = FaultPlan(error=(2, 5), recover_after=1)
         policy = FailurePolicy(mode="raise", retries=1)
         serial = TrialEngine(
             jobs=1, collector=TrialMetricsCollector(), policy=policy
-        ).run(inject(seeded_payload, plan), _trials()).payloads
+        ).run(inject(seeded_payload, plan, tmp_path), _trials()).payloads
         parallel = TrialEngine(
             jobs=3, collector=TrialMetricsCollector(), policy=policy
-        ).run(inject(seeded_payload, plan), _trials()).payloads
+        ).run(inject(seeded_payload, plan, tmp_path), _trials()).payloads
         assert serial == baseline
         assert parallel == baseline
 
-    def test_crash_recovery(self, baseline):
+    def test_crash_recovery(self, tmp_path, baseline):
         plan = FaultPlan(crash=(4,), recover_after=1)
         engine = TrialEngine(
             jobs=2,
             collector=TrialMetricsCollector(),
             policy=FailurePolicy(mode="raise", retries=1),
         )
-        assert engine.run(inject(seeded_payload, plan), _trials()).payloads == baseline
+        flaky = inject(seeded_payload, plan, tmp_path)
+        assert engine.run(flaky, _trials()).payloads == baseline
 
-    def test_hung_worker_recovery(self, baseline):
+    def test_hung_worker_recovery(self, tmp_path, baseline):
         plan = FaultPlan(
             hang=(3,), recover_after=1, hang_seconds=HANG_SECONDS
         )
@@ -163,22 +164,24 @@ class TestByteIdenticalRecovery:
                 mode="raise", retries=1, trial_timeout=TRIAL_TIMEOUT
             ),
         )
-        assert engine.run(inject(seeded_payload, plan), _trials()).payloads == baseline
+        flaky = inject(seeded_payload, plan, tmp_path)
+        assert engine.run(flaky, _trials()).payloads == baseline
 
-    def test_corrupt_payload_recovery(self, baseline):
+    def test_corrupt_payload_recovery(self, tmp_path, baseline):
         plan = FaultPlan(corrupt=(6,), recover_after=1)
         engine = TrialEngine(
             jobs=2,
             collector=TrialMetricsCollector(),
             policy=FailurePolicy(mode="raise", retries=1),
         )
-        assert engine.run(inject(seeded_payload, plan), _trials()).payloads == baseline
+        flaky = inject(seeded_payload, plan, tmp_path)
+        assert engine.run(flaky, _trials()).payloads == baseline
 
 
 class TestFinalFailureAttribution:
     """Faults that never recover surface with full structured context."""
 
-    def test_raise_mode_names_the_reproducing_trial(self):
+    def test_raise_mode_names_the_reproducing_trial(self, tmp_path):
         trials = _trials()
         plan = FaultPlan(error=(4,), recover_after=99)
         engine = TrialEngine(
@@ -187,7 +190,7 @@ class TestFinalFailureAttribution:
             policy=FailurePolicy(mode="raise", retries=1),
         )
         with pytest.raises(TrialExecutionError) as excinfo:
-            engine.run(inject(seeded_payload, plan), trials)
+            engine.run(inject(seeded_payload, plan, tmp_path), trials)
         failure = excinfo.value.failure
         assert failure.experiment_id == EXPERIMENT
         assert failure.index == 4
@@ -199,7 +202,7 @@ class TestFinalFailureAttribution:
         # Serial execution chains the live exception.
         assert isinstance(excinfo.value.__cause__, InjectedFault)
 
-    def test_pool_failure_chains_the_remote_traceback(self):
+    def test_pool_failure_chains_the_remote_traceback(self, tmp_path):
         plan = FaultPlan(error=(1,), recover_after=99)
         engine = TrialEngine(
             jobs=2,
@@ -207,11 +210,11 @@ class TestFinalFailureAttribution:
             policy=FailurePolicy(mode="raise", retries=0),
         )
         with pytest.raises(TrialExecutionError) as excinfo:
-            engine.run(inject(seeded_payload, plan), _trials())
+            engine.run(inject(seeded_payload, plan, tmp_path), _trials())
         assert excinfo.value.__cause__ is not None
         assert "InjectedFault" in excinfo.value.failure.traceback_text
 
-    def test_timeout_failure_kind(self):
+    def test_timeout_failure_kind(self, tmp_path):
         plan = FaultPlan(
             hang=(0,), recover_after=99, hang_seconds=HANG_SECONDS
         )
@@ -224,11 +227,24 @@ class TestFinalFailureAttribution:
             ),
         )
         with pytest.raises(TrialExecutionError) as excinfo:
-            engine.run(inject(seeded_payload, plan), _trials())
+            engine.run(inject(seeded_payload, plan, tmp_path), _trials())
         assert excinfo.value.failure.kind == "timeout"
         assert collector.failed(EXPERIMENT) == 1
 
-    def test_worker_death_failure_kind(self):
+    def test_timeout_is_enforced_at_jobs_1(self, tmp_path):
+        """A timed batch runs in one worker, so ``jobs=1`` times out too."""
+        plan = FaultPlan(hang=(1,), recover_after=99, hang_seconds=HANG_SECONDS)
+        engine = TrialEngine(
+            jobs=1,
+            collector=TrialMetricsCollector(),
+            policy=FailurePolicy(mode="skip", trial_timeout=TRIAL_TIMEOUT),
+        )
+        batch = engine.run(inject(seeded_payload, plan, tmp_path), _trials()[:3])
+        (failure,) = batch.failures
+        assert (failure.index, failure.kind) == (1, "timeout")
+        assert failure.worker not in (None, os.getpid())
+
+    def test_worker_death_failure_kind(self, tmp_path):
         plan = FaultPlan(crash=(2,), recover_after=99)
         engine = TrialEngine(
             jobs=2,
@@ -236,10 +252,10 @@ class TestFinalFailureAttribution:
             policy=FailurePolicy(mode="raise", retries=0),
         )
         with pytest.raises(TrialExecutionError) as excinfo:
-            engine.run(inject(seeded_payload, plan), _trials())
+            engine.run(inject(seeded_payload, plan, tmp_path), _trials())
         assert excinfo.value.failure.kind == "worker-death"
 
-    def test_corrupt_payload_failure_kind(self):
+    def test_corrupt_payload_failure_kind(self, tmp_path):
         plan = FaultPlan(corrupt=(3,), recover_after=99)
         engine = TrialEngine(
             jobs=2,
@@ -247,19 +263,19 @@ class TestFinalFailureAttribution:
             policy=FailurePolicy(mode="raise", retries=0),
         )
         with pytest.raises(TrialExecutionError) as excinfo:
-            engine.run(inject(seeded_payload, plan), _trials())
+            engine.run(inject(seeded_payload, plan, tmp_path), _trials())
         assert excinfo.value.failure.kind == "payload"
 
 
 class TestSkipMode:
-    def test_partial_results_with_holes(self, baseline):
+    def test_partial_results_with_holes(self, tmp_path, baseline):
         plan = FaultPlan(error=(2, 8), recover_after=99)
         engine = TrialEngine(
             jobs=3,
             collector=TrialMetricsCollector(),
             policy=FailurePolicy(mode="skip", retries=0, max_failures=2),
         )
-        batch = engine.run(inject(seeded_payload, plan), _trials())
+        batch = engine.run(inject(seeded_payload, plan, tmp_path), _trials())
         assert batch.failed_indices == frozenset({2, 8})
         assert batch.payloads[2] is None and batch.payloads[8] is None
         survivors = [
@@ -273,7 +289,7 @@ class TestSkipMode:
         assert not batch.ok
         assert "2 failed" in batch.summary()
 
-    def test_budget_exceeded_names_every_failed_trial(self):
+    def test_budget_exceeded_names_every_failed_trial(self, tmp_path):
         # max_failures=2 only trips once all three victims have failed,
         # so the error's roster is deterministic (an earlier abort would
         # depend on which failure the scheduler surfaced first).
@@ -285,26 +301,26 @@ class TestSkipMode:
             policy=FailurePolicy(mode="skip", retries=0, max_failures=2),
         )
         with pytest.raises(ExcessiveFailuresError) as excinfo:
-            engine.run(inject(seeded_payload, plan), trials)
+            engine.run(inject(seeded_payload, plan, tmp_path), trials)
         assert {f.index for f in excinfo.value.failures} == {0, 4, 9}
         message = str(excinfo.value)
         for index in (0, 4, 9):
             assert f"({EXPERIMENT}, {index}, {trials[index].seed})" in message
 
-    def test_unbounded_skip_never_raises(self):
+    def test_unbounded_skip_never_raises(self, tmp_path):
         plan = FaultPlan(error=tuple(range(TRIAL_COUNT)), recover_after=99)
         engine = TrialEngine(
             jobs=2,
             collector=TrialMetricsCollector(),
             policy=FailurePolicy(mode="skip", retries=0),
         )
-        batch = engine.run(inject(seeded_payload, plan), _trials())
+        batch = engine.run(inject(seeded_payload, plan, tmp_path), _trials())
         assert batch.completed() == {}
         assert len(batch.failures) == TRIAL_COUNT
 
 
 class TestMetricsIntegration:
-    def test_failures_flow_into_the_collector_summary(self):
+    def test_failures_flow_into_the_collector_summary(self, tmp_path):
         plan = FaultPlan(error=(1,), recover_after=99)
         collector = TrialMetricsCollector()
         engine = TrialEngine(
@@ -312,13 +328,13 @@ class TestMetricsIntegration:
             collector=collector,
             policy=FailurePolicy(mode="skip", retries=1),
         )
-        engine.run(inject(seeded_payload, plan), _trials())
+        engine.run(inject(seeded_payload, plan, tmp_path), _trials())
         assert collector.failed(EXPERIMENT) == 1
         assert collector.failures[0].attempts == 2
         assert collector.summary()["failures"] == 1
         assert "1 failure(s)" in collector.format_summary()
 
-    def test_recovered_trials_are_not_failures(self):
+    def test_recovered_trials_are_not_failures(self, tmp_path):
         plan = FaultPlan(error=(1,), recover_after=1)
         collector = TrialMetricsCollector()
         engine = TrialEngine(
@@ -326,6 +342,6 @@ class TestMetricsIntegration:
             collector=collector,
             policy=FailurePolicy(mode="raise", retries=1),
         )
-        engine.run(inject(seeded_payload, plan), _trials())
+        engine.run(inject(seeded_payload, plan, tmp_path), _trials())
         assert collector.failures == ()
         assert collector.executed(EXPERIMENT) == TRIAL_COUNT

@@ -28,12 +28,10 @@ from repro.errors import ConfigurationError
 from repro.parallel import (
     METRICS,
     FailurePolicy,
-    FaultPlan,
     ResultCache,
     TrialEngine,
     TrialExecutionError,
     TrialMetricsCollector,
-    inject,
 )
 from repro.scenarios import ScenarioSpec
 from repro.sweeps import (
@@ -50,6 +48,7 @@ from repro.sweeps import driver
 from repro.sweeps.driver import _POOL_NODE_STEPS, _fans_out, _sweep_worker
 
 from ..conftest import make_trials
+from ..parallel.injection import FaultPlan, inject
 
 BASE = {
     "topology": "grid",
@@ -261,10 +260,10 @@ class TestStreamedStores:
         assert (warm.executed, warm.cached) == (0, 16)
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_on_success_fires_once_per_success(self, jobs):
+    def test_on_success_fires_once_per_success(self, jobs, tmp_path):
         # 2 and 5 fail once and recover; 7 never recovers.
         plan = FaultPlan(error=(2, 5, 7), recover_after=1)
-        flaky = inject(_indexed, FaultPlan(error=(7,), recover_after=99))
+        flaky = inject(_indexed, FaultPlan(error=(7,), recover_after=99), tmp_path)
         calls = []
         collector = TrialMetricsCollector()
         engine = TrialEngine(
@@ -273,7 +272,7 @@ class TestStreamedStores:
             policy=FailurePolicy(mode="skip", retries=1),
         )
         batch = engine.run(
-            inject(flaky, plan),
+            inject(flaky, plan, tmp_path),
             make_trials("streamed", 0, count=12),
             on_success=lambda trial, payload: calls.append((trial.index, payload)),
         )
@@ -305,7 +304,7 @@ class TestStreamedStores:
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Records each pool executor built; its batch then runs inline."""
+    """Records each worker executor built; its batch then runs inline."""
     built = []
 
     def spy(fn, batch, jobs, policy, on_success):
@@ -314,7 +313,7 @@ def pools(monkeypatch):
             run=lambda: faults._run_serial(fn, batch, policy, on_success)
         )
 
-    monkeypatch.setattr(faults, "_PoolExecutor", spy)
+    monkeypatch.setattr(faults, "_WorkerExecutor", spy)
     return built
 
 

@@ -63,7 +63,7 @@ class TestExampleSweep:
 
     def test_plan_runs_inline_at_jobs_2(self, plan, serial_result, monkeypatch):
         """Its specs cost less than a round trip to a worker: no pool."""
-        monkeypatch.setattr(faults, "_PoolExecutor", None)  # not callable
+        monkeypatch.setattr(faults, "_WorkerExecutor", None)  # not callable
         inline = run_sweep(plan.specs, root_seed=plan.seed, jobs=2)
         assert inline.summaries == serial_result.summaries
 
