@@ -5,19 +5,14 @@ Runs in a few seconds::
     python examples/quickstart.py
 
 Walks through the library's layers: the calibrated Internet topology
-(Table II), a synthetic Bitnodes snapshot (Table I / §IV-C), a live
-P2P simulation with mining, and one spatial hijack with its cost curve
-(Figure 4).
+(Table II), a synthetic Bitnodes snapshot (Table I / §IV-C), a block
+propagation run on the graph engine, and one spatial hijack with its
+cost curve (Figure 4).
 """
 
-from repro import (
-    Network,
-    NetworkConfig,
-    PopulationGenerator,
-    SpatialAttack,
-    build_paper_topology,
-)
+from repro import PopulationGenerator, SpatialAttack, build_paper_topology
 from repro.analysis.centralization import coverage_count, top_entities
+from repro.netsim.graph import GraphConfig, GraphSimulatorVec, GraphSpec
 from repro.reporting.tables import format_table
 
 
@@ -49,17 +44,21 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------
-    # 3. A live P2P simulation: 200 nodes, two pools, two hours.
+    # 3. Block propagation: 200 peers with Bitcoin's 8 outbound links
+    #    plus a heavy-tailed degree, 10% failed contacts, two hours
+    #    (12 block intervals of 20 steps).
     # ------------------------------------------------------------------
-    net = Network(NetworkConfig(num_nodes=200, seed=7, failure_rate=0.1))
-    net.add_pool("big-pool", 0.7, node_id=0)
-    net.add_pool("small-pool", 0.3, node_id=1)
-    net.run_for(2 * 3600)
-    lags = net.lags()
-    synced = sum(1 for lag in lags.values() if lag == 0)
+    spec = GraphSpec.power_law(200, seed=7)
+    sim = GraphSimulatorVec(
+        GraphConfig(
+            spec=spec, failure_rate=0.1, steps_per_block=20, attacker_share=0.0, seed=7
+        )
+    )
+    sim.run(12 * 20)
+    synced = round(sim.synced_fraction() * spec.num_nodes)
     print(
-        f"\nsimulated 2h: height={net.network_height()}, "
-        f"{synced}/200 nodes synced"
+        f"\nsimulated 2h: height={max(sim.heights)}, "
+        f"{synced}/{spec.num_nodes} nodes synced"
     )
 
     # ------------------------------------------------------------------

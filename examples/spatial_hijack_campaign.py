@@ -3,15 +3,25 @@
     python examples/spatial_hijack_campaign.py
 
 Scenario: a malicious AS evaluates all five Figure-4 targets by
-effort-vs-advantage, hijacks the best one against a live network,
+effort-vs-advantage, hijacks the best one and cuts it out of the
+AS-level propagation graph (the Apostolaki et al. BGP partition),
 isolates 60%+ of the mining power via stratum servers (Table IV), and
 is finally undone by the route-purging countermeasure (§VI).
 """
 
-from repro import Network, NetworkConfig, SpatialAttack, StratumIsolation, build_paper_topology
+import numpy as np
+
+from repro import SpatialAttack, StratumIsolation, build_paper_topology
 from repro.analysis.hijack import hijack_curve
 from repro.countermeasures.routing import RouteGuard
+from repro.netsim.graph import (
+    GraphConfig,
+    GraphSimulatorVec,
+    GraphSpec,
+    hijack_partition_mask,
+)
 from repro.reporting.tables import format_table
+from repro.topology.bgp import BgpHijack
 
 FIGURE4_ASES = (24940, 16276, 37963, 16509, 14061)
 
@@ -40,26 +50,39 @@ def main() -> None:
         )
     )
 
-    # 2. Hijack the cheapest target against a live network slice.
-    # Node ids are shared with the topology: ids 0-1029 are AS24940,
-    # so the network must span further and the honest miner must live
-    # outside the target AS.
-    net = Network(NetworkConfig(num_nodes=1500, seed=11, failure_rate=0.05))
-    net.add_pool("honest", 0.8, node_id=1100)  # a node in AS16276
+    # 2. Hijack the cheapest target and propagate blocks over the
+    # AS-level graph of a 20%-scale world (the capture mask routes
+    # every hosted node's IP, and each lookup scans the whole table).
+    # An AS whose nodes mostly route to the attacker loses every
+    # peering.
+    world = build_paper_topology(seed=11, scale=0.2)
+    table = world.build_routing_table()
     attack = SpatialAttack(
-        topology, attacker_asn=666, target_asn=24940, target_fraction=0.95
+        world, attacker_asn=666, target_asn=24940, target_fraction=0.95
     )
-    table = topology.build_routing_table()
-    result = attack.execute(table=table, network=net)
+    result = attack.execute(table=table)
     print(
         f"\nexecuted: {result.effort:.0f} bogus prefixes -> "
-        f"{result.metric('captured_fraction'):.1%} of AS24940 eclipsed"
+        f"{result.metric('captured_fraction'):.1%} of AS24940 captured"
     )
-    net.run_for(3 * 3600)
-    tip = net.network_height()
-    victims_in_net = [v for v in result.victims if v in net.nodes]
-    lagging = sum(1 for v in victims_in_net if net.node(v).lag(tip) >= 1)
-    print(f"after 3h: {lagging}/{len(victims_in_net)} eclipsed nodes lag the chain")
+    spec = GraphSpec.from_topology(world, seed=11)
+    mask = hijack_partition_mask(spec, world, BgpHijack(attacker_asn=666), table)
+    sim = GraphSimulatorVec(
+        GraphConfig(
+            spec=spec.partitioned(mask),
+            failure_rate=0.05,
+            steps_per_block=20,
+            attacker_share=0.0,
+            seed=11,
+        )
+    )
+    sim.run(18 * 20)  # three hours of 20-step block intervals
+    heights = np.asarray(sim.heights)
+    cut = [spec.node_ids[i] for i in np.flatnonzero(mask)]
+    print(
+        f"after 3h: cut-off ASes {cut} sit at height "
+        f"{heights[mask].max()}, the rest of the network at {heights.max()}"
+    )
 
     # 3. Mining isolation: 3 ASes carry >60% of hash power (Table IV).
     isolation = StratumIsolation(target_hash_share=0.60)
@@ -70,18 +93,12 @@ def main() -> None:
     )
 
     # 4. Countermeasure: purge bogus routes, promote legitimate ones.
-    guard = RouteGuard(topology)
-    stats = guard.purge_and_promote(table)
-    healed = sum(
-        1
-        for v in victims_in_net
-        if table.origin_of(topology.ip_of(v)) == 24940
-    )
-    net.heal(victims_in_net)
+    stats = RouteGuard(world).purge_and_promote(table)
+    healed = hijack_partition_mask(spec, world, BgpHijack(attacker_asn=666), table)
     print(
         f"\nroute guard: purged {stats['purged']} bogus routes, "
-        f"re-promoted {stats['promoted']}; {healed}/{len(victims_in_net)} "
-        "victims route legitimately again"
+        f"re-promoted {stats['promoted']}; {int(healed.sum())} ASes still "
+        "captured, so no peering needs cutting"
     )
 
 

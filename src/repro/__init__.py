@@ -6,18 +6,18 @@ The library is organized by substrate:
 - :mod:`repro.topology` — Internet topology: organizations, ASes, BGP
   prefixes, routing and hijacks, calibrated to the paper's 2018
   measurements;
-- :mod:`repro.blockchain` — blocks, transactions, UTXO, forks, PoW
-  timing;
-- :mod:`repro.netsim` — the event-driven Bitcoin P2P simulator plus the
-  paper's grid simulator (Figure 7);
-- :mod:`repro.crawler` — the simulated Bitnodes measurement layer;
+- :mod:`repro.netsim` — the paper's grid simulator (Figure 7) and the
+  sparse graph engine for AS-level and power-law networks;
+- :mod:`repro.crawler` — the Bitnodes measurement schema (snapshots,
+  lag series);
 - :mod:`repro.datagen` — synthetic data calibrated to every published
   statistic;
 - :mod:`repro.analysis` — the computations behind every table/figure;
 - :mod:`repro.attacks` — spatial, temporal, spatio-temporal, and
   logical partitioning attacks;
-- :mod:`repro.countermeasures` — BlockAware, stratum distribution,
-  route purging;
+- :mod:`repro.countermeasures` — BlockAware staleness detection,
+  stratum distribution, route purging;
+- :mod:`repro.scenarios` — declarative scenario specs for sweeps;
 - :mod:`repro.experiments` — one regenerator per paper artifact.
 
 Quickstart::
@@ -37,32 +37,19 @@ from .attacks import (
     LogicalAttack,
     NationStateBlock,
     SpatialAttack,
-    SpatioTemporalAttack,
     StratumIsolation,
-    TemporalAttack,
     TemporalAttackPlan,
 )
-from .countermeasures import (
-    BlockAware,
-    BlockAwareConfig,
-    RouteGuard,
-    StratumDistribution,
-)
-from .crawler import BitnodesCrawler, ConsensusTimeSeries, NetworkSnapshot, NodeRecord
+from .countermeasures import BlockAware, RouteGuard, StratumDistribution
+from .crawler import ConsensusTimeSeries, NetworkSnapshot, NodeRecord
 from .datagen import (
     ConsensusDynamicsGenerator,
     ConsensusModelParams,
     PopulationGenerator,
 )
-from .netsim import (
-    GridConfig,
-    GridSimulator,
-    Network,
-    NetworkConfig,
-    span_ratio_delay,
-)
+from .netsim import GridConfig, GridSimulator, span_ratio_delay
 from .rng import RngStreams
-from .scenarios import Scenario, paper_network
+from .scenarios import ScenarioSpec
 from .topology import Topology, build_paper_topology
 from .types import BITCOIN_BLOCK_INTERVAL, AddressType, LagBand
 
@@ -77,15 +64,11 @@ __all__ = [
     "LogicalAttack",
     "NationStateBlock",
     "SpatialAttack",
-    "SpatioTemporalAttack",
     "StratumIsolation",
-    "TemporalAttack",
     "TemporalAttackPlan",
     "BlockAware",
-    "BlockAwareConfig",
     "RouteGuard",
     "StratumDistribution",
-    "BitnodesCrawler",
     "ConsensusTimeSeries",
     "NetworkSnapshot",
     "NodeRecord",
@@ -94,12 +77,9 @@ __all__ = [
     "PopulationGenerator",
     "GridConfig",
     "GridSimulator",
-    "Network",
-    "NetworkConfig",
     "span_ratio_delay",
     "RngStreams",
-    "Scenario",
-    "paper_network",
+    "ScenarioSpec",
     "Topology",
     "build_paper_topology",
     "BITCOIN_BLOCK_INTERVAL",

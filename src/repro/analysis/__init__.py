@@ -25,7 +25,6 @@ from .economics import AttackEconomics, EconomicModel
 from .consensus import behind_fraction_after, consensus_pruning_stats
 from .hijack import HijackCurve, hijack_curve, prefixes_for_fraction
 from .poolmap import PoolMapping, map_pools
-from .propagation import PropagationProbe, PropagationStats
 from .synced import synced_as_table, synced_band_lines
 from .timing import isolation_bound, min_isolation_time, timing_table
 from .vulnerable import VulnerableWindows, max_vulnerable_nodes, vulnerable_table
@@ -46,8 +45,6 @@ __all__ = [
     "prefixes_for_fraction",
     "PoolMapping",
     "map_pools",
-    "PropagationProbe",
-    "PropagationStats",
     "synced_as_table",
     "synced_band_lines",
     "isolation_bound",

@@ -4,46 +4,39 @@
   types, capabilities, and the "adversarial view" of the network;
 - :mod:`repro.attacks.spatial` — BGP prefix hijacks against ASes and
   organizations, stratum-server isolation, nation-state blocks (§V-A);
-- :mod:`repro.attacks.temporal` — counterfeit-chain feeding against
-  lagging nodes, with the Table V/VI planning machinery (§V-B);
-- :mod:`repro.attacks.spatiotemporal` — the combined attack that
-  hijacks synced ASes and misleads lagging nodes (§V-C);
+- :mod:`repro.attacks.temporal` — the Table V/VI target selection of
+  counterfeit-chain feeding against lagging nodes (§V-B);
+- :mod:`repro.attacks.spatiotemporal` — planning the combined attack
+  that hijacks synced ASes and misleads lagging nodes (§V-C);
 - :mod:`repro.attacks.logical` — software-diversity exploitation:
   CVE-based partitions and malicious-client adoption (§V-D);
-- :mod:`repro.attacks.doublespend` — the double-spend implication
-  executed end to end across a partition;
-- :mod:`repro.attacks.eclipse` — protocol-level eclipse via addr
-  flooding (the Heilman-style attack spatial partitioning facilitates);
 - :mod:`repro.attacks.results` — the common result schema.
+
+The attacks' propagation effects run on the grid and graph engines
+(:mod:`repro.netsim`): a hijack becomes a
+:meth:`~repro.netsim.graph.GraphSpec.partitioned` cut through
+:func:`~repro.netsim.graph.hijack_partition_mask`, and counterfeit
+feeding is the engines' attacker fork B.
 """
 
 from .adversary import Adversary, AdversaryType, AdversaryView
-from .doublespend import DoubleSpendAttack, DoubleSpendOutcome
-from .eclipse import EclipseAttack
 from .logical import LogicalAttack, LogicalAttackReport
-from .majority import MajorityAttack
 from .results import AttackOutcome, AttackResult
 from .spatial import NationStateBlock, SpatialAttack, StratumIsolation
-from .spatiotemporal import SpatioTemporalAttack, SpatioTemporalPlan
-from .temporal import TemporalAttack, TemporalAttackPlan
+from .spatiotemporal import SpatioTemporalPlan
+from .temporal import TemporalAttackPlan
 
 __all__ = [
     "Adversary",
     "AdversaryType",
     "AdversaryView",
-    "DoubleSpendAttack",
-    "DoubleSpendOutcome",
-    "EclipseAttack",
     "LogicalAttack",
     "LogicalAttackReport",
-    "MajorityAttack",
     "AttackOutcome",
     "AttackResult",
     "NationStateBlock",
     "SpatialAttack",
     "StratumIsolation",
-    "SpatioTemporalAttack",
     "SpatioTemporalPlan",
-    "TemporalAttack",
     "TemporalAttackPlan",
 ]

@@ -15,13 +15,12 @@ The paper's logical attack has two tracks, both implemented here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from ..crawler.snapshot import NetworkSnapshot
 from ..datagen.nvd import CVE_RECORDS, CveRecord, cves_affecting
 from ..errors import AttackError
-from ..netsim.network import Network
 from .results import AttackOutcome, AttackResult
 
 __all__ = ["LogicalAttackReport", "LogicalAttack"]
@@ -92,20 +91,11 @@ class LogicalAttack:
             if record.up and cve.affects(record.software_version)
         ]
 
-    def execute_crash(
-        self, cve_id: str, network: Optional[Network] = None
-    ) -> AttackResult:
-        """Exploit ``cve_id``: every affected node goes offline.
-
-        With a live network, victims are set offline, which both
-        removes their relay capacity and (if any are miners' hosts)
-        their hash power — the cascade §V-D describes.
-        """
+    def execute_crash(self, cve_id: str) -> AttackResult:
+        """Exploit ``cve_id``: every affected node goes offline."""
         victims = self.crash_victims(cve_id)
         total_up = len(self.snapshot.up_nodes())
         fraction = len(victims) / total_up if total_up else 0.0
-        if network is not None:
-            network.set_offline([v for v in victims if v in network.nodes])
         return AttackResult(
             attack="logical_crash",
             outcome=(

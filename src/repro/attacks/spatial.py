@@ -12,12 +12,11 @@ its ASes to drop Bitcoin traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from ..analysis.hijack import hijack_curve, prefixes_for_fraction
 from ..analysis.poolmap import PoolMapping, map_pools
 from ..errors import AttackError
-from ..netsim.network import Network
 from ..topology.bgp import BgpHijack, RoutingTable
 from ..topology.geo import NationStatePolicy
 from ..topology.topology import Topology
@@ -56,12 +55,8 @@ class SpatialAttack:
         pool = self.topology.pool(self.target_asn)
         return prefixes_for_fraction(pool, self.target_fraction)
 
-    def execute(
-        self,
-        table: Optional[RoutingTable] = None,
-        network: Optional[Network] = None,
-    ) -> AttackResult:
-        """Install the hijack; optionally eclipse victims in a network.
+    def execute(self, table: Optional[RoutingTable] = None) -> AttackResult:
+        """Install the hijack into ``table`` and count the captured nodes.
 
         Returns an :class:`AttackResult` whose effort is the number of
         hijacked prefixes and whose metrics include the captured node
@@ -82,10 +77,6 @@ class SpatialAttack:
                 victims.append(node_id)
         total = len(self.topology.nodes_in_as(self.target_asn))
         captured_fraction = len(victims) / total if total else 0.0
-
-        if network is not None:
-            present = [v for v in victims if v in network.nodes]
-            network.eclipse(present)
 
         outcome = (
             AttackOutcome.SUCCESS
@@ -132,22 +123,12 @@ class StratumIsolation:
         """ASes to hijack, fewest-first."""
         return self.mapping.top_asns_for_share(self.target_hash_share)
 
-    def execute(self, network: Optional[Network] = None) -> AttackResult:
-        """Compute (and optionally apply) the isolation.
-
-        With a network, every pool whose stratum AS is hijacked has its
-        stratum marked unreachable, halting its block production.
-        """
+    def execute(self) -> AttackResult:
+        """The hash share cut off by hijacking the planned ASes."""
         asns = self.plan()
         isolated_share = sum(
             share for asn, share in self.mapping.asn_shares.items() if asn in asns
         )
-        stopped_pools = 0
-        if network is not None:
-            for pool in network.pools:
-                if pool.stratum.asn in asns:
-                    pool.stratum.reachable = False
-                    stopped_pools += 1
         return AttackResult(
             attack="stratum_isolation",
             outcome=(
@@ -160,7 +141,6 @@ class StratumIsolation:
             metrics={
                 "isolated_hash_share": isolated_share,
                 "hijacked_ases": float(len(asns)),
-                "stopped_pools": float(stopped_pools),
             },
         )
 
@@ -177,7 +157,7 @@ class NationStateBlock:
     topology: Topology
     country: str
 
-    def execute(self, network: Optional[Network] = None) -> AttackResult:
+    def execute(self) -> AttackResult:
         policy = NationStatePolicy.for_country(self.country, self.topology.ases)
         if not policy.blocked_asns:
             raise AttackError("country hosts no ASes", country=self.country)
@@ -191,11 +171,6 @@ class NationStateBlock:
             for asn, share in mapping.asn_shares.items()
             if asn in policy.blocked_asns
         )
-        if network is not None:
-            network.eclipse([v for v in victims if v in network.nodes])
-            for pool in network.pools:
-                if pool.stratum.asn in policy.blocked_asns:
-                    pool.stratum.reachable = False
         return AttackResult(
             attack="nation_state_block",
             outcome=AttackOutcome.SUCCESS if victims else AttackOutcome.FAILED,

@@ -7,26 +7,23 @@ attack "is adjustable to the capabilities of an attacker": a pure AS
 picks only the spatial half, a pure pool only the temporal half, and a
 cloud provider with both capabilities (the paper's case study) waits
 for a moment when synced nodes are few, then launches both.
+:class:`SpatioTemporalPlan` picks that moment and the ASes to hijack
+from a recorded lag series (the Figure 8 / Table VII workflow).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..analysis.synced import synced_as_table
 from ..crawler.timeseries import ConsensusTimeSeries
 from ..errors import AttackError
-from ..netsim.network import Network
 from ..topology.topology import Topology
-from ..types import Seconds
-from .results import AttackOutcome, AttackResult
-from .spatial import SpatialAttack
-from .temporal import TemporalAttack
 
-__all__ = ["SpatioTemporalPlan", "SpatioTemporalAttack"]
+__all__ = ["SpatioTemporalPlan"]
 
 
 @dataclass(frozen=True)
@@ -72,116 +69,4 @@ class SpatioTemporalPlan:
             lagging_count=lagging,
             target_asns=tuple(row.asn for row in rows),
             spatial_coverage=coverage,
-        )
-
-
-@dataclass
-class SpatioTemporalAttack:
-    """Executes both halves against a live simulation.
-
-    Parameters:
-        network: The simulation under attack.
-        topology: Spatial ground truth (node ids shared with network).
-        attacker_node: The adversary's own node.
-        attacker_asn: The adversary's AS (for the hijacks).
-        hash_share: Mining share for the temporal half.
-        num_target_ases: How many synced-heavy ASes to hijack.
-    """
-
-    network: Network
-    topology: Topology
-    attacker_node: int
-    attacker_asn: int
-    hash_share: float = 0.30
-    num_target_ases: int = 5
-
-    def plan(self) -> Tuple[List[int], List[int]]:
-        """(synced victims, lagging victims) from the live network."""
-        tip = self.network.network_height()
-        synced, lagging = [], []
-        for node_id, node in self.network.nodes.items():
-            if node_id == self.attacker_node or not node.online:
-                continue
-            (synced if node.lag(tip) == 0 else lagging).append(node_id)
-        return synced, lagging
-
-    def execute(self, duration: Seconds) -> AttackResult:
-        """Hijack synced-heavy ASes, feed the laggards, run, measure."""
-        synced, lagging = self.plan()
-        if not synced and not lagging:
-            raise AttackError("no victims available")
-
-        # Spatial half: rank ASes by how many *synced* network nodes
-        # they host, hijack the top ones entirely.
-        as_synced: Dict[int, int] = {}
-        for node_id in synced:
-            try:
-                asn = self.topology.asn_of(node_id)
-            except Exception:
-                continue
-            if asn in self.topology.pools:
-                as_synced[asn] = as_synced.get(asn, 0) + 1
-        targets = [
-            asn
-            for asn, _ in sorted(as_synced.items(), key=lambda kv: -kv[1])[
-                : self.num_target_ases
-            ]
-        ]
-        table = self.topology.build_routing_table()
-        eclipsed: List[int] = []
-        prefixes_hijacked = 0
-        for asn in targets:
-            spatial = SpatialAttack(
-                topology=self.topology,
-                attacker_asn=self.attacker_asn,
-                target_asn=asn,
-                target_fraction=0.95,
-            )
-            result = spatial.execute(table=table, network=self.network)
-            eclipsed.extend(result.victims)
-            prefixes_hijacked += int(result.effort)
-
-        # Temporal half: feed every remaining laggard.
-        temporal = TemporalAttack(
-            network=self.network,
-            attacker_node=self.attacker_node,
-            hash_share=self.hash_share,
-            min_lag=1,
-        )
-        lag_victims = [v for v in lagging if v not in set(eclipsed)]
-        misled_result: Optional[AttackResult] = None
-        if lag_victims:
-            temporal.launch(lag_victims)
-        self.network.run_for(duration)
-        if lag_victims:
-            misled_result = temporal.measure()
-            temporal.stop()
-
-        victims = tuple(set(eclipsed) | set(misled_result.victims if misled_result else ()))
-        total = len(self.network.nodes)
-        # Disruption is measured against the simulated network, so only
-        # victims actually present in it count (the topology may host
-        # more nodes than the simulation instantiates).
-        victims_in_network = [v for v in victims if v in self.network.nodes]
-        disrupted_fraction = len(victims_in_network) / total if total else 0.0
-        return AttackResult(
-            attack="spatiotemporal",
-            outcome=(
-                AttackOutcome.SUCCESS
-                if disrupted_fraction >= 0.5
-                else AttackOutcome.PARTIAL
-                if victims
-                else AttackOutcome.FAILED
-            ),
-            victims=victims,
-            effort=float(prefixes_hijacked),
-            metrics={
-                "eclipsed": float(len([v for v in eclipsed if v in self.network.nodes])),
-                "misled": float(
-                    misled_result.metric("misled") if misled_result else 0.0
-                ),
-                "hijacked_ases": float(len(targets)),
-                "hijacked_prefixes": float(prefixes_hijacked),
-                "disrupted_fraction": disrupted_fraction,
-            },
         )

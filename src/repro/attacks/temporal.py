@@ -1,38 +1,26 @@
-"""Temporal partitioning: counterfeit chains fed to lagging nodes.
+"""Temporal partitioning: choosing the lagging nodes to feed (§V-B).
 
-Implements the Figure 5 attack end to end on the event-driven
-simulator:
-
-1. **Target selection** — the adversary crawls the network (or uses a
-   recorded lag series) and picks nodes 1-5 blocks behind (§III);
-   :class:`TemporalAttackPlan` also runs the Table V/VI machinery to
-   choose how many nodes are isolatable within a timing budget.
-2. **Connection** — the attacker's node links to each victim (cheap:
-   "it is inexpensive to setup new nodes", §V-B).
-3. **Feeding** — the attacker's mining pool (default hash share 0.30,
-   as in Figure 7) switches to counterfeit mode: its blocks extend a
-   private branch delivered only to victims, who accept it because it
-   is ahead of their stale view.
-4. **Measurement** — how many victims follow the counterfeit chain,
-   for how long, and what happens on recovery (reorg depth,
-   transaction reversal).
+The Figure 5 attack picks victims 1-5 blocks behind the tip (§III),
+connects to them and feeds them a counterfeit chain.
+:class:`TemporalAttackPlan` is its target-selection stage: the Table V
+optimization finds how many nodes stay vulnerable through a timing
+window, and the Table VI bound prices connecting to all of them.  The
+feeding itself runs on the grid and graph engines
+(:mod:`repro.netsim.grid`, Figure 7), where the attacker's hash share
+extends counterfeit fork B.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 from ..analysis.timing import min_isolation_time
 from ..analysis.vulnerable import max_vulnerable_nodes
 from ..crawler.timeseries import ConsensusTimeSeries
 from ..errors import AttackError
-from ..netsim.miner import MiningPool
-from ..netsim.network import Network
-from ..types import Seconds
-from .results import AttackOutcome, AttackResult
 
-__all__ = ["TemporalAttackPlan", "TemporalAttack"]
+__all__ = ["TemporalAttackPlan"]
 
 
 @dataclass(frozen=True)
@@ -88,126 +76,3 @@ class TemporalAttackPlan:
             rate=rate,
             probability=probability,
         )
-
-
-@dataclass
-class TemporalAttack:
-    """Executes the counterfeit-feeding attack on a simulation.
-
-    Parameters:
-        network: The running network.
-        attacker_node: Node id the adversary controls.
-        hash_share: Attacker's mining share (0.30 in the paper's runs).
-        min_lag: Victims must trail the tip by at least this many blocks.
-        max_victims: Cap on the victim set (None = all vulnerable).
-        sever_victims: Also eclipse victims from honest peers.  The
-            paper's adversary "would seek to disrupt communication";
-            without severing, victims recover as soon as the honest
-            chain outruns the attacker's (the Figure 7(c) dynamics).
-    """
-
-    network: Network
-    attacker_node: int
-    hash_share: float = 0.30
-    min_lag: int = 1
-    max_victims: Optional[int] = None
-    sever_victims: bool = False
-    pool: Optional[MiningPool] = field(default=None, init=False)
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.hash_share < 1.0:
-            raise AttackError("hash share in (0,1)", share=self.hash_share)
-        if self.attacker_node not in self.network.nodes:
-            raise AttackError("attacker node missing", node=self.attacker_node)
-
-    # ------------------------------------------------------------------
-    def select_victims(self) -> List[int]:
-        """Crawl the network for nodes >= ``min_lag`` blocks behind."""
-        tip = self.network.network_height()
-        victims = [
-            node_id
-            for node_id, node in self.network.nodes.items()
-            if node_id != self.attacker_node
-            and node.online
-            and node.lag(tip) >= self.min_lag
-        ]
-        victims.sort(
-            key=lambda nid: -self.network.node(nid).lag(tip)
-        )  # deepest laggards first: cheapest to mislead
-        if self.max_victims is not None:
-            victims = victims[: self.max_victims]
-        return victims
-
-    def launch(self, victims: Optional[Sequence[int]] = None) -> List[int]:
-        """Connect to victims and start counterfeit mining.
-
-        Returns the victim list.  The attack keeps running until
-        :meth:`measure`/:meth:`stop`; callers advance the simulation
-        in between (``network.run_for``).
-        """
-        chosen = list(victims) if victims is not None else self.select_victims()
-        if not chosen:
-            raise AttackError("no victims available")
-        self.network.attacker_ids.add(self.attacker_node)
-        for victim in chosen:
-            if victim not in self.network.node(self.attacker_node).peers:
-                self.network.connect(self.attacker_node, victim)
-        if self.sever_victims:
-            self.network.eclipse(chosen)
-        self.pool = self.network.add_pool(
-            name="attacker",
-            hash_share=self.hash_share,
-            node_id=self.attacker_node,
-        )
-        self.pool.enter_counterfeit_mode(chosen)
-        self._victims = chosen
-        return chosen
-
-    def measure(self) -> AttackResult:
-        """Snapshot the attack's current effect."""
-        if self.pool is None:
-            raise AttackError("attack not launched")
-        on_counterfeit = set(self.network.nodes_on_counterfeit_chain())
-        misled = [v for v in self._victims if v in on_counterfeit]
-        honest = self.network.honest_height()
-        partitioned_fraction = (
-            len(on_counterfeit) / len(self.network.nodes) if self.network.nodes else 0
-        )
-        outcome = (
-            AttackOutcome.SUCCESS
-            if misled and len(misled) >= 0.5 * len(self._victims)
-            else AttackOutcome.PARTIAL
-            if misled
-            else AttackOutcome.FAILED
-        )
-        return AttackResult(
-            attack="temporal",
-            outcome=outcome,
-            victims=tuple(misled),
-            effort=float(self.pool.blocks_mined),
-            metrics={
-                "targeted": float(len(self._victims)),
-                "misled": float(len(misled)),
-                "partitioned_fraction": partitioned_fraction,
-                "counterfeit_blocks": float(self.pool.blocks_mined),
-                "honest_height": float(honest),
-                "network_height": float(self.network.network_height()),
-            },
-        )
-
-    def stop(self) -> None:
-        """End the attack: stop feeding and heal any severed links."""
-        if self.pool is not None:
-            self.pool.exit_counterfeit_mode()
-            self.pool.stratum.reachable = False  # idles the attacker pool
-        if self.sever_victims:
-            self.network.heal(self._victims)
-
-    # ------------------------------------------------------------------
-    def run(self, duration: Seconds) -> AttackResult:
-        """Convenience: launch, simulate ``duration``, measure, stop."""
-        self.launch()
-        self.network.run_for(duration)
-        result = self.measure()
-        self.stop()
-        return result

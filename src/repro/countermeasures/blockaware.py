@@ -7,151 +7,62 @@
     block. In such a situation, the node can try to connect to other
     nodes, and query them for the latest block."
 
-This module implements that scheme on the simulator: a periodic monitor
-per node that raises a :class:`StalenessAlert` when the threshold is
-exceeded and reacts by probing random peers (and optionally fresh,
-randomly chosen nodes — escaping attacker-chosen neighbourhoods) with
-tip queries.  Against the temporal attack this works because a 30%
-attacker produces counterfeit blocks every ~2,000 s: victims' chains go
-stale, BlockAware fires, and the probes reach honest nodes whose tip is
-longer.
+This module is the detection half of that scheme, a tip-age detector
+over a per-step height history: one row per simulation step of a
+:class:`~repro.netsim.graph.GraphSimulatorVec` (or grid) run's
+``heights``.  A node's tip age is the number of steps since its height
+last changed; the node is stale once that age exceeds the threshold,
+counted in expected block intervals (the paper's 600 s is one).  Block
+arrivals are memoryless, so a healthy node's tip outlives ``k``
+intervals with probability about e^(-k), while a node cut off from the
+network (eclipsed, hijacked, fed a slow counterfeit chain) stays stale
+until it reconnects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING
+from dataclasses import dataclass
+
+import numpy as np
 
 from ..errors import ConfigurationError
-from ..netsim.messages import GetTipMsg
-from ..types import BITCOIN_BLOCK_INTERVAL, Seconds
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..netsim.network import Network
+__all__ = ["BlockAware", "tip_ages"]
 
-__all__ = ["BlockAwareConfig", "StalenessAlert", "BlockAware"]
+
+def tip_ages(history) -> np.ndarray:
+    """Steps since each node's height last changed, per step.
+
+    ``history`` is a ``(steps, nodes)`` array of heights; row 0 counts
+    as a change, so ages start at zero.
+    """
+    heights = np.asarray(history)
+    steps = np.arange(heights.shape[0])[:, None]
+    changed = np.ones(heights.shape, dtype=bool)
+    changed[1:] = heights[1:] != heights[:-1]
+    return steps - np.maximum.accumulate(np.where(changed, steps, 0), axis=0)
 
 
 @dataclass(frozen=True)
-class BlockAwareConfig:
-    """BlockAware parameters.
+class BlockAware:
+    """The staleness rule ``t_c - t_l > threshold`` in simulation steps.
 
     Attributes:
-        threshold: Staleness threshold in seconds (paper: the 600 s
-            block time; the D4 ablation sweeps this).
-        check_interval: How often each node evaluates the rule.
-        probe_peers: Peers queried per alert.
-        probe_random_nodes: Additional *non-peer* nodes queried per
-            alert.  This is the escape hatch from an eclipse: existing
-            peers may all be attacker-controlled.
+        steps_per_block: Steps per expected block interval of the run.
+        threshold_blocks: Threshold in block intervals (paper: 1).
     """
 
-    threshold: Seconds = BITCOIN_BLOCK_INTERVAL
-    check_interval: Seconds = 60.0
-    probe_peers: int = 4
-    probe_random_nodes: int = 2
+    steps_per_block: int
+    threshold_blocks: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.threshold <= 0 or self.check_interval <= 0:
-            raise ConfigurationError("threshold and interval must be positive")
-        if self.probe_peers < 0 or self.probe_random_nodes < 0:
-            raise ConfigurationError("probe counts must be non-negative")
+        if self.steps_per_block < 1 or self.threshold_blocks <= 0:
+            raise ConfigurationError(
+                "steps_per_block >= 1 and a positive threshold required",
+                steps_per_block=self.steps_per_block,
+                threshold_blocks=self.threshold_blocks,
+            )
 
-
-@dataclass(frozen=True)
-class StalenessAlert:
-    """One firing of the BlockAware rule on one node."""
-
-    node_id: int
-    time: Seconds
-    staleness: Seconds
-    height: int
-
-
-class BlockAware:
-    """Deploys the BlockAware monitor across (a subset of) a network."""
-
-    def __init__(
-        self,
-        network: "Network",
-        config: BlockAwareConfig = BlockAwareConfig(),
-        node_ids: Optional[List[int]] = None,
-    ) -> None:
-        self.network = network
-        self.config = config
-        self.node_ids = list(node_ids) if node_ids is not None else list(network.nodes)
-        self.alerts: List[StalenessAlert] = []
-        self._running = False
-
-    def start(self) -> None:
-        """Arm the periodic staleness checks."""
-        if self._running:
-            return
-        self._running = True
-        self.network.sim.schedule(self.config.check_interval, self._tick)
-
-    def stop(self) -> None:
-        self._running = False
-
-    # ------------------------------------------------------------------
-    def _tick(self) -> None:
-        if not self._running:
-            return
-        now = self.network.now
-        for node_id in self.node_ids:
-            node = self.network.node(node_id)
-            if not node.online:
-                continue
-            staleness = self.staleness_of(node_id)
-            if staleness > self.config.threshold:
-                self.alerts.append(
-                    StalenessAlert(
-                        node_id=node_id,
-                        time=now,
-                        staleness=staleness,
-                        height=node.height,
-                    )
-                )
-                self._recover(node_id)
-        self.network.sim.schedule(self.config.check_interval, self._tick)
-
-    def staleness_of(self, node_id: int) -> Seconds:
-        """t_c - t_l for one node (the paper's rule, verbatim).
-
-        Uses the node's best-tip block timestamp; a node that has never
-        received a block measures from simulation start.
-        """
-        node = self.network.node(node_id)
-        return self.network.now - node.tree.best_tip.header.timestamp
-
-    def _recover(self, node_id: int) -> None:
-        """Query peers — and random strangers — for the latest block."""
-        node = self.network.node(node_id)
-        rng = self.network.streams.stream("blockaware")
-        targets = list(node.peers)
-        rng.shuffle(targets)
-        targets = targets[: self.config.probe_peers]
-        all_ids = [n for n in self.network.nodes if n != node_id]
-        for _ in range(self.config.probe_random_nodes):
-            stranger = rng.choice(all_ids)
-            if stranger not in targets:
-                targets.append(stranger)
-                # Opening a fresh connection lets the probe escape an
-                # attacker-chosen peer set.
-                self.network.connect(node_id, stranger)
-        for target in targets:
-            node.send(target, GetTipMsg())
-
-    # ------------------------------------------------------------------
-    def alerts_for(self, node_id: int) -> List[StalenessAlert]:
-        return [alert for alert in self.alerts if alert.node_id == node_id]
-
-    def alerted_nodes(self) -> List[int]:
-        return sorted({alert.node_id for alert in self.alerts})
-
-    def detection_rate(self, victim_ids: List[int]) -> float:
-        """Fraction of known victims that raised at least one alert."""
-        if not victim_ids:
-            return 0.0
-        alerted = set(self.alerted_nodes())
-        return sum(1 for v in victim_ids if v in alerted) / len(victim_ids)
+    def alerts(self, history) -> np.ndarray:
+        """Boolean ``(steps, nodes)`` array: True where a node is stale."""
+        return tip_ages(history) > self.threshold_blocks * self.steps_per_block

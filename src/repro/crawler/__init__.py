@@ -1,4 +1,4 @@
-"""Measurement layer: the simulated Bitnodes crawler and its products.
+"""Measurement layer: the Bitnodes crawl schema and its products.
 
 The paper's entire dataset came from a crawler built atop Bitnodes
 (§IV-A): per-node records (address type, AS, organization, link speed,
@@ -9,21 +9,18 @@ minutes network-wide and every minute for consensus-pruning studies.
   :class:`NetworkSnapshot`, the schema all analyses consume;
 - :mod:`repro.crawler.indices` — the latency/uptime/block index
   computations Bitnodes derives from probe responses;
-- :mod:`repro.crawler.bitnodes` — a crawler that probes a live
-  :class:`~repro.netsim.network.Network` and emits snapshots;
+- :mod:`repro.crawler.io` — JSON / NPZ persistence of snapshots and
+  series;
 - :mod:`repro.crawler.timeseries` — snapshot series with the stacked
   lag-band views of Figure 6 and the per-AS joins of Figure 8.
 """
 
-from .bitnodes import BitnodesCrawler, CrawlerConfig
 from .io import load_series, load_snapshot, save_series, save_snapshot
 from .indices import block_index, latency_index, uptime_index
 from .snapshot import NetworkSnapshot, NodeRecord
 from .timeseries import ConsensusTimeSeries, SeriesPoint
 
 __all__ = [
-    "BitnodesCrawler",
-    "CrawlerConfig",
     "load_series",
     "load_snapshot",
     "save_series",

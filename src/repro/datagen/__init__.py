@@ -22,7 +22,6 @@ from .nvd import CVE_RECORDS, CveRecord, cves_affecting
 from .pools import MINING_POOLS, MiningPoolRecord, pool_asn_shares, pool_org_shares
 from .population import PopulationGenerator
 from .versions import SOFTWARE_VERSIONS, VersionRecord, version_distribution
-from .workload import TransactionWorkload, WorkloadConfig
 
 __all__ = [
     "ConsensusDynamicsGenerator",
@@ -38,6 +37,4 @@ __all__ = [
     "SOFTWARE_VERSIONS",
     "VersionRecord",
     "version_distribution",
-    "TransactionWorkload",
-    "WorkloadConfig",
 ]

@@ -35,32 +35,8 @@ class RoutingError(TopologyError):
     """BGP routing failure: no route, malformed announcement, etc."""
 
 
-class BlockchainError(ReproError):
-    """Invalid blockchain operation."""
-
-
-class UnknownBlockError(BlockchainError):
-    """A referenced block hash is not present in the block tree."""
-
-
-class InvalidBlockError(BlockchainError):
-    """A block failed validation (bad linkage, bad proof, bad height...)."""
-
-
-class DoubleSpendError(BlockchainError):
-    """A transaction attempted to spend an already-spent output."""
-
-
-class InvalidTransactionError(BlockchainError):
-    """A transaction failed structural or value validation."""
-
-
 class SimulationError(ReproError):
-    """The event-driven simulator reached an inconsistent state."""
-
-
-class SchedulingError(SimulationError):
-    """An event was scheduled in the past or after the horizon."""
+    """A propagation engine reached an inconsistent state."""
 
 
 class CrawlerError(ReproError):

@@ -1,6 +1,6 @@
 """RPL103 wall-clock: real-time reads inside simulation/experiment code.
 
-Simulated time is ``Simulator.now``; experiment inputs are seeds and
+Simulated time is an engine's step count; experiment inputs are seeds and
 configs.  A ``time.time()`` / ``datetime.now()`` read smuggles the
 host's wall clock into that world, so two runs of the same seed can
 diverge (timestamps in outputs, time-dependent branches, cache keys
@@ -43,8 +43,8 @@ class WallClockRule(Rule):
     summary = "wall-clock read in deterministic code"
     rationale = (
         "Simulation and experiment code must take time from the "
-        "simulated clock (Simulator.now) and identity from seeds; "
-        "host-clock reads make same-seed runs diverge. "
+        "simulated clock (an engine's step count) and identity "
+        "from seeds; host-clock reads make same-seed runs diverge. "
         "time.perf_counter() for timing metrics is allowed."
     )
 
@@ -58,9 +58,9 @@ class WallClockRule(Rule):
                         module,
                         node,
                         f"{canonical}() reads the host wall clock; use the "
-                        "simulated clock (Simulator.now) or pass timestamps "
-                        "in as config (time.perf_counter() is fine for "
-                        "timing metrics)",
+                        "simulated clock (an engine's step count) or pass "
+                        "timestamps in as config (time.perf_counter() is "
+                        "fine for timing metrics)",
                     )
                 )
         return findings

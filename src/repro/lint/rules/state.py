@@ -14,8 +14,8 @@ displays and comprehensions, ``list()``/``dict()``/``set()``,
 OrderedDict``), and only *mutations from inside function, method or
 lambda bodies* are flagged (a ``default_factory=lambda: next(_ids)`` is
 the same bug): building a constant table at import time is fine,
-and instance-scoped state (``self._counter = itertools.count()``, as in
-``netsim/events.py``) never matches because the rule tracks bare module
+and instance-scoped state (``self._counter = itertools.count()``)
+never matches because the rule tracks bare module
 names, not attributes.
 """
 

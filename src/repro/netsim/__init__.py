@@ -1,25 +1,16 @@
-"""Event-driven Bitcoin P2P network simulator.
+"""Block-propagation simulators: the paper's grid and its graph engine.
 
-This package models the live network the paper measured and attacked:
-
-- :mod:`repro.netsim.events` — the discrete-event kernel;
-- :mod:`repro.netsim.messages` — inv / getdata / block / tx / addr
-  protocol messages (paper §IV-A lists the same set Bitnodes uses);
-- :mod:`repro.netsim.latency` — link-delay models, including the
-  diffusion model (independent exponential delays) Bitcoin switched to
-  in 2015 and the legacy trickle model (§V-B);
-- :mod:`repro.netsim.node` — full-node behaviour: 8 outbound peers,
-  inventory-based relay, validation, communication failures;
-- :mod:`repro.netsim.miner` — miners/pools and stratum servers;
-- :mod:`repro.netsim.network` — assembly, partitions, attack hooks;
-- :mod:`repro.netsim.grid` — the paper's grid simulator (Figure 7);
+- :mod:`repro.netsim.grid` — the paper's grid simulator (Figure 7) and
+  the shared mining/fork mechanics of both engines;
 - :mod:`repro.netsim.graph` — the sparse CSR engine for arbitrary
-  topologies (AS-level graphs, synthetic power-law networks);
-- :mod:`repro.netsim.metrics` — per-node lag sampling for Figure 6.
+  topologies (AS-level graphs, synthetic power-law networks), with
+  BGP-hijack partitions and unreachable peers;
+- :mod:`repro.netsim.latency` — the calibrated empirical
+  propagation-delay distribution the graph engine samples per edge;
+- :mod:`repro.netsim.timeline` — step-boundary changes of attacker
+  share, failure rate and partition.
 """
 
-from .churn import ChurnConfig, ChurnProcess
-from .events import EventQueue, Simulator
 from .graph import (
     GraphConfig,
     GraphSimulatorVec,
@@ -40,24 +31,12 @@ from .grid import (
 from .latency import (
     BITCOIN_PROPAGATION_2019,
     DELAY_MODELS,
-    ConstantLatency,
-    DiffusionLatency,
     EmpiricalLatency,
-    LatencyModel,
-    UniformLatency,
     quantize_ticks,
 )
-from .messages import AddrMsg, BlockMsg, GetDataMsg, GetTipMsg, InvMsg, Message, TipMsg, TxMsg
-from .miner import Miner, MiningPool, StratumServer
-from .network import Network, NetworkConfig
-from .node import FullNode, NodeConfig, NodeStats
 from .timeline import Timeline, TimelineEvent
 
 __all__ = [
-    "ChurnConfig",
-    "ChurnProcess",
-    "EventQueue",
-    "Simulator",
     "ENGINES",
     "GraphConfig",
     "GraphSimulatorVec",
@@ -73,28 +52,8 @@ __all__ = [
     "span_ratio_delay",
     "BITCOIN_PROPAGATION_2019",
     "DELAY_MODELS",
-    "ConstantLatency",
-    "DiffusionLatency",
     "EmpiricalLatency",
-    "LatencyModel",
-    "UniformLatency",
     "quantize_ticks",
-    "AddrMsg",
-    "BlockMsg",
-    "GetDataMsg",
-    "GetTipMsg",
-    "InvMsg",
-    "Message",
-    "TipMsg",
-    "TxMsg",
-    "Miner",
-    "MiningPool",
-    "StratumServer",
-    "Network",
-    "NetworkConfig",
-    "FullNode",
-    "NodeConfig",
-    "NodeStats",
     "Timeline",
     "TimelineEvent",
 ]

@@ -67,7 +67,6 @@ __all__ = [
 FINGERPRINT_MODULES = (
     "repro.analysis",
     "repro.attacks",
-    "repro.blockchain",
     "repro.countermeasures",
     "repro.crawler",
     "repro.datagen",
@@ -91,8 +90,9 @@ def code_fingerprint(modules: "tuple" = FINGERPRINT_MODULES) -> str:
     stable across machines and runs for identical sources, different
     for any edit to any covered file.  A declared package contributes
     every ``*.py`` under it; ancestor ``__init__.py`` files (which run
-    at import time) are included automatically.  Names that resolve to
-    nothing contribute nothing — RPL403, not this function, is what
+    at import time) are included automatically.  A name that resolves
+    to no file raises :class:`ValueError`, so a deleted module cannot
+    linger in the declaration; RPL403, not this function, is what
     certifies the declaration list is complete.
     """
     src_root = Path(__file__).resolve().parent.parent.parent
@@ -109,6 +109,8 @@ def code_fingerprint(modules: "tuple" = FINGERPRINT_MODULES) -> str:
             files.update(as_dir.rglob("*.py"))
         elif as_module.is_file():
             files.add(as_module)
+        else:
+            raise ValueError(f"fingerprinted module {name!r} resolves to no file")
     digest = hashlib.sha256()
     for file_path in sorted(files):
         digest.update(file_path.relative_to(src_root).as_posix().encode("utf-8"))

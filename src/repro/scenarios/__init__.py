@@ -1,21 +1,11 @@
-"""Scenario library: canned experiment worlds and declarative specs.
+"""Scenario library: declarative, hashable experiment specs.
 
-Two layers live here:
-
-- :mod:`repro.scenarios.builders` — imperative builders that wire the
-  paper-calibrated topology, P2P network, and Table IV mining pools
-  into a ready :class:`Scenario` (``paper_network``);
-- :mod:`repro.scenarios.spec` — the declarative, hashable
-  :class:`ScenarioSpec` that compiles an attacker hash-rate schedule,
-  partition/failure timelines, and an unreachable-peer population down
-  to the propagation engines, the unit the :mod:`repro.sweeps` driver
-  fans out by the thousands.
-
-The historical import surface (``from repro.scenarios import
-paper_network``) is preserved.
+:mod:`repro.scenarios.spec` holds :class:`ScenarioSpec`, which compiles
+an attacker hash-rate schedule, partition/failure timelines, and an
+unreachable-peer population down to the propagation engines — the unit
+the :mod:`repro.sweeps` driver fans out by the thousands.
 """
 
-from .builders import MISSING_STRATUM_POLICIES, Scenario, paper_network
 from .spec import (
     SCENARIO_TOPOLOGIES,
     ScenarioSpec,
@@ -24,11 +14,8 @@ from .spec import (
 )
 
 __all__ = [
-    "MISSING_STRATUM_POLICIES",
     "SCENARIO_TOPOLOGIES",
-    "Scenario",
     "ScenarioSpec",
-    "paper_network",
     "run_scenario",
     "scenario_summary_keys",
 ]

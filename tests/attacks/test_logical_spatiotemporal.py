@@ -5,12 +5,14 @@ import pytest
 
 from repro.attacks.logical import LogicalAttack
 from repro.attacks.results import AttackOutcome
-from repro.attacks.spatiotemporal import SpatioTemporalAttack, SpatioTemporalPlan
+from repro.attacks.spatiotemporal import SpatioTemporalPlan
+from repro.crawler.timeseries import ConsensusTimeSeries
 from repro.datagen.consensus import ConsensusDynamicsGenerator
 from repro.datagen.population import PopulationGenerator
 from repro.errors import AttackError
-from repro.netsim.latency import ConstantLatency
-from repro.netsim.network import Network, NetworkConfig
+from repro.netsim.graph import GraphConfig, GraphSimulatorVec, GraphSpec
+
+from ..netsim.graph_crawl import crawl_every
 
 
 @pytest.fixture(scope="module")
@@ -37,18 +39,13 @@ class TestLogicalAttack:
         with pytest.raises(AttackError):
             LogicalAttack(census_snapshot).crash_victims("CVE-0000-0000")
 
-    def test_execute_crash_takes_nodes_offline(self, small_topology):
-        snapshot = PopulationGenerator(small_topology, seed=4).generate()
-        net = Network(
-            NetworkConfig(num_nodes=50, seed=5, failure_rate=0.0),
-            latency=ConstantLatency(0.1),
-        )
-        attack = LogicalAttack(snapshot)
-        result = attack.execute_crash("CVE-2018-17144", network=net)
+    def test_execute_crash_takes_nodes_offline(self, census_snapshot):
+        attack = LogicalAttack(census_snapshot)
+        result = attack.execute_crash("CVE-2018-17144")
         assert result.outcome is AttackOutcome.SUCCESS
         assert result.effort == 1.0  # one network-wide exploit
-        crashed_in_net = [v for v in result.victims if v in net.nodes]
-        assert all(not net.node(v).online for v in crashed_in_net)
+        assert list(result.victims) == attack.crash_victims("CVE-2018-17144")
+        assert result.metric("crashed_fraction") == 1.0
 
     def test_adoption_reach(self, census_snapshot):
         reach = LogicalAttack(census_snapshot).adoption_reach(0.1, peers_per_node=8)
@@ -87,24 +84,50 @@ class TestSpatioTemporalPlan:
 
 class TestSpatioTemporalAttack:
     def test_combined_execution(self, tiny_topology):
-        net = Network(
-            NetworkConfig(num_nodes=30, seed=21, failure_rate=0.0),
-            latency=ConstantLatency(0.1),
+        """§V-C on a live graph-engine run: plan from crawls, then cut
+        the planned ASes off and feed the laggards a counterfeit chain.
+        Graph node i is the topology's node i; the attacker's AS300
+        hosts nodes 24-29."""
+        asns = [tiny_topology.asn_of(node) for node in range(30)]
+        laggards = np.zeros(30, dtype=bool)
+        laggards[[24, 25, 26, 27]] = True  # attacker node 24 + 3 laggards
+        spec = GraphSpec.power_law(30, seed=21).partitioned(laggards)
+
+        def run(spec, **kwargs):
+            return GraphSimulatorVec(
+                GraphConfig(
+                    spec=spec,
+                    failure_rate=0.0,
+                    steps_per_block=20,
+                    attacker_node=24,
+                    natural_fork_rate=0.0,
+                    **kwargs,
+                )
+            )
+
+        series = ConsensusTimeSeries.from_snapshots(
+            crawl_every(
+                run(spec, attacker_share=0.0),
+                interval_steps=20,
+                duration_steps=720,
+                asns=asns,
+            )
         )
-        net.add_pool("honest", 0.6, node_id=0)
-        # Create laggards so the temporal half has targets.
-        net.eclipse([25, 26, 27])
-        net.run_for(6 * 3600)
-        attack = SpatioTemporalAttack(
-            network=net,
-            topology=tiny_topology,
-            attacker_node=0,
-            attacker_asn=300,
-            hash_share=0.30,
-            num_target_ases=2,
+        plan = SpatioTemporalPlan.from_series(
+            series, topology=tiny_topology, num_ases=2
         )
-        result = attack.execute(duration=4 * 3600)
-        assert result.attack == "spatiotemporal"
-        assert result.metric("hijacked_ases") >= 1
-        assert result.num_victims > 0
-        assert result.metric("disrupted_fraction") > 0.0
+        assert len(plan.target_asns) == 2
+        assert plan.lagging_count >= 3
+        assert plan.spatial_coverage > 0.0
+
+        hijacked = np.isin(asns, plan.target_asns) & ~laggards
+        sim = run(spec.partitioned(hijacked), attacker_share=0.3)
+        sim.run(480)
+        labels = sim.labels
+        heights = np.asarray(sim.heights)
+        misled = [n for n in (25, 26, 27) if labels[n] == "B"]
+        assert misled
+        honest_tip = sim.main.tip_height
+        disrupted = (heights < honest_tip) | (np.asarray(labels) == "B")
+        assert disrupted.mean() > 0.0
+        assert disrupted[hijacked].all() or disrupted[~hijacked & ~laggards].all()

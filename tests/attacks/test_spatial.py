@@ -1,12 +1,18 @@
 """Tests for spatial attacks: BGP hijack, stratum isolation, nation block."""
 
+import numpy as np
 import pytest
 
 from repro.attacks.results import AttackOutcome
 from repro.attacks.spatial import NationStateBlock, SpatialAttack, StratumIsolation
 from repro.errors import AttackError
-from repro.netsim.latency import ConstantLatency
-from repro.netsim.network import Network, NetworkConfig
+from repro.netsim.graph import (
+    GraphConfig,
+    GraphSimulatorVec,
+    GraphSpec,
+    hijack_partition_mask,
+)
+from repro.topology.bgp import BgpHijack
 
 
 class TestSpatialAttack:
@@ -38,16 +44,24 @@ class TestSpatialAttack:
         )
 
     def test_execute_eclipses_network_victims(self, tiny_topology):
-        net = Network(
-            NetworkConfig(num_nodes=30, seed=1, failure_rate=0.0),
-            latency=ConstantLatency(0.1),
-        )
+        """The hijacked routing table cuts the victim AS out of the
+        propagation graph (Apostolaki et al.'s BGP partition)."""
+        table = tiny_topology.build_routing_table()
         attack = SpatialAttack(
             tiny_topology, attacker_asn=300, target_asn=100, target_fraction=0.9
         )
-        result = attack.execute(network=net)
-        for victim in result.victims:
-            assert net.node(victim).eclipsed
+        attack.execute(table=table)
+        spec = GraphSpec.from_topology(tiny_topology, seed=1)
+        mask = hijack_partition_mask(
+            spec, tiny_topology, BgpHijack(attacker_asn=300), table
+        )
+        # The victim AS lands on the attacker's side of the cut (AS300's
+        # own prefixes route to AS300 legitimately).
+        assert [spec.node_ids[i] for i in np.flatnonzero(mask)] == [100, 300]
+        cut = spec.partitioned(mask)
+        src = np.repeat(np.arange(cut.num_nodes), cut.degrees)
+        assert cut.num_edges < spec.num_edges
+        assert (mask[src] == mask[cut.indices]).all()
 
     def test_paper_scale_hetzner(self, paper_topology):
         """§V-A: ~15 prefixes cut 95% of AS24940's 1,030 nodes."""
@@ -79,16 +93,20 @@ class TestStratumIsolation:
         assert result.effort == 3  # the paper's 3-AS headline
 
     def test_execute_stops_network_pools(self):
-        net = Network(
-            NetworkConfig(num_nodes=10, seed=2, failure_rate=0.0),
-            latency=ConstantLatency(0.1),
-        )
-        net.add_pool("Antpool", 0.124, node_id=0, stratum_asn=45102)
-        net.add_pool("Other", 0.1, node_id=1, stratum_asn=7777)
-        result = StratumIsolation(target_hash_share=0.60).execute(network=net)
-        assert result.metric("stopped_pools") == 1
-        assert not net.pools[0].active
-        assert net.pools[1].active
+        """A pool stops when every one of its stratum ASes is hijacked;
+        a pool with a stratum outside the plan keeps mining."""
+        isolation = StratumIsolation(target_hash_share=0.60)
+        hijacked = set(isolation.plan())
+        stopped = {
+            name
+            for name, _, asns, _ in isolation.mapping.rows
+            if set(asns) <= hijacked
+        }
+        assert "Antpool" in stopped  # stratum in AS45102 only
+        assert "F2Pool" not in stopped  # also reachable via AS58563
+        assert sum(
+            share for name, share, _, _ in isolation.mapping.rows if name in stopped
+        ) >= 0.5
 
     def test_validation(self):
         with pytest.raises(AttackError):
@@ -108,13 +126,23 @@ class TestNationStateBlock:
             NationStateBlock(paper_topology, "ZZ").execute()
 
     def test_network_side_effects(self, tiny_topology):
-        net = Network(
-            NetworkConfig(num_nodes=30, seed=3, failure_rate=0.0),
-            latency=ConstantLatency(0.1),
+        """The blocked nodes drop out of the propagation graph: cut
+        off, they never hear of a block."""
+        result = NationStateBlock(tiny_topology, "CN").execute()
+        victims = list(result.victims)
+        assert victims
+        mask = np.zeros(30, dtype=bool)  # graph node i = topology node i
+        mask[victims] = True
+        sim = GraphSimulatorVec(
+            GraphConfig(
+                spec=GraphSpec.power_law(30, seed=3).partitioned(mask),
+                failure_rate=0.0,
+                steps_per_block=20,
+                attacker_share=0.0,
+                natural_fork_rate=0.0,
+            )
         )
-        net.add_pool("gamma-pool", 0.2, node_id=0, stratum_asn=300)
-        result = NationStateBlock(tiny_topology, "CN").execute(network=net)
-        assert not net.pools[0].active
-        for victim in result.victims:
-            if victim in net.nodes:
-                assert net.node(victim).eclipsed
+        sim.run(200)
+        heights = np.asarray(sim.heights)
+        assert (heights[~mask] >= 1).all()
+        assert (heights[mask] == 0).all()

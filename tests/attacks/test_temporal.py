@@ -1,22 +1,54 @@
-"""Tests for the temporal attack."""
+"""Tests for the temporal attack: target selection, and counterfeit
+feeding on the graph engine.
 
+On the graph engine the temporal attacker is the pinned
+``attacker_node`` mining fork B from ``attack_start_step``; laggards it
+shares a partition with adopt B once it outgrows their view.  Crawls
+of the run (30 s per step, 20 steps per block) feed the planner.
+"""
+
+import numpy as np
 import pytest
 
-from repro.attacks.results import AttackOutcome
-from repro.attacks.temporal import TemporalAttack, TemporalAttackPlan
+from repro.attacks.temporal import TemporalAttackPlan
+from repro.crawler.timeseries import ConsensusTimeSeries
 from repro.datagen.consensus import ConsensusDynamicsGenerator
-from repro.errors import AttackError
-from repro.netsim.latency import ConstantLatency
-from repro.netsim.network import Network, NetworkConfig
+from repro.errors import AttackError, ConfigurationError
+from repro.netsim.graph import GraphConfig, GraphSimulatorVec, GraphSpec
+from repro.netsim.timeline import Timeline, TimelineEvent
+
+from ..netsim.graph_crawl import crawl_every
+
+HOUR = 120  # steps
 
 
-def attack_network(num_nodes=30, seed=9):
-    net = Network(
-        NetworkConfig(num_nodes=num_nodes, seed=seed, failure_rate=0.0),
-        latency=ConstantLatency(0.1),
+def attack_network(victims=(), seed=12, attack_start_step=0, **kwargs):
+    """30 nodes; ``victims`` share a partition with the attacker (node 0)."""
+    spec = GraphSpec.power_law(30, seed=seed)
+    mask = np.zeros(30, dtype=bool)
+    if victims:
+        mask[[0, *victims]] = True
+        spec = spec.partitioned(mask)
+    sim = GraphSimulatorVec(
+        GraphConfig(
+            spec=spec,
+            failure_rate=0.0,
+            steps_per_block=20,
+            attacker_share=kwargs.pop("attacker_share", 0.3),
+            attack_start_step=attack_start_step,
+            natural_fork_rate=0.0,
+            **kwargs,
+        )
     )
-    net.add_pool("honest", 0.7, node_id=1)
-    return net
+    return sim, mask
+
+
+def peers_of_attacker(seed=12, count=3):
+    """The attacker's highest-index peers (honest blocks surface at the
+    lowest-index nodes, so these do not mine)."""
+    spec = GraphSpec.power_law(30, seed=seed)
+    row = spec.indices[spec.indptr[0] : spec.indptr[1]].tolist()
+    return sorted(set(row) - {0}, reverse=True)[:count]
 
 
 class TestTemporalAttackPlan:
@@ -57,68 +89,55 @@ class TestTemporalAttackPlan:
 
 class TestTemporalAttackExecution:
     def test_validation(self):
-        net = attack_network()
-        with pytest.raises(AttackError):
-            TemporalAttack(net, attacker_node=999)
-        with pytest.raises(AttackError):
-            TemporalAttack(net, attacker_node=0, hash_share=0.0)
+        spec = GraphSpec.power_law(30)
+        with pytest.raises(ConfigurationError):
+            GraphConfig(spec=spec, attacker_node=999)
+        with pytest.raises(ConfigurationError):
+            GraphConfig(spec=spec, attacker_share=1.0)
 
     def test_select_victims_prefers_laggards(self):
-        net = attack_network()
-        net.eclipse([5, 6])
-        net.run_for(4 * 3600)
-        attack = TemporalAttack(net, attacker_node=0, min_lag=1)
-        victims = attack.select_victims()
-        assert 5 in victims and 6 in victims
+        victims = peers_of_attacker()
+        sim, _ = attack_network(victims, attacker_share=0.0)
+        series = ConsensusTimeSeries.from_snapshots(
+            crawl_every(sim, interval_steps=2, duration_steps=4 * HOUR)
+        )
+        plan = TemporalAttackPlan.from_series(series, window_minutes=10)
+        # The cut-off peers (and the idle attacker's own node, cut off
+        # with them) lag for hours; a block reaches everyone else
+        # within minutes.
+        assert plan.victim_count == len(victims) + 1
 
     def test_launch_requires_victims(self):
-        net = attack_network()
-        attack = TemporalAttack(net, attacker_node=0, min_lag=1)
+        sim, _ = attack_network(attacker_share=0.0)
+        series = ConsensusTimeSeries.from_snapshots(
+            crawl_every(sim, interval_steps=2, duration_steps=HOUR)
+        )
         with pytest.raises(AttackError):
-            attack.launch()  # nobody lags yet
+            TemporalAttackPlan.from_series(series, window_minutes=10)
 
     def test_attack_misleads_lagging_victims(self):
-        net = attack_network(seed=12)
-        net.eclipse([5, 6, 7])  # spatial pre-isolation creates laggards
-        net.run_for(6 * 3600)
-        attack = TemporalAttack(
-            net, attacker_node=0, hash_share=0.30, min_lag=1, sever_victims=True
-        )
-        attack.launch()
-        net.run_for(8 * 3600)
-        result = attack.measure()
-        attack.stop()
-        assert result.metric("misled") >= 1
-        assert result.metric("counterfeit_blocks") >= 1
-        assert result.outcome in (AttackOutcome.SUCCESS, AttackOutcome.PARTIAL)
+        victims = peers_of_attacker()
+        sim, mask = attack_network(victims, attack_start_step=6 * HOUR)
+        sim.run(6 * HOUR - 1)
+        heights = sim.heights
+        tip = max(heights)
+        assert all(tip - heights[v] >= 1 for v in victims)  # laggards
+        assert sim.attacker_fork is None
+        sim.run(8 * HOUR)
+        labels = sim.labels
+        misled = [v for v in victims if labels[v] == "B"]
+        assert len(misled) >= 1
+        assert sim.attacker_fork.counterfeit and sim.attacker_fork.hashes
         # The honest partition is untouched.
-        assert net.node(1).tree.counterfeit_on_main() == 0
+        assert all(labels[n] != "B" for n in range(30) if not mask[n])
 
     def test_stop_idles_attacker_pool(self):
-        net = attack_network(seed=13)
-        net.eclipse([5])
-        net.run_for(4 * 3600)
-        attack = TemporalAttack(net, attacker_node=0, min_lag=1, sever_victims=True)
-        attack.launch()
-        net.run_for(3600)
-        attack.stop()
-        mined_at_stop = attack.pool.blocks_mined
-        net.run_for(4 * 3600)
-        assert attack.pool.blocks_mined == mined_at_stop
-
-    def test_run_convenience(self):
-        net = attack_network(seed=14)
-        net.eclipse([5, 6])
-        net.run_for(6 * 3600)
-        attack = TemporalAttack(
-            net, attacker_node=0, min_lag=1, sever_victims=True
+        sim, _ = attack_network(peers_of_attacker(seed=13, count=1), seed=13)
+        sim.attach_timeline(
+            Timeline([TimelineEvent(step=5 * HOUR, attacker_share=0.0)])
         )
-        result = attack.run(6 * 3600)
-        assert result.attack == "temporal"
-        assert result.metric("targeted") >= 2
-
-    def test_measure_before_launch_rejected(self):
-        net = attack_network()
-        attack = TemporalAttack(net, attacker_node=0)
-        with pytest.raises(AttackError):
-            attack.measure()
+        sim.run(5 * HOUR - 1)
+        assert sim.attacker_fork is not None
+        mined_at_stop = len(sim.attacker_fork.hashes)
+        sim.run(4 * HOUR)
+        assert len(sim.attacker_fork.hashes) == mined_at_stop

@@ -1,81 +1,70 @@
-"""Tests for blocks, headers, and merkle commitments."""
+"""Blocks of the engines' chain model: :class:`ForkChain` hashes.
+
+The grid and graph engines keep the block tree as labelled forks; a
+block is its fork's hash at one height, linked to the previous hash by
+a 64-bit MD5 digest of ``previous|label|height``.
+"""
+
+import hashlib
 
 import pytest
 
-from repro.blockchain.block import (
-    Block,
-    BlockHeader,
-    GENESIS_HASH,
-    genesis_block,
-    merkle_root,
-)
-from repro.blockchain.tx import Transaction, TxOutput
-from repro.errors import InvalidBlockError
+from repro.errors import SimulationError
+from repro.netsim.grid import ForkChain
 
 
-class TestMerkleRoot:
-    def test_empty_is_stable_sentinel(self):
-        assert merkle_root([]) == merkle_root([])
-
-    def test_single_leaf(self):
-        assert merkle_root(["abc"]) == "abc"
-
-    def test_order_sensitive(self):
-        assert merkle_root(["a", "b"]) != merkle_root(["b", "a"])
-
-    def test_odd_level_duplicates_last(self):
-        # Bitcoin-style: [a, b, c] pairs as (a,b), (c,c).
-        assert merkle_root(["a", "b", "c"]) == merkle_root(["a", "b", "c", "c"])
-
-    def test_content_sensitive(self):
-        assert merkle_root(["a", "b"]) != merkle_root(["a", "c"])
+def chain(label="A", blocks=0, parent=None, branch_height=0, counterfeit=False):
+    fork = ForkChain(
+        label=label,
+        parent=parent,
+        branch_height=branch_height,
+        counterfeit=counterfeit,
+    )
+    for _ in range(blocks):
+        fork.extend()
+    return fork
 
 
 class TestBlockHeader:
     def test_hash_commits_to_fields(self):
-        base = dict(parent_hash="p" * 16, height=3, miner_id=1, timestamp=10.0)
-        h1 = BlockHeader(**base).hash
-        assert BlockHeader(**{**base, "miner_id": 2}).hash != h1
-        assert BlockHeader(**{**base, "timestamp": 11.0}).hash != h1
-        assert BlockHeader(**{**base, "counterfeit": True}).hash != h1
+        base = chain(blocks=1)
+        digest = hashlib.md5(
+            f"{base.hash_at(1)}|A|2".encode("utf-8")
+        ).hexdigest()[:16]
+        assert base.extend() == digest
+        # Changing the parent, the label or the height changes the hash.
+        other_parent = chain(label="A", blocks=1, parent=chain(label="C", blocks=1), branch_height=1)
+        relabelled = chain(label="C", blocks=2)
+        assert len({base.hash_at(2), other_parent.hash_at(2), relabelled.hash_at(2)}) == 3
+        assert base.hash_at(1) != base.hash_at(2)
 
     def test_negative_height_rejected(self):
-        with pytest.raises(InvalidBlockError):
-            BlockHeader(parent_hash="p", height=-1, miner_id=0, timestamp=0.0)
+        with pytest.raises(SimulationError):
+            chain(blocks=2).hash_at(-1)
 
 
 class TestBlock:
     def test_genesis(self):
-        g = genesis_block()
-        assert g.is_genesis
-        assert g.height == 0
-        assert g.parent_hash == GENESIS_HASH
-
-    def test_create_computes_merkle(self):
-        tx = Transaction.make_coinbase(miner=1, value=50)
-        block = Block.create("p" * 16, 1, 1, 600.0, [tx])
-        assert block.header.merkle == merkle_root([tx.txid])
-
-    def test_tampered_transactions_detected(self):
-        tx = Transaction.make_coinbase(miner=1, value=50)
-        block = Block.create("p" * 16, 1, 1, 600.0, [tx])
-        other = Transaction.make_coinbase(miner=2, value=50)
-        with pytest.raises(InvalidBlockError):
-            Block(header=block.header, transactions=(other,))
+        genesis = chain()
+        assert genesis.tip_height == 0
+        assert genesis.tip_hash() == "genesis"
 
     def test_extends(self):
-        g = genesis_block()
-        child = Block.create(g.hash, 1, 0, 600.0)
-        assert child.extends(g)
-        assert not g.extends(child)
+        root = chain(blocks=1)
+        child = root.extend()
+        assert root.hash_at(2) == child
+        assert root.tip_height == 2
+        # A block links to its predecessor, not the other way round.
+        assert root.hash_at(1) != child
 
     def test_counterfeit_flag_changes_identity(self):
-        honest = Block.create("p" * 16, 1, 0, 1.0)
-        forged = Block.create("p" * 16, 1, 0, 1.0, counterfeit=True)
-        assert honest.hash != forged.hash
+        honest = chain(label="A", blocks=3)
+        forged = chain(
+            label="B", blocks=1, parent=honest, branch_height=2, counterfeit=True
+        )
         assert forged.counterfeit
+        assert forged.hash_at(2) == honest.hash_at(2)  # shared history
+        assert forged.hash_at(3) != honest.hash_at(3)
 
     def test_deterministic_hash(self):
-        a = Block.create("p" * 16, 1, 0, 1.0)
-        b = Block.create("p" * 16, 1, 0, 1.0)
-        assert a.hash == b.hash
+        assert chain(blocks=5).hashes == chain(blocks=5).hashes

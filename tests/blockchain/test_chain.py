@@ -1,149 +1,108 @@
-"""Tests for the block tree: forks, reorgs, orphans."""
+"""The engines' block tree: :class:`ForkChain` branches and the
+longest-chain rule of the graph engine."""
 
 import pytest
 
-from repro.blockchain.block import Block, genesis_block
-from repro.blockchain.chain import BlockTree
-from repro.errors import InvalidBlockError, UnknownBlockError
+from repro.errors import SimulationError
+from repro.netsim.graph import GraphConfig, GraphSimulatorVec, GraphSpec
+from repro.netsim.grid import ForkChain
 
 
-def extend(parent: Block, miner: int = 0, ts: float = None, counterfeit=False) -> Block:
-    timestamp = ts if ts is not None else (parent.header.timestamp + 600.0)
-    return Block.create(
-        parent.hash, parent.height + 1, miner, timestamp, counterfeit=counterfeit
-    )
+def main_chain(blocks):
+    fork = ForkChain(label="A", parent=None, branch_height=0)
+    for _ in range(blocks):
+        fork.extend()
+    return fork
 
 
-@pytest.fixture()
-def tree(genesis):
-    return BlockTree(genesis)
+def branch(parent, label, branch_height, blocks):
+    fork = ForkChain(label=label, parent=parent, branch_height=branch_height)
+    for _ in range(blocks):
+        fork.extend()
+    return fork
 
 
 class TestBasics:
-    def test_root_must_be_genesis(self, genesis):
-        child = extend(genesis)
-        with pytest.raises(InvalidBlockError):
-            BlockTree(child)
+    def test_root_must_be_genesis(self):
+        root = main_chain(3)
+        assert root.hash_at(0) == "genesis"
+        # A branch resolves every height at or below its fork point
+        # through its parent, down to the same genesis.
+        fork = branch(root, "C", 2, 1)
+        assert fork.hash_at(0) == "genesis"
+        assert [fork.hash_at(h) for h in (1, 2)] == root.hashes[:2]
 
-    def test_extension_moves_tip(self, tree, genesis):
-        b1 = extend(genesis)
-        event = tree.add_block(b1)
-        assert event is not None and event.is_extension
-        assert tree.best_tip == b1
-        assert tree.height == 1
+    def test_extension_moves_tip(self):
+        fork = main_chain(1)
+        new_hash = fork.extend()
+        assert fork.tip_height == 2
+        assert fork.tip_hash() == new_hash
 
-    def test_duplicate_insert_ignored(self, tree, genesis):
-        b1 = extend(genesis)
-        tree.add_block(b1)
-        assert tree.add_block(b1) is None
-        assert len(tree) == 2
+    def test_bad_height_rejected(self):
+        with pytest.raises(SimulationError):
+            main_chain(2).hash_at(5)
 
-    def test_second_genesis_rejected(self, tree):
-        with pytest.raises(InvalidBlockError):
-            tree.add_block(genesis_block(timestamp=5.0))
+    def test_unknown_lookup_raises(self):
+        sim = GraphSimulatorVec(GraphConfig(spec=GraphSpec.power_law(10)))
+        assert sim.fork_of("A") is sim.main
+        with pytest.raises(SimulationError):
+            sim.fork_of("Z")
 
-    def test_bad_height_rejected(self, tree, genesis):
-        bad = Block.create(genesis.hash, 5, 0, 600.0)
-        with pytest.raises(InvalidBlockError):
-            tree.add_block(bad)
+    def test_main_chain_order(self):
+        fork = main_chain(3)
+        assert [fork.hash_at(h) for h in range(4)] == ["genesis", *fork.hashes]
 
-    def test_unknown_lookup_raises(self, tree):
-        with pytest.raises(UnknownBlockError):
-            tree.get("nope")
+    def test_block_at_height(self):
+        fork = main_chain(1)
+        assert fork.hash_at(0) == "genesis"
+        assert fork.hash_at(1) == fork.hashes[0]
+        with pytest.raises(SimulationError):
+            fork.hash_at(2)
 
-    def test_main_chain_order(self, tree, genesis):
-        b1 = extend(genesis)
-        b2 = extend(b1)
-        tree.add_block(b1)
-        tree.add_block(b2)
-        chain = tree.main_chain()
-        assert [b.height for b in chain] == [0, 1, 2]
 
-    def test_block_at_height(self, tree, genesis):
-        b1 = extend(genesis)
-        tree.add_block(b1)
-        assert tree.block_at_height(0) == genesis
-        assert tree.block_at_height(1) == b1
-        assert tree.block_at_height(2) is None
+def label_changes(steps=600):
+    """Per-node (old label, new label, old height, new height) switches
+    of a run with frequent natural forks."""
+    sim = GraphSimulatorVec(
+        GraphConfig(
+            spec=GraphSpec.power_law(40, seed=7),
+            failure_rate=0.1,
+            steps_per_block=10,
+            attacker_share=0.0,
+            natural_fork_rate=0.5,
+        )
+    )
+    changes = []
+    labels, heights = sim.labels, sim.heights
+    for _ in range(steps):
+        sim.step()
+        new_labels, new_heights = sim.labels, sim.heights
+        changes.extend(
+            (a, b, h, g)
+            for a, b, h, g in zip(labels, new_labels, heights, new_heights)
+            if a != b
+        )
+        labels, heights = new_labels, new_heights
+    return changes
 
 
 class TestForksAndReorgs:
-    def test_tie_keeps_incumbent(self, tree, genesis):
-        b1a = extend(genesis, miner=0)
-        b1b = extend(genesis, miner=1)
-        tree.add_block(b1a)
-        tree.add_block(b1b)
-        assert tree.best_tip == b1a
-        assert len(tree.tips) == 2
+    def test_tie_keeps_incumbent(self):
+        # A node only leaves its branch for a strictly higher one.
+        changes = label_changes()
+        assert changes
+        assert all(new > old for _, _, old, new in changes)
 
-    def test_longer_branch_reorgs(self, tree, genesis):
-        b1a = extend(genesis, miner=0)
-        b1b = extend(genesis, miner=1)
-        b2b = extend(b1b, miner=1)
-        tree.add_block(b1a)
-        tree.add_block(b1b)
-        event = tree.add_block(b2b)
-        assert event is not None
-        assert event.depth == 1
-        assert event.detached == (b1a,)
-        assert event.attached == (b1b, b2b)
-        assert event.common_ancestor == genesis.hash
-        assert tree.best_tip == b2b
+    def test_longer_branch_reorgs(self):
+        # Nodes on natural forks move back onto the main chain A once
+        # it is longer.
+        reorgs = [c for c in label_changes() if c[0] != "A" and c[1] == "A"]
+        assert reorgs
+        assert all(new > old for _, _, old, new in reorgs)
 
-    def test_deep_reorg(self, tree, genesis):
-        # Build a 3-long branch, then overtake it with a 4-long one.
-        a = [genesis]
-        for _ in range(3):
-            a.append(extend(a[-1], miner=0))
-            tree.add_block(a[-1])
-        b = [genesis]
-        for _ in range(4):
-            b.append(extend(b[-1], miner=1))
-            tree.add_block(b[-1])
-        assert tree.best_tip == b[-1]
-        assert tree.height == 4
-        lengths = tree.fork_lengths()
-        assert lengths == [3]
-
-    def test_is_on_main_chain(self, tree, genesis):
-        b1a = extend(genesis, miner=0)
-        b1b = extend(genesis, miner=1)
-        tree.add_block(b1a)
-        tree.add_block(b1b)
-        assert tree.is_on_main_chain(b1a.hash)
-        assert not tree.is_on_main_chain(b1b.hash)
-
-    def test_counterfeit_on_main(self, tree, genesis):
-        forged = extend(genesis, miner=9, counterfeit=True)
-        tree.add_block(forged)
-        assert tree.counterfeit_on_main() == 1
-
-    def test_lag_of(self, tree, genesis):
-        b1 = extend(genesis)
-        tree.add_block(b1)
-        assert tree.lag_of(5) == 4
-        assert tree.lag_of(1) == 0
-        assert tree.lag_of(0) == 0
-
-
-class TestOrphans:
-    def test_orphan_parked_then_connected(self, tree, genesis):
-        b1 = extend(genesis)
-        b2 = extend(b1)
-        assert tree.add_block(b2) is None  # parent unknown: parked
-        assert tree.num_orphans == 1
-        assert tree.missing_parents() == [b1.hash]
-        event = tree.add_block(b1)
-        assert tree.num_orphans == 0
-        assert tree.height == 2
-        assert event is not None and event.attached[-1] == b2
-
-    def test_orphan_chain_connects_recursively(self, tree, genesis):
-        b1 = extend(genesis)
-        b2 = extend(b1)
-        b3 = extend(b2)
-        tree.add_block(b3)
-        tree.add_block(b2)
-        assert tree.height == 0
-        tree.add_block(b1)
-        assert tree.height == 3
+    def test_is_on_main_chain(self):
+        root = main_chain(3)
+        fork = branch(root, "C", 1, 2)
+        assert fork.shares_prefix_with(root, 1)
+        assert not fork.shares_prefix_with(root, 2)
+        assert not fork.shares_prefix_with(root, 4)  # above both tips

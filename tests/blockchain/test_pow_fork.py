@@ -1,107 +1,88 @@
-"""Tests for the PoW timing model and fork tracker."""
+"""Block production and fork bookkeeping of the graph engine.
 
-import random
+Each step the honest miners find a block with probability
+``(1 - attacker_share) / steps_per_block`` and the attacker with
+``attacker_share / steps_per_block``; the engine records every fork's
+birth and death step.
+"""
 
 import pytest
 
-from repro.blockchain.fork import Fork, ForkTracker
-from repro.blockchain.pow import DifficultySchedule, MiningModel
 from repro.errors import ConfigurationError
+from repro.netsim.graph import GraphConfig, GraphSimulatorVec, GraphSpec
 
 
-class TestDifficultySchedule:
-    def test_target_interval_scales_with_difficulty(self):
-        schedule = DifficultySchedule(base_interval=600.0, difficulty=2.0)
-        assert schedule.target_interval == 1200.0
-
-    def test_retarget_raises_difficulty_when_fast(self):
-        schedule = DifficultySchedule()
-        before = schedule.difficulty
-        # Window mined in half the expected time.
-        schedule.retarget(schedule.window * schedule.base_interval / 2)
-        assert schedule.difficulty == pytest.approx(before * 2)
-
-    def test_retarget_clamped_to_4x(self):
-        schedule = DifficultySchedule()
-        schedule.retarget(schedule.window * schedule.base_interval / 100)
-        assert schedule.difficulty == pytest.approx(4.0)
-
-    def test_invalid_params_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DifficultySchedule(base_interval=0)
-        with pytest.raises(ConfigurationError):
-            DifficultySchedule(difficulty=0)
+def make_sim(num_nodes=10, **kwargs):
+    kwargs.setdefault("failure_rate", 0.0)
+    kwargs.setdefault("natural_fork_rate", 0.0)
+    return GraphSimulatorVec(
+        GraphConfig(spec=GraphSpec.power_law(num_nodes, seed=1), **kwargs)
+    )
 
 
 class TestMiningModel:
     def test_mean_block_time_scales_inverse_share(self):
-        model = MiningModel(rng=random.Random(1))
-        samples = [model.sample_block_time(0.3) for _ in range(30_000)]
-        mean = sum(samples) / len(samples)
-        # 30% of hash power: mean interval ~2000 s (the paper's slow
-        # counterfeit chain).
-        assert mean == pytest.approx(2000.0, rel=0.05)
+        sim = make_sim(steps_per_block=5, attacker_share=0.3)
+        sim.run(12_000)
+        mean = sim.step_count / len(sim.attacker_fork.hashes)
+        # 30% of hash power: one block per 5 / 0.3 = 16.7 steps (the
+        # paper's slow counterfeit chain, ~2000 s at 600 s per block).
+        assert mean == pytest.approx(5 / 0.3, rel=0.12)
 
     def test_expected_interval(self):
-        model = MiningModel(rng=random.Random(1))
-        assert model.expected_interval(0.3) == pytest.approx(2000.0)
-        assert model.expected_interval(1.0) == pytest.approx(600.0)
+        sim = make_sim(steps_per_block=5, attacker_share=0.0)
+        sim.run(5_000)
+        assert sim.step_count / sim.main.tip_height == pytest.approx(5, rel=0.1)
 
     def test_invalid_share_rejected(self):
-        model = MiningModel(rng=random.Random(1))
-        for share in (0.0, -0.1, 1.1):
+        spec = GraphSpec.power_law(10)
+        for share in (-0.1, 1.0, 1.1):
             with pytest.raises(ConfigurationError):
-                model.sample_block_time(share)
+                GraphConfig(spec=spec, attacker_share=share)
 
     def test_winner_distribution_tracks_share(self):
-        model = MiningModel(rng=random.Random(2))
-        wins = {1: 0, 2: 0}
-        for _ in range(4000):
-            winner, _ = model.winner({1: 0.7, 2: 0.3})
-            wins[winner] += 1
-        share = wins[1] / (wins[1] + wins[2])
-        assert share == pytest.approx(0.7, abs=0.03)
-
-    def test_winner_requires_miners(self):
-        with pytest.raises(ConfigurationError):
-            MiningModel(rng=random.Random(1)).winner({})
+        sim = make_sim(steps_per_block=2, attacker_share=0.3, seed=2)
+        sim.run(8_000)
+        honest = sim.main.tip_height
+        attacker = len(sim.attacker_fork.hashes)
+        assert honest / (honest + attacker) == pytest.approx(0.7, abs=0.03)
 
 
 class TestForkTracker:
     def test_lifecycle(self):
-        tracker = ForkTracker()
-        fork = tracker.observe_fork("fp", time=100.0, depth=1)
-        assert fork.live
-        tracker.observe_fork("fp", time=200.0, depth=3)
-        assert fork.max_depth == 3
-        resolved = tracker.observe_resolution("fp", time=1500.0, winning_tip="tip")
-        assert resolved is fork
-        assert not fork.live
-        assert fork.lifetime == 1400.0
-        assert fork.lifetime_in_block_intervals(600.0) == pytest.approx(2.333, rel=0.01)
-
-    def test_unknown_resolution_returns_none(self):
-        assert ForkTracker().observe_resolution("x", 1.0, "t") is None
+        sim = make_sim(
+            num_nodes=40,
+            failure_rate=0.5,
+            steps_per_block=5,
+            attacker_share=0.0,
+            natural_fork_rate=0.5,
+        )
+        sim.run(300)
+        lifetimes = sim.fork_lifetimes_in_blocks()
+        assert lifetimes
+        for label, lifetime in lifetimes.items():
+            assert label != "A"  # the main chain never dies
+            born, died = sim.fork_births[label], sim.fork_deaths[label]
+            assert born <= died <= sim.step_count
+            assert lifetime == pytest.approx((died - born) / 5)
 
     def test_counterfeit_tracking(self):
-        tracker = ForkTracker()
-        tracker.observe_fork("a", 0.0, counterfeit=True)
-        tracker.observe_fork("b", 0.0)
-        tracker.observe_resolution("a", 100.0, "t")
-        assert len(tracker.counterfeit_forks()) == 1
-
-    def test_summary(self):
-        tracker = ForkTracker()
-        tracker.observe_fork("a", 0.0, depth=2)
-        tracker.observe_resolution("a", 1200.0, "t")
-        tracker.observe_fork("b", 0.0, depth=5)
-        summary = tracker.summary(600.0)
-        assert summary["total"] == 2.0
-        assert summary["live"] == 1.0
-        assert summary["max_depth"] == 5.0
-        assert summary["mean_lifetime_intervals"] == pytest.approx(2.0)
+        sim = make_sim(
+            num_nodes=40,
+            failure_rate=0.5,
+            steps_per_block=5,
+            attacker_share=0.3,
+            natural_fork_rate=0.5,
+        )
+        sim.run(300)
+        counterfeit = {l for l, fork in sim.forks.items() if fork.counterfeit}
+        assert counterfeit == {"B"}
+        # The attacker keeps its own fork alive.
+        assert "B" not in sim.fork_deaths
+        assert len(sim.forks) > 2  # natural forks were tracked too
 
     def test_mean_lifetime_none_when_unresolved(self):
-        tracker = ForkTracker()
-        tracker.observe_fork("a", 0.0)
-        assert tracker.mean_lifetime() is None
+        sim = make_sim(steps_per_block=20, attacker_share=0.3)
+        sim.run(400)
+        assert sim.attacker_fork is not None
+        assert sim.fork_lifetimes_in_blocks() == {}

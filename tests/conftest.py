@@ -13,11 +13,8 @@ from pathlib import Path
 import pytest
 
 from repro.audit.project import Project
-from repro.blockchain.block import genesis_block
 from repro.check import TIERS
 from repro.lint import lint_paths
-from repro.netsim.latency import ConstantLatency
-from repro.netsim.network import Network, NetworkConfig
 from repro.parallel import Trial
 from repro.rng import derive_seed
 from repro.topology.builder import build_paper_topology
@@ -81,24 +78,8 @@ def tiny_topology():
 
 
 @pytest.fixture()
-def small_network():
-    """A 60-node network with one honest pool, deterministic latency."""
-    net = Network(
-        NetworkConfig(num_nodes=60, seed=5, failure_rate=0.05),
-        latency=ConstantLatency(0.2),
-    )
-    net.add_pool("honest", 0.7, node_id=0)
-    return net
-
-
-@pytest.fixture()
 def rng():
     return random.Random(1234)
-
-
-@pytest.fixture()
-def genesis():
-    return genesis_block()
 
 
 @pytest.fixture(scope="session")

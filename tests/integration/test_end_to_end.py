@@ -1,39 +1,50 @@
-"""Integration tests: full attack scenarios across subsystems."""
+"""Integration tests: attack scenarios across subsystems, on the graph
+engine.
 
-import pytest
+Crawls of a live :class:`GraphSimulatorVec` run (30 s per step, 20
+steps per block) feed the measurement schema; spatial attacks cut the
+propagation graph; the temporal attacker is the engine's fork B.
+"""
 
-from repro.attacks.spatial import SpatialAttack, StratumIsolation
-from repro.attacks.temporal import TemporalAttack
-from repro.countermeasures.blockaware import BlockAware, BlockAwareConfig
-from repro.crawler.bitnodes import BitnodesCrawler
+import numpy as np
+
+from repro.analysis.vulnerable import max_vulnerable_nodes
+from repro.attacks.spatial import SpatialAttack
 from repro.crawler.timeseries import ConsensusTimeSeries
-from repro.netsim.latency import ConstantLatency, DiffusionLatency
-from repro.netsim.metrics import LagSampler
-from repro.netsim.network import Network, NetworkConfig
-from repro.topology.builder import build_paper_topology
+from repro.netsim.graph import GraphConfig, GraphSimulatorVec, GraphSpec
+from repro.types import LagBand, lag_band
+
+from ..netsim.graph_crawl import crawl, crawl_every
+
+HOUR = 120  # steps
+
+
+def node_mask(num_nodes, nodes):
+    mask = np.zeros(num_nodes, dtype=bool)
+    mask[list(nodes)] = True
+    return mask
 
 
 class TestMeasurementPipeline:
     """Crawl a live network into the analysis schema — §IV end to end."""
 
     def test_crawl_to_timeseries_to_analysis(self):
-        topo = build_paper_topology(seed=2, scale=0.2)
-        num = 80
-        net = Network(
-            NetworkConfig(num_nodes=num, seed=2, failure_rate=0.05),
-            latency=DiffusionLatency(rate=0.8),
+        laggards = [70, 71, 72]  # some persistent laggards
+        sim = GraphSimulatorVec(
+            GraphConfig(
+                spec=GraphSpec.power_law(80, seed=2).partitioned(
+                    node_mask(80, laggards)
+                ),
+                failure_rate=0.05,
+                steps_per_block=20,
+                attacker_share=0.0,
+            )
         )
-        net.add_pool("honest", 0.8, node_id=0)
-        net.eclipse([70, 71, 72])  # some persistent laggards
-        crawler = BitnodesCrawler(net, topo)
-        snapshots = crawler.crawl_every(interval=600.0, duration=3 * 3600.0)
+        snapshots = crawl_every(sim, interval_steps=20, duration_steps=3 * HOUR)
         series = ConsensusTimeSeries.from_snapshots(snapshots)
-        assert series.num_nodes == num
+        assert series.num_nodes == 80
         behind = series.behind_at_least_series(1)
         assert behind[-1] >= 3  # the eclipsed nodes show up as lagging
-
-        from repro.analysis.vulnerable import max_vulnerable_nodes
-
         result = max_vulnerable_nodes(series, lag_threshold=1, t_minutes=30)
         assert result.max_nodes >= 3
 
@@ -41,92 +52,58 @@ class TestMeasurementPipeline:
 class TestSpatialThenTemporal:
     """The §V-C pipeline: hijack creates laggards, feeding exploits them."""
 
-    def test_combined_scenario(self):
-        topo = build_paper_topology(seed=5, scale=0.2)
-        # Node ids are shared with the topology: ids 0-205 sit in the
-        # scaled AS24940, 206-344 in AS16276.  The network must span
-        # both so the honest miner can live outside the target AS.
-        net = Network(
-            NetworkConfig(num_nodes=350, seed=5, failure_rate=0.02),
-            latency=ConstantLatency(0.2),
-        )
-        net.add_pool("honest", 0.7, node_id=1)  # node 1: inside AS24940
-
-        # Spatial phase: hijack the scaled OVH AS (ids 206-344).
+    def test_combined_scenario(self, tiny_topology):
+        # Graph node i is the topology's node i: AS100 hosts 0-11,
+        # AS200 12-19, AS201 20-23 and the attacker's AS300 24-29.
+        table = tiny_topology.build_routing_table()
         spatial = SpatialAttack(
-            topo, attacker_asn=666, target_asn=16276, target_fraction=0.9
+            tiny_topology, attacker_asn=300, target_asn=200, target_fraction=0.9
         )
-        spatial_result = spatial.execute(network=net)
-        victims_in_net = [v for v in spatial_result.victims if v in net.nodes]
-        assert victims_in_net
-        net.run_for(6 * 3600)
-        tip = net.network_height()
-        assert all(net.node(v).lag(tip) >= 1 for v in victims_in_net)
-
+        victims = list(spatial.execute(table=table).victims)
+        assert victims
+        attacker = tiny_topology.nodes_in_as(300)[0]
+        # The hijacker intercepts the victims' traffic: they share its
+        # side of the cut.
+        mask = node_mask(30, victims + [attacker])
+        sim = GraphSimulatorVec(
+            GraphConfig(
+                spec=GraphSpec.power_law(30, seed=5).partitioned(mask),
+                failure_rate=0.02,
+                steps_per_block=20,
+                attacker_share=0.3,
+                attacker_node=attacker,
+                attack_start_step=6 * HOUR,
+            )
+        )
+        sim.run(6 * HOUR - 1)
+        heights = sim.heights
+        tip = max(heights)
+        assert all(tip - heights[v] >= 1 for v in victims)
         # Temporal phase: feed the laggards a counterfeit chain.
-        temporal = TemporalAttack(
-            net, attacker_node=0, hash_share=0.3, min_lag=1
-        )
-        targeted = temporal.launch()
-        assert set(victims_in_net) <= set(targeted)
-        net.run_for(8 * 3600)
-        result = temporal.measure()
-        temporal.stop()
-        assert result.metric("misled") >= 1
-
-
-class TestAttackDefenseCycle:
-    def test_blockaware_recovers_spatial_victims(self):
-        net = Network(
-            NetworkConfig(num_nodes=60, seed=7, failure_rate=0.0),
-            latency=ConstantLatency(0.1),
-        )
-        net.add_pool("honest", 0.9, node_id=1)
-        net.eclipse([40, 41])
-        net.run_for(4 * 3600)
-        tip = net.network_height()
-        assert net.node(40).lag(tip) >= 1
-        net.heal([40, 41])
-        monitor = BlockAware(
-            net, BlockAwareConfig(probe_random_nodes=2), node_ids=[40, 41]
-        )
-        monitor.start()
-        net.run_for(2 * 3600)
-        tip = net.network_height()
-        assert net.node(40).lag(tip) <= 1
-        assert monitor.detection_rate([40, 41]) == 1.0
-
-    def test_stratum_isolation_slows_block_production(self):
-        net = Network(
-            NetworkConfig(num_nodes=30, seed=8, failure_rate=0.0),
-            latency=ConstantLatency(0.1),
-        )
-        net.add_pool("BTC.com", 0.25, node_id=0, stratum_asn=37963)
-        net.add_pool("Antpool", 0.124, node_id=1, stratum_asn=45102)
-        net.add_pool("independent", 0.2, node_id=2, stratum_asn=7777)
-        net.run_for(40 * 600)
-        height_before = net.network_height()
-        StratumIsolation(target_hash_share=0.6).execute(network=net)
-        remaining = net.total_hash_share(active_only=True)
-        assert remaining == pytest.approx(0.2)
-        net.run_for(40 * 600)
-        growth_after = net.network_height() - height_before
-        # With ~2/3 of the hash power gone, growth drops markedly.
-        assert growth_after < 40 * 0.6
+        sim.run(8 * HOUR)
+        labels = sim.labels
+        assert sum(labels[v] == "B" for v in victims) >= 1
+        assert all(labels[n] != "B" for n in range(30) if not mask[n])
 
 
 class TestLagSamplerAgainstCrawler:
     def test_consistent_band_counts(self):
-        net = Network(
-            NetworkConfig(num_nodes=40, seed=9, failure_rate=0.0),
-            latency=ConstantLatency(0.1),
+        sim = GraphSimulatorVec(
+            GraphConfig(
+                spec=GraphSpec.power_law(40, seed=9).partitioned(
+                    node_mask(40, [30])
+                ),
+                failure_rate=0.0,
+                steps_per_block=20,
+                attacker_share=0.0,
+            )
         )
-        net.add_pool("honest", 0.9, node_id=0)
-        net.eclipse([30])
-        sampler = LagSampler(net, interval=600.0)
-        sampler.start()
-        crawler = BitnodesCrawler(net)
-        net.run_for(2 * 3600)
-        snapshot = crawler.crawl()
-        sample = sampler.sample_now()
-        assert snapshot.band_counts() == sample.counts
+        sim.run(2 * HOUR)
+        snapshot = crawl(sim)
+        heights = sim.heights
+        counts = {band: 0 for band in LagBand}
+        for height in heights:
+            counts[lag_band(max(heights) - height)] += 1
+        assert snapshot.band_counts() == counts
+        assert counts[LagBand.SYNCED] == round(sim.synced_fraction() * 40)
+        assert counts[LagBand.SYNCED] < 40  # the eclipsed node lags

@@ -1,8 +1,8 @@
 """Good: counters and accumulators scoped per-instance or per-call.
 
-The instance-scoped ``itertools.count`` mirrors
-``repro/netsim/events.py`` (EventQueue tokens) — the sanctioned shape
-the global-state rule must stay silent on.
+The instance-scoped ``itertools.count`` mirrors the historical event
+queue's tokens — the sanctioned shape the global-state rule must stay
+silent on.
 """
 
 import itertools

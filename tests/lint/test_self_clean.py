@@ -40,7 +40,7 @@ class TestRepoSelfLint:
 
     def test_lint_covers_the_whole_tree(self, repo_lint):
         linted = {f.path for f in repo_lint.files}
-        assert any(path.endswith("repro/netsim/events.py") for path in linted)
+        assert any(path.endswith("repro/netsim/graph.py") for path in linted)
         assert any(path.endswith("repro/parallel/trials.py") for path in linted)
         assert any("benchmarks/" in path for path in linted)
         assert any("examples/" in path for path in linted)

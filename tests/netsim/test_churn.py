@@ -1,94 +1,123 @@
-"""Tests for the node-churn process."""
+"""Churn on the graph engine: failure-rate and partition timelines.
 
+Wang–Pustogarov's churning peers miss their contacts; the engine
+models them with a per-communication failure rate, and peers that drop
+off and return with a partition timeline.  Both change at tick
+boundaries through :class:`Timeline` events.
+"""
+
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.netsim.churn import ChurnConfig, ChurnProcess
-from repro.netsim.latency import ConstantLatency
-from repro.netsim.network import Network, NetworkConfig
+from repro.netsim.graph import GraphConfig, GraphSimulatorVec, GraphSpec
+from repro.netsim.timeline import Timeline, TimelineEvent
 
 
-def make_network(num_nodes=60, seed=41):
-    net = Network(
-        NetworkConfig(num_nodes=num_nodes, seed=seed, failure_rate=0.0),
-        latency=ConstantLatency(0.1),
+def make_sim(num_nodes=60, seed=41, **kwargs):
+    kwargs.setdefault("failure_rate", 0.0)
+    kwargs.setdefault("steps_per_block", 20)
+    kwargs.setdefault("attacker_share", 0.0)
+    kwargs.setdefault("natural_fork_rate", 0.0)
+    return GraphSimulatorVec(
+        GraphConfig(spec=GraphSpec.power_law(num_nodes, seed=seed), **kwargs)
     )
-    net.add_pool("honest", 0.9, node_id=0)
-    return net
+
+
+def behind_fraction(sim, steps):
+    """Mean fraction of nodes below the highest chain over ``steps``."""
+    behind = []
+    for _ in range(steps):
+        sim.step()
+        heights = np.asarray(sim.heights)
+        behind.append(float((heights < heights.max()).mean()))
+    return float(np.mean(behind))
 
 
 class TestChurnConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            ChurnConfig(mean_uptime=0.0)
+            TimelineEvent(step=10, failure_rate=1.0)
         with pytest.raises(ConfigurationError):
-            ChurnConfig(churning_fraction=1.5)
-
-    def test_availability(self):
-        config = ChurnConfig(mean_uptime=20 * 3600, mean_downtime=4 * 3600)
-        # The paper's ~83.5% up share.
-        assert config.availability == pytest.approx(0.833, abs=0.01)
+            TimelineEvent(step=10, failure_rate=-0.1)
+        with pytest.raises(ConfigurationError):
+            TimelineEvent(step=10, partition_fraction=1.5)
+        with pytest.raises(ConfigurationError):
+            TimelineEvent(step=10)  # changes nothing
 
 
 class TestChurnProcess:
     def test_selects_configured_fraction(self):
-        net = make_network()
-        churn = ChurnProcess(net, ChurnConfig(churning_fraction=0.5))
-        assert len(churn.node_ids) == 30
+        sim = make_sim()
+        sim.attach_timeline(Timeline([TimelineEvent(step=0, partition_fraction=0.5)]))
+        sim.run(400)
+        # The lowest-index half is cut off (and holds the honest miners'
+        # seeds); the other 30 nodes never see a block.
+        heights = np.asarray(sim.heights)
+        assert heights.max() >= 1
+        assert (heights[30:] == 0).all()
+        assert (heights[:30] >= 1).all()
 
     def test_transitions_happen(self):
-        net = make_network()
-        churn = ChurnProcess(
-            net,
-            ChurnConfig(mean_uptime=3600.0, mean_downtime=1800.0),
+        sim = make_sim()
+        rates = {100: 0.5, 200: 0.9, 300: 0.2}
+        sim.attach_timeline(
+            Timeline(
+                TimelineEvent(step=step, failure_rate=rate)
+                for step, rate in rates.items()
+            )
         )
-        churn.start()
-        net.run_for(24 * 3600)
-        assert churn.total_transitions() > 10
-        # Some nodes should currently be down.
-        down = sum(1 for node in net.nodes.values() if not node.online)
-        assert down >= 1
-
-    def test_steady_state_availability(self):
-        net = make_network(num_nodes=200, seed=43)
-        config = ChurnConfig(
-            mean_uptime=5 * 3600.0,
-            mean_downtime=1 * 3600.0,
-            churning_fraction=1.0,
-        )
-        churn = ChurnProcess(net, config)
-        churn.start()
-        # Sample the online fraction over a long horizon.
-        samples = []
-        for _ in range(40):
-            net.run_for(3600.0)
-            samples.append(churn.online_fraction())
-        mean_online = sum(samples) / len(samples)
-        assert mean_online == pytest.approx(config.availability, abs=0.06)
+        for step in range(1, 401):
+            sim.step()
+            expected = [rate for at, rate in rates.items() if at <= step]
+            assert sim.config.failure_rate == (expected[-1] if expected else 0.0)
+        assert sim.timeline_fired == sorted(rates)
 
     def test_returning_nodes_lag_then_catch_up(self):
         """Churn produces the paper's lagging-node population."""
-        net = make_network(seed=44)
-        net.set_offline([10])
-        net.run_for(4 * 3600)
-        net.set_offline([10], offline=False)
-        tip = net.network_height()
-        assert net.node(10).lag(tip) >= 1  # returned behind
-        net.run_for(2 * 3600)
-        tip = net.network_height()
-        assert net.node(10).lag(tip) <= 1  # gossip caught it up
+        sim = make_sim(seed=44)
+        sim.attach_timeline(
+            Timeline(
+                [
+                    TimelineEvent(step=0, partition_fraction=0.5),
+                    TimelineEvent(step=400, partition_fraction=0.0),
+                ]
+            )
+        )
+        sim.run(399)
+        heights = np.asarray(sim.heights)
+        tip = heights.max()
+        assert (tip - heights[30:] >= 1).all()  # returned behind
+        sim.run(40)
+        heights = np.asarray(sim.heights)
+        assert (heights.max() - heights <= 1).all()  # gossip caught up
 
     def test_stop(self):
-        net = make_network()
-        churn = ChurnProcess(net, ChurnConfig(mean_uptime=600.0, mean_downtime=600.0))
-        churn.start()
-        net.run_for(3600)
-        churn.stop()
-        count = churn.total_transitions()
-        net.run_for(3600)
-        assert churn.total_transitions() == count
+        sim = make_sim(seed=43)
+        sim.attach_timeline(
+            Timeline(
+                [
+                    TimelineEvent(step=0, failure_rate=0.9),
+                    TimelineEvent(step=1000, failure_rate=0.0),
+                ]
+            )
+        )
+        churning = behind_fraction(sim, 999)
+        sim.step()
+        assert sim.config.failure_rate == 0.0
+        stopped = behind_fraction(sim, 1000)
+        assert stopped < churning / 2
 
     def test_explicit_node_ids(self):
-        net = make_network()
-        churn = ChurnProcess(net, node_ids=[3, 4, 5])
-        assert churn.node_ids == [3, 4, 5]
+        """Unreachable peers are an explicit node set: they keep their
+        outbound contacts and lose every inbound one."""
+        spec = GraphSpec.power_law(60, seed=41)
+        mask = np.zeros(60, dtype=bool)
+        mask[[3, 4, 5]] = True
+        cut = spec.unreachable(mask)
+        assert not mask[cut.indices].any()
+        for node in (3, 4, 5):
+            row = spec.indices[spec.indptr[node] : spec.indptr[node + 1]]
+            kept = cut.indices[cut.indptr[node] : cut.indptr[node + 1]]
+            assert kept.tolist() == [p for p in row.tolist() if not mask[p]]
+        assert cut.num_nodes == spec.num_nodes

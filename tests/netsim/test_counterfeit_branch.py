@@ -1,99 +1,53 @@
-"""Tests for the attacker's private counterfeit branch mechanics."""
+"""The attacker's counterfeit fork B on the graph engine.
 
-import pytest
+The attacker (``attacker_node``) mines fork B privately and never
+adopts the honest chain, so the victims it reaches see only B.
+"""
 
-from repro.blockchain.tx import Transaction, TxOutput
-from repro.netsim.latency import ConstantLatency
-from repro.netsim.network import Network, NetworkConfig
+import numpy as np
+
+from repro.netsim.graph import GraphConfig, GraphSimulatorVec, GraphSpec
 
 
-def make_network(seed=91):
-    net = Network(
-        NetworkConfig(num_nodes=20, seed=seed, failure_rate=0.0),
-        latency=ConstantLatency(0.1),
+def captured_victim_sim(seed=91, steps=30 * 20):
+    """The attacker (node 0) and one of its peers, cut off together."""
+    spec = GraphSpec.power_law(20, seed=seed)
+    victim = int(spec.indices[spec.indptr[0]])
+    mask = np.zeros(20, dtype=bool)
+    mask[[0, victim]] = True
+    sim = GraphSimulatorVec(
+        GraphConfig(
+            spec=spec.partitioned(mask),
+            failure_rate=0.0,
+            steps_per_block=20,
+            attacker_share=0.3,
+            natural_fork_rate=0.0,
+        )
     )
-    net.attacker_ids.add(0)
-    net.add_pool("honest", 0.7, node_id=1)
-    return net
+    sim.run(steps)
+    return sim, victim
 
 
 class TestPrivateBranch:
     def test_counterfeit_blocks_chain_together(self):
-        net = make_network()
-        attacker = net.add_pool("attacker", 0.3, node_id=0)
-        net.connect(0, 5)
-        attacker.enter_counterfeit_mode([5])
-        net.eclipse([5])
-        net.run_for(30 * 600.0)
-        assert attacker.blocks_mined >= 2
-        tip = attacker.private_tip
-        assert tip is not None and tip.counterfeit
-        # Walk the private branch: every ancestor up to the fork point
-        # is counterfeit and heights decrease by one.
-        tree = net.node(0).tree
-        cursor = tip
-        length = 0
-        while cursor.counterfeit:
-            length += 1
-            cursor = tree.get(cursor.parent_hash)
-        assert length == attacker.blocks_mined
-
-    def test_exit_resets_private_branch(self):
-        net = make_network(seed=92)
-        attacker = net.add_pool("attacker", 0.3, node_id=0)
-        attacker.enter_counterfeit_mode([5])
-        net.run_for(20 * 600.0)
-        attacker.exit_counterfeit_mode()
-        assert attacker.private_tip is None
-        assert attacker.counterfeit_txs == []
-        assert attacker.victim_ids == []
-
-    def test_counterfeit_txs_ride_the_branch(self):
-        net = make_network(seed=93)
-        attacker = net.add_pool("attacker", 0.3, node_id=0)
-        net.connect(0, 5)
-        attacker.enter_counterfeit_mode([5])
-        net.eclipse([5])
-        payment = Transaction.make_coinbase(miner=42, value=10, nonce=55)
-        attacker.counterfeit_txs.append(payment)
-        net.run_for(40 * 600.0)
-        assert attacker.counterfeit_txs == []  # consumed into a block
-        victim_chain = net.node(5).tree.main_chain()
-        carried = any(
-            tx.txid == payment.txid
-            for block in victim_chain
-            for tx in block.transactions
-        )
-        assert carried
-
-    def test_public_mempool_not_packed_in_counterfeit_mode(self):
-        net = make_network(seed=94)
-        attacker = net.add_pool("attacker", 0.3, node_id=0)
-        net.connect(0, 5)
-        attacker.enter_counterfeit_mode([5])
-        net.eclipse([5])
-        stray = Transaction.make_coinbase(miner=77, value=10, nonce=66)
-        net.node(0).mempool[stray.txid] = stray
-        net.run_for(40 * 600.0)
-        victim_chain = net.node(5).tree.main_chain()
-        packed = any(
-            tx.txid == stray.txid
-            for block in victim_chain
-            for tx in block.transactions
-            if block.counterfeit
-        )
-        assert not packed
+        sim, _ = captured_victim_sim()
+        fork = sim.attacker_fork
+        assert fork is not None and fork.counterfeit
+        assert len(fork.hashes) >= 2
+        # The branch forks off the honest chain and every block above
+        # the fork point is the attacker's own.
+        assert fork.parent is sim.main
+        assert fork.shares_prefix_with(sim.main, fork.branch_height)
+        assert not fork.shares_prefix_with(sim.main, fork.branch_height + 1)
+        assert fork.tip_height - fork.branch_height == len(fork.hashes)
+        assert len(set(fork.hashes)) == len(fork.hashes)
 
     def test_inv_suppression_blocks_honest_leak(self):
-        """The attacker node must not announce honest blocks to victims."""
-        net = make_network(seed=95)
-        attacker = net.add_pool("attacker", 0.3, node_id=0)
-        net.connect(0, 5)
-        attacker.enter_counterfeit_mode([5])
-        net.eclipse([5])
-        net.run_for(30 * 600.0)
-        assert 5 in net.node(0).suppress_inv_to
-        victim = net.node(5)
-        # The victim's main chain carries the counterfeit branch, not
-        # the (longer) honest chain the attacker also knows about.
-        assert victim.tree.counterfeit_on_main() >= 1
+        """The attacker node must not pass honest blocks to victims."""
+        sim, victim = captured_victim_sim(seed=95, steps=60 * 20)
+        # The honest chain outgrew the counterfeit one ...
+        assert sim.main.tip_height > sim.attacker_fork.tip_height
+        # ... yet the attacker stays pinned on B, and so does its victim.
+        assert sim.labels[0] == "B"
+        assert sim.labels[victim] == "B"
+        assert sim.heights[victim] == sim.attacker_fork.tip_height

@@ -1,116 +1,111 @@
-"""Tests for miners, pools, and stratum servers."""
+"""Block production and the attacker's mining on the graph engine.
 
+The engine mines by Bernoulli draws: each step the honest miners find
+a block with probability ``(1 - attacker_share) / steps_per_block`` and
+the attacker, once its attack is live, with ``attacker_share /
+steps_per_block`` on its own counterfeit fork B.
+"""
+
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.netsim.latency import ConstantLatency
-from repro.netsim.miner import MiningPool, StratumServer
-from repro.netsim.network import Network, NetworkConfig
+from repro.netsim.graph import GraphConfig, GraphSimulatorVec, GraphSpec
+from repro.netsim.timeline import Timeline, TimelineEvent
 
 
-def network(num_nodes=30, seed=3, failure=0.0):
-    return Network(
-        NetworkConfig(num_nodes=num_nodes, seed=seed, failure_rate=failure),
-        latency=ConstantLatency(0.1),
+def make_sim(num_nodes=30, seed=3, **kwargs):
+    kwargs.setdefault("failure_rate", 0.0)
+    kwargs.setdefault("natural_fork_rate", 0.0)
+    return GraphSimulatorVec(
+        GraphConfig(spec=GraphSpec.power_law(num_nodes, seed=seed), **kwargs)
     )
+
+
+def attacker_blocks(sim):
+    return 0 if sim.attacker_fork is None else len(sim.attacker_fork.hashes)
 
 
 class TestMiningPool:
     def test_invalid_share_rejected(self):
+        spec = GraphSpec.power_law(10)
         with pytest.raises(ConfigurationError):
-            MiningPool(name="x", hash_share=0.0, node_id=0)
+            GraphConfig(spec=spec, attacker_share=-0.1)
         with pytest.raises(ConfigurationError):
-            MiningPool(name="x", hash_share=1.5, node_id=0)
+            GraphConfig(spec=spec, attacker_share=1.5)
+        with pytest.raises(ConfigurationError):
+            TimelineEvent(step=5, attacker_share=1.0)
 
     def test_counterfeit_mode_toggles(self):
-        pool = MiningPool(name="x", hash_share=0.3, node_id=0)
-        pool.enter_counterfeit_mode([1, 2])
-        assert pool.counterfeit_mode and pool.victim_ids == [1, 2]
-        pool.exit_counterfeit_mode()
-        assert not pool.counterfeit_mode and pool.victim_ids == []
-
-    def test_unreachable_stratum_deactivates(self):
-        pool = MiningPool(
-            name="x",
-            hash_share=0.3,
-            node_id=0,
-            stratum=StratumServer(pool_name="x", asn=45102),
+        sim = make_sim(
+            steps_per_block=10, attacker_share=0.3, attack_start_step=200
         )
-        assert pool.active
-        pool.stratum.reachable = False
-        assert not pool.active
+        sim.attach_timeline(Timeline([TimelineEvent(step=600, attacker_share=0.0)]))
+        sim.run(199)
+        assert sim.attacker_fork is None  # not yet in counterfeit mode
+        sim.run(400)
+        assert sim.attacker_fork is not None and sim.attacker_fork.counterfeit
+        mined = attacker_blocks(sim)
+        sim.run(400)
+        assert attacker_blocks(sim) == mined  # back to idle
 
 
 class TestMinerProduction:
     def test_pool_produces_blocks_at_expected_rate(self):
-        net = network()
-        pool = net.add_pool("honest", 1.0, node_id=0)
-        net.run_for(10 * 600.0)
-        # Full hash power: ~10 blocks in 10 intervals (Poisson noise).
-        assert 3 <= pool.blocks_mined <= 20
-        assert net.network_height() >= 3
+        sim = make_sim(steps_per_block=20, attacker_share=0.0)
+        sim.run(10 * 20)
+        # ~10 blocks in 10 intervals (Bernoulli noise).
+        assert 3 <= sim.main.tip_height <= 20
+        assert max(sim.heights) == sim.main.tip_height
 
     def test_hash_share_ratio_respected(self):
-        net = network(seed=8)
-        big = net.add_pool("big", 0.7, node_id=0)
-        small = net.add_pool("small", 0.3, node_id=1)
-        net.run_for(150 * 600.0)
-        total = big.blocks_mined + small.blocks_mined
+        sim = make_sim(seed=8, steps_per_block=20, attacker_share=0.3)
+        sim.run(150 * 20)
+        honest = sim.main.tip_height
+        attacker = attacker_blocks(sim)
+        total = honest + attacker
         assert total > 60
-        assert big.blocks_mined / total == pytest.approx(0.7, abs=0.12)
+        assert attacker / total == pytest.approx(0.3, abs=0.12)
 
     def test_inactive_pool_mines_nothing(self):
-        net = network()
-        pool = net.add_pool("pool", 0.9, node_id=0, stratum_asn=45102)
-        pool.stratum.reachable = False
-        net.run_for(20 * 600.0)
-        assert pool.blocks_mined == 0
-        assert net.network_height() == 0
+        idle = make_sim(steps_per_block=20, attacker_share=0.0)
+        late = make_sim(
+            steps_per_block=20, attacker_share=0.3, attack_start_step=10**6
+        )
+        for sim in (idle, late):
+            sim.run(20 * 20)
+            assert sim.attacker_fork is None
+            assert "B" not in sim.fork_fractions()
 
     def test_counterfeit_blocks_capture_eclipsed_victim_only(self):
         """Figure 5: the attacker feeds its chain to an isolated victim;
         the honest network (with the majority hash share) stays on the
         honest chain."""
-        net = network(num_nodes=20, seed=11)
-        net.attacker_ids.add(0)
-        net.add_pool("honest", 0.7, node_id=1)
-        attacker = net.add_pool("attacker", 0.3, node_id=0)
-        attacker.enter_counterfeit_mode([5])
-        net.connect(0, 5)  # the attacker's own connection to the victim
-        net.eclipse([5])  # victim severed from honest peers (Figure 5)
-        net.run_for(40 * 600.0)
-        assert attacker.blocks_mined >= 1
-        assert net.node(5).tree.counterfeit_on_main() >= 1
-        # The honest majority never follows the counterfeit chain.
-        for node_id in (1, 2, 3):
-            assert net.node(node_id).tree.counterfeit_on_main() == 0
-
-    def test_blocks_include_coinbase(self):
-        net = network()
-        net.add_pool("honest", 1.0, node_id=0)
-        net.run_for(5 * 600.0)
-        tip = net.node(0).tree.best_tip
-        if tip.height > 0:
-            assert tip.transactions[0].coinbase
-
-    def test_mempool_txs_packed_into_blocks(self):
-        from repro.blockchain.tx import Transaction
-
-        net = network()
-        net.add_pool("honest", 1.0, node_id=0)
-        cb = Transaction.make_coinbase(miner=42, value=50, nonce=99)
-        net.submit_transaction(0, cb)
-        net.run_for(20 * 600.0)
-        chain = net.node(0).tree.main_chain()
-        packed = any(
-            tx.txid == cb.txid for block in chain for tx in block.transactions
+        spec = GraphSpec.power_law(20, seed=11)
+        victim = int(spec.indices[spec.indptr[0]])  # the attacker's peer
+        mask = np.zeros(20, dtype=bool)
+        mask[[0, victim]] = True  # the attacker (node 0) and its victim
+        sim = GraphSimulatorVec(
+            GraphConfig(
+                spec=spec.partitioned(mask),
+                failure_rate=0.0,
+                steps_per_block=20,
+                attacker_share=0.3,
+                natural_fork_rate=0.0,
+            )
         )
-        assert packed
+        for _ in range(40 * 20):
+            sim.step()
+            labels = sim.labels
+            assert all(labels[n] != "B" for n in range(20) if not mask[n])
+        assert attacker_blocks(sim) >= 1
+        assert sim.labels[victim] == "B"
 
     def test_miner_stop(self):
-        net = network()
-        net.add_pool("honest", 1.0, node_id=0)
-        miner = net.miners[0]
-        miner.stop()
-        net.run_for(10 * 600.0)
-        assert net.pools[0].blocks_mined == 0
+        sim = make_sim(steps_per_block=20, attacker_share=0.5)
+        sim.attach_timeline(Timeline([TimelineEvent(step=200, attacker_share=0.0)]))
+        sim.run(199)
+        mined = attacker_blocks(sim)
+        assert mined >= 1
+        sim.run(10 * 20)
+        assert attacker_blocks(sim) == mined

@@ -1,226 +1,205 @@
-"""Tests for full-node behaviour and network assembly."""
+"""Peer graph, block propagation and eclipse on the graph engine.
 
+A node's peers are its CSR row in :class:`GraphSpec`; a block spreads
+by the engine's push-pull gossip; an eclipse is a
+:meth:`GraphSpec.partitioned` cut.  Every test drives the public API
+of :class:`GraphSimulatorVec` only.
+"""
+
+import numpy as np
 import pytest
 
-from repro.blockchain.block import Block
-from repro.blockchain.tx import Transaction, TxOutput
-from repro.errors import ConfigurationError, SimulationError
-from repro.netsim.latency import ConstantLatency
-from repro.netsim.messages import GetTipMsg, InvMsg, InvType, TipMsg
-from repro.netsim.network import Network, NetworkConfig
-from repro.netsim.node import NodeConfig
+from repro.errors import ConfigurationError
+from repro.netsim.graph import GraphConfig, GraphSimulatorVec, GraphSpec
+from repro.netsim.timeline import Timeline, TimelineEvent
 
 
-def perfect_network(num_nodes=20, seed=1):
-    """Zero-failure, constant-latency network (base scenario, §V-B)."""
-    return Network(
-        NetworkConfig(num_nodes=num_nodes, seed=seed, failure_rate=0.0),
-        latency=ConstantLatency(0.1),
+def perfect_sim(spec, steps_per_block=200, attacker_share=0.0, **kwargs):
+    """Zero-failure, fork-free run (the §V-B base scenario)."""
+    return GraphSimulatorVec(
+        GraphConfig(
+            spec=spec,
+            failure_rate=kwargs.pop("failure_rate", 0.0),
+            steps_per_block=steps_per_block,
+            attacker_share=attacker_share,
+            natural_fork_rate=0.0,
+            **kwargs,
+        )
     )
+
+
+def run_until_first_block(sim, limit=2000):
+    while max(sim.heights) == 0:
+        sim.step()
+        assert sim.step_count < limit, "no block mined"
+
+
+def edge_pairs(spec):
+    src = np.repeat(np.arange(spec.num_nodes), spec.degrees)
+    return list(zip(src.tolist(), spec.indices.tolist()))
+
+
+def eclipse_mask(num_nodes, victims):
+    mask = np.zeros(num_nodes, dtype=bool)
+    mask[list(victims)] = True
+    return mask
 
 
 class TestNetworkConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            NetworkConfig(num_nodes=1)
+            GraphSpec.power_law(1)
         with pytest.raises(ConfigurationError):
-            NetworkConfig(num_nodes=10, failure_rate=1.0)
+            GraphSpec.power_law(10, base_degree=0)
         with pytest.raises(ConfigurationError):
-            NetworkConfig(num_nodes=10, outbound_peers=10)
+            GraphConfig(spec=GraphSpec.power_law(10), failure_rate=1.0)
 
 
 class TestPeerGraph:
-    def test_every_node_has_outbound_budget(self):
-        net = perfect_network(40)
-        for node in net.nodes.values():
-            assert len(node.peers) >= net.config.outbound_peers
+    def test_every_node_has_outbound_budget(self, tiny_topology):
+        spec = GraphSpec.power_law(40, base_degree=8, seed=1)
+        assert (spec.degrees >= 8).all()
+        # AS graphs: every AS dials its peers_per_node peers (plus
+        # whoever dialled it).
+        as_spec = GraphSpec.from_topology(tiny_topology, peers_per_node=2)
+        assert (as_spec.degrees >= 2).all()
 
-    def test_links_are_bidirectional(self):
-        net = perfect_network(40)
-        for node_id, node in net.nodes.items():
-            for peer in node.peers:
-                assert node_id in net.nodes[peer].peers
+    def test_links_are_bidirectional(self, tiny_topology):
+        spec = GraphSpec.from_topology(tiny_topology, peers_per_node=2)
+        pairs = set(edge_pairs(spec))
+        assert pairs
+        assert all((b, a) in pairs for a, b in pairs)
 
-    def test_no_self_loops(self):
-        net = perfect_network(40)
-        for node_id, node in net.nodes.items():
-            assert node_id not in node.peers
-
-    def test_self_connection_rejected(self):
-        net = perfect_network()
-        with pytest.raises(SimulationError):
-            net.connect(1, 1)
+    def test_no_self_loops(self, tiny_topology):
+        for spec in (
+            GraphSpec.power_law(40, seed=1),
+            GraphSpec.from_topology(tiny_topology, peers_per_node=3),
+        ):
+            assert all(a != b for a, b in edge_pairs(spec))
 
     def test_disconnect(self):
-        net = perfect_network()
-        a = net.node(0).peers[0]
-        net.disconnect(0, a)
-        assert a not in net.node(0).peers
-        assert 0 not in net.node(a).peers
-
-    def test_peer_set_mirrors_list(self):
-        """The O(1) membership set stays consistent with the ordered
-        list through connects, duplicate adds, and disconnects."""
-        net = perfect_network(40)
-        for node in net.nodes.values():
-            assert set(node.peers) == node._peer_set
-            assert len(node.peers) == len(node._peer_set)  # no duplicates
-            for peer in node.peers:
-                assert node.has_peer(peer)
-        node = net.node(0)
-        before = list(node.peers)
-        node.add_peer(before[0])  # duplicate add is a no-op
-        assert node.peers == before
-        net.disconnect(0, before[0])
-        assert not node.has_peer(before[0])
-        assert set(node.peers) == node._peer_set
+        spec = GraphSpec.power_law(40, seed=1)
+        mask = eclipse_mask(40, range(30, 40))
+        cut = spec.partitioned(mask)
+        assert all(mask[a] == mask[b] for a, b in edge_pairs(cut))
+        inside = [(a, b) for a, b in edge_pairs(spec) if mask[a] == mask[b]]
+        assert edge_pairs(cut) == inside
+        assert cut.num_edges < spec.num_edges
 
     def test_add_peer_preserves_insertion_order(self):
-        """Broadcast order is the deterministic insertion order, not
-        set-iteration order."""
-        net = perfect_network(40)
-        node = net.node(0)
-        fresh = [p for p in (31, 17, 23, 5) if not node.has_peer(p)]
-        before = list(node.peers)
-        for peer in fresh:
-            node.add_peer(peer)
-        assert node.peers == before + fresh
+        """The neighbour draw indexes into each row, so cutting edges
+        must keep the surviving peers in their original order."""
+        spec = GraphSpec.power_law(40, seed=2)
+        mask = eclipse_mask(40, [3, 17, 23, 31])
+        for derived, keep in (
+            (spec.unreachable(mask), lambda a, b: not mask[b]),
+            (spec.partitioned(mask), lambda a, b: mask[a] == mask[b]),
+        ):
+            for node in range(spec.num_nodes):
+                row = spec.indices[spec.indptr[node] : spec.indptr[node + 1]]
+                kept = derived.indices[
+                    derived.indptr[node] : derived.indptr[node + 1]
+                ]
+                assert kept.tolist() == [p for p in row.tolist() if keep(node, p)]
 
 
 class TestBlockPropagation:
     def test_block_reaches_all_nodes_perfect_network(self):
-        net = perfect_network(30)
-        genesis = net.genesis
-        block = Block.create(genesis.hash, 1, 0, 0.0)
-        net.node(0).accept_block(block)
-        net.run_for(30.0)
-        assert all(node.height == 1 for node in net.nodes.values())
+        sim = perfect_sim(GraphSpec.power_law(30, seed=1))
+        run_until_first_block(sim)
+        sim.run(30)
+        assert max(sim.heights) == 1
+        assert all(height == 1 for height in sim.heights)
 
     def test_propagation_with_failures_recovers_via_retries(self):
-        net = Network(
-            NetworkConfig(num_nodes=40, seed=2, failure_rate=0.2),
-            latency=ConstantLatency(0.1),
+        sim = perfect_sim(GraphSpec.power_law(40, seed=2), failure_rate=0.2)
+        run_until_first_block(sim)
+        sim.run(60)
+        # Each step re-draws the failed contacts, so the gaps close.
+        assert sum(height >= 1 for height in sim.heights) == 40
+
+    def test_mining_extends_chain(self):
+        sim = GraphSimulatorVec(
+            GraphConfig(
+                spec=GraphSpec.power_law(60, seed=3),
+                steps_per_block=20,
+                attacker_share=0.0,
+            )
         )
-        block = Block.create(net.genesis.hash, 1, 0, 0.0)
-        net.node(0).accept_block(block)
-        net.run_for(600.0)
-        heights = [node.height for node in net.nodes.values()]
-        assert sum(h == 1 for h in heights) >= 39  # retries close the gaps
-
-    def test_mining_extends_chain(self, small_network):
-        small_network.run_for(3 * 3600)
-        assert small_network.network_height() >= 5
+        sim.run(600)
+        tip = max(sim.heights)
+        assert tip >= 5
         # Every node within a block of the tip in a healthy network.
-        lags = small_network.lags()
-        assert sum(1 for lag in lags.values() if lag <= 1) >= 55
-
-    def test_transaction_propagation(self):
-        net = perfect_network(20)
-        cb = Transaction.make_coinbase(miner=1, value=50)
-        net.submit_transaction(0, cb)
-        net.run_for(30.0)
-        reached = sum(1 for node in net.nodes.values() if cb.txid in node.mempool)
-        assert reached == 20
+        assert sum(tip - height <= 1 for height in sim.heights) >= 55
 
 
 class TestEclipse:
     def test_eclipsed_nodes_receive_nothing(self):
-        net = perfect_network(20)
-        victims = [5, 6, 7]
-        net.eclipse(victims)
-        block = Block.create(net.genesis.hash, 1, 0, 0.0)
-        net.node(0).accept_block(block)
-        net.run_for(60.0)
-        for victim in victims:
-            assert net.node(victim).height == 0
-        assert net.node(1).height == 1
+        victims = [15, 16, 17]
+        spec = GraphSpec.power_law(20, seed=1).partitioned(
+            eclipse_mask(20, victims)
+        )
+        sim = perfect_sim(spec, steps_per_block=20)
+        sim.run(200)
+        heights = sim.heights
+        assert max(heights) >= 1
+        assert all(heights[v] == 0 for v in victims)
+        assert heights[1] == max(heights)
 
     def test_heal_restores_flow_via_next_block(self):
-        """A healed node misses blocks announced during its eclipse but
-        catches up through orphan resolution when the next block's inv
-        arrives (it requests the missing ancestry)."""
-        net = perfect_network(20)
-        net.eclipse([5])
-        block = Block.create(net.genesis.hash, 1, 0, 0.0)
-        net.node(0).accept_block(block)
-        net.run_for(60.0)
-        assert net.node(5).height == 0
-        net.heal([5])
-        block2 = Block.create(block.hash, 2, 0, 60.0)
-        net.node(0).accept_block(block2)
-        net.run_for(300.0)
-        assert net.node(5).height == 2
+        """Nodes cut off by a partition fall behind and catch up once
+        the partition heals."""
+        sim = perfect_sim(GraphSpec.power_law(20, seed=1), steps_per_block=20)
+        sim.attach_timeline(
+            Timeline(
+                [
+                    TimelineEvent(step=0, partition_fraction=0.25),
+                    TimelineEvent(step=300, partition_fraction=0.0),
+                ]
+            )
+        )
+        sim.run(299)
+        heights = sim.heights
+        assert min(heights) < max(heights)
+        sim.run(40)
+        assert max(sim.heights) - min(sim.heights) <= 1
 
     def test_attacker_crosses_eclipse_boundary(self):
-        net = perfect_network(20)
-        net.eclipse([5])
-        net.attacker_ids.add(3)
-        net.connect(3, 5)
-        block = Block.create(net.genesis.hash, 1, 0, 0.0, counterfeit=True)
-        net.node(3).tree.add_block(block)
-        net.deliver_direct(3, 5, block)
-        net.run_for(10.0)
-        assert net.node(5).height == 1
-        assert net.node(5).tree.counterfeit_on_main() == 1
+        """The attacker sits inside the eclipse: its counterfeit fork B
+        reaches the victims and nobody outside."""
+        victims = [5, 6]
+        mask = eclipse_mask(20, [0] + victims)
+        spec = GraphSpec.power_law(20, seed=1).partitioned(mask)
+        sim = perfect_sim(spec, steps_per_block=20, attacker_share=0.3)
+        sim.run(300)
+        assert sim.attacker_fork is not None
+        assert sim.attacker_fork.counterfeit
+        labels = sim.labels
+        assert all(labels[v] == "B" for v in victims)
+        assert all(labels[n] != "B" for n in range(20) if not mask[n])
 
     def test_offline_nodes_ignore_traffic(self):
-        net = perfect_network(10)
-        net.set_offline([4])
-        block = Block.create(net.genesis.hash, 1, 0, 0.0)
-        net.node(0).accept_block(block)
-        net.run_for(60.0)
-        assert net.node(4).height == 0
-        net.set_offline([4], offline=False)
-        assert net.node(4).online
-
-
-class TestTipProbes:
-    def test_gettip_reply_and_catchup(self):
-        net = perfect_network(10)
-        block = Block.create(net.genesis.hash, 1, 0, 0.0)
-        net.eclipse([9])
-        net.node(0).accept_block(block)
-        net.run_for(30.0)
-        assert net.node(9).height == 0
-        net.heal([9])
-        # BlockAware-style probe: stale node asks a peer for its tip.
-        net.node(9).send(0, GetTipMsg())
-        net.run_for(120.0)
-        assert net.node(9).height == 1
-
-    def test_stale_tip_ignored(self):
-        net = perfect_network(10)
-        block = Block.create(net.genesis.hash, 1, 0, 0.0)
-        net.node(0).accept_block(block)
-        net.run_for(30.0)
-        # A tip claim not better than ours triggers no request.
-        pending_before = len(net.node(0)._pending)
-        net.node(0).receive(1, TipMsg(tip_hash=net.genesis.hash, height=0))
-        assert len(net.node(0)._pending) == pending_before
+        spec = GraphSpec.power_law(10, seed=4).partitioned(eclipse_mask(10, [4]))
+        sim = perfect_sim(spec, steps_per_block=20)
+        sim.run(100)
+        assert max(sim.heights) >= 1
+        assert sim.heights[4] == 0
 
 
 class TestNodeStats:
-    def test_counters_accumulate(self, small_network):
-        small_network.run_for(3600)
-        total_sent = sum(n.stats.messages_sent for n in small_network.nodes.values())
-        total_received = sum(
-            n.stats.messages_received for n in small_network.nodes.values()
-        )
-        assert total_sent > 0
-        assert total_received > 0
-        assert small_network.delivered_messages > 0
-
     def test_node_config_validation(self):
         with pytest.raises(ConfigurationError):
-            NodeConfig(node_id=0, outbound_peers=0)
+            GraphSpec(indptr=[0, 1, 2], indices=[1, 2])  # edge to node 2
+        with pytest.raises(ConfigurationError):
+            GraphSpec(indptr=[0, 2, 1], indices=[1])  # indptr decreasing
 
     def test_partition_views_groups_by_tip(self):
-        net = perfect_network(10)
-        views = net.partition_views()
-        assert len(views) == 1
-        block = Block.create(net.genesis.hash, 1, 0, 0.0)
-        net.eclipse([9])
-        net.node(0).accept_block(block)
-        net.run_for(60.0)
-        views = net.partition_views()
-        assert len(views) == 2
+        def views(sim):
+            return set(zip(sim.labels, sim.heights))
+
+        spec = GraphSpec.power_law(10, seed=4)
+        assert len(views(perfect_sim(spec))) == 1
+        sim = perfect_sim(spec.partitioned(eclipse_mask(10, [9])))
+        run_until_first_block(sim)
+        sim.run(30)
+        assert views(sim) == {("A", 0), ("A", 1)}

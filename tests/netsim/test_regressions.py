@@ -1,168 +1,48 @@
-"""Regression tests for subtle simulator defects found during development.
+"""Regression tests for simulator determinism.
 
-Each test pins a bug that produced silently-wrong dynamics rather than
-an exception; see the docstrings for the failure modes.
+Two same-seeded graph-engine runs must evolve identical chains, with
+the attacker and natural forks live, however the two instances are
+built and stepped.
 """
 
-import pytest
-
-from repro.blockchain.block import Block, genesis_block
-from repro.blockchain.chain import BlockTree
-from repro.datagen.workload import TransactionWorkload, WorkloadConfig
-from repro.netsim.latency import ConstantLatency
-from repro.netsim.network import Network, NetworkConfig
+from repro.netsim.graph import GraphConfig, GraphSimulatorVec, GraphSpec
 
 
-class TestOrphanDeduplication:
-    """Duplicate orphan deliveries must not re-park or re-request.
-
-    Before the fix, every duplicate BlockMsg for a parked orphan
-    re-appended it to the orphan list and re-fired tree-wide
-    missing-parent requests; during partition healing the
-    getdata/BlockMsg exchange amplified geometrically (hundreds of
-    thousands of messages per simulated second).
-    """
-
-    def test_duplicate_orphan_parked_once(self):
-        tree = BlockTree(genesis_block())
-        g = tree.genesis
-        b1 = Block.create(g.hash, 1, 0, 600.0)
-        b2 = Block.create(b1.hash, 2, 0, 1200.0)
-        tree.add_block(b2)
-        tree.add_block(b2)
-        tree.add_block(b2)
-        assert tree.num_orphans == 1
-        assert tree.knows(b2.hash)
-        assert b2.hash not in tree  # parked, not connected
-        tree.add_block(b1)
-        assert tree.height == 2
-        # Once connected, duplicates are ignored via the main path.
-        assert tree.add_block(b2) is None
-
-    def test_partition_heal_event_budget(self):
-        """The healed-partition scenario stays within a linear event
-        budget (the storm burned >30k events per simulated second)."""
-        net = Network(
-            NetworkConfig(num_nodes=40, seed=71, failure_rate=0.02),
-            latency=ConstantLatency(0.15),
+def build(seed):
+    return GraphSimulatorVec(
+        GraphConfig(
+            spec=GraphSpec.power_law(30, seed=4),
+            failure_rate=0.1,
+            steps_per_block=10,
+            attacker_share=0.4,
+            natural_fork_rate=0.2,
+            seed=seed,
         )
-        net.add_pool("majority", 0.7, node_id=0)
-        net.add_pool("minority", 0.3, node_id=30)
-        workload = TransactionWorkload(
-            net, WorkloadConfig(num_wallets=6, tx_rate=0.02)
-        )
-        workload.start()
-        net.run_for(2 * 3600)
-        net.eclipse(range(30, 40))
-        net.run_for(4 * 3600)
-        net.heal(range(30, 40))
-        before = net.sim.events_processed
-        net.run_for(2 * 3600)
-        per_sim_second = (net.sim.events_processed - before) / (2 * 3600)
-        assert per_sim_second < 200  # storm regime was >10,000
-        # And the partition actually converges.
-        assert net.node(30).height == net.node(0).height
+    )
 
 
-class TestReorgEventCompleteness:
-    """A single insert connecting a parked orphan chain must report the
-    full tip movement: before the fix, intermediate reorg events inside
-    the recursive orphan connection were dropped, so UTXO-tracking
-    nodes missed detached/attached blocks and went inconsistent."""
-
-    def test_orphan_chain_reorg_reports_all_blocks(self):
-        tree = BlockTree(genesis_block())
-        g = tree.genesis
-        # Incumbent branch of 2 blocks.
-        a1 = Block.create(g.hash, 1, 0, 600.0)
-        a2 = Block.create(a1.hash, 2, 0, 1200.0)
-        tree.add_block(a1)
-        tree.add_block(a2)
-        # Competing branch of 4 blocks, delivered newest-first.
-        b1 = Block.create(g.hash, 1, 1, 700.0)
-        b2 = Block.create(b1.hash, 2, 1, 1300.0)
-        b3 = Block.create(b2.hash, 3, 1, 1900.0)
-        b4 = Block.create(b3.hash, 4, 1, 2500.0)
-        for block in (b4, b3, b2):
-            assert tree.add_block(block) is None  # all parked
-        event = tree.add_block(b1)  # connects the whole chain
-        assert event is not None
-        assert event.detached == (a2, a1)
-        assert event.attached == (b1, b2, b3, b4)
-        assert event.common_ancestor == g.hash
-
-
-class TestMempoolHygieneForNonTrackingNodes:
-    """Miners without UTXO tracking must still evict mined transactions
-    from their mempools; before the fix they re-packed confirmed
-    transactions into every subsequent block."""
-
-    def test_tx_not_packed_twice(self):
-        from repro.blockchain.tx import Transaction
-
-        net = Network(
-            NetworkConfig(num_nodes=10, seed=5, failure_rate=0.0),
-            latency=ConstantLatency(0.1),
-        )
-        net.add_pool("honest", 1.0, node_id=0)
-        marker = Transaction.make_coinbase(miner=99, value=50, nonce=123)
-        net.submit_transaction(0, marker)
-        net.run_for(30 * 600.0)
-        chain = net.node(0).tree.main_chain()
-        appearances = sum(
-            1
-            for block in chain
-            for tx in block.transactions
-            if tx.txid == marker.txid
-        )
-        assert appearances == 1
+def chains(sim):
+    return {label: list(fork.hashes) for label, fork in sim.forks.items()}
 
 
 class TestCrossInstanceDeterminism:
-    """Two same-seeded networks must evolve identical chains.
-
-    This is the property that makes cross-process trial execution safe
-    (src/repro/parallel): all netsim randomness flows through the
-    network's own ``RngStreams``, never through the module-level
-    ``random`` generator, so simulator instances cannot perturb each
-    other no matter how construction and stepping interleave.  An audit
-    removed netsim's last stray ``import random``; this test pins the
-    guarantee against regressions.
-    """
-
-    @staticmethod
-    def _build(seed):
-        net = Network(
-            NetworkConfig(num_nodes=30, seed=seed, failure_rate=0.1),
-            latency=ConstantLatency(0.5),
-        )
-        net.add_pool("alpha", 0.6, node_id=0)
-        net.add_pool("beta", 0.4, node_id=7)
-        return net
-
     def test_same_seed_same_chains(self):
-        # Interleave construction and execution: shared hidden RNG
-        # state would desynchronize the two instances here.
-        net_a = self._build(seed=11)
-        net_b = self._build(seed=11)
-        net_a.run_for(2 * 3600.0)
-        net_b.run_for(2 * 3600.0)
-        tips_a = {nid: node.best_hash for nid, node in net_a.nodes.items()}
-        tips_b = {nid: node.best_hash for nid, node in net_b.nodes.items()}
-        assert tips_a == tips_b
-        assert net_a.network_height() == net_b.network_height()
-        assert [n.height for n in net_a.nodes.values()] == [
-            n.height for n in net_b.nodes.values()
-        ]
-        chain_a = [b.hash for b in net_a.node(0).tree.main_chain()]
-        chain_b = [b.hash for b in net_b.node(0).tree.main_chain()]
-        assert chain_a == chain_b
+        sim_a = build(seed=11)
+        sim_b = build(seed=11)
+        sim_a.run(600)
+        sim_b.run(600)
+        assert sim_a.labels == sim_b.labels
+        assert sim_a.heights == sim_b.heights
+        assert chains(sim_a) == chains(sim_b)
+        assert sim_a.fork_births == sim_b.fork_births
 
     def test_different_seeds_diverge(self):
-        net_a = self._build(seed=11)
-        net_b = self._build(seed=12)
-        net_a.run_for(2 * 3600.0)
-        net_b.run_for(2 * 3600.0)
-        chain_a = [b.hash for b in net_a.node(0).tree.main_chain()]
-        chain_b = [b.hash for b in net_b.node(0).tree.main_chain()]
-        assert chain_a != chain_b
+        sim_a = build(seed=11)
+        sim_b = build(seed=12)
+        history_a, history_b = [], []
+        for _ in range(600):
+            sim_a.step()
+            sim_b.step()
+            history_a.append(sim_a.heights)
+            history_b.append(sim_b.heights)
+        assert history_a != history_b

@@ -14,6 +14,7 @@ from repro.errors import ConfigurationError
 from repro.experiments import REGISTRY, run_experiment
 from repro.experiments.base import ExperimentResult
 from repro.parallel import CODE_VERSION, METRICS, ResultCache, cache_key
+from repro.parallel.cache import FINGERPRINT_MODULES, code_fingerprint
 
 from .test_determinism import assert_results_equal
 
@@ -87,6 +88,13 @@ class TestHitMissInvalidation:
         assert base != cache_key("table5", {"fast": True}, 3)
         assert base != cache_key("table6", {"fast": True}, 3, code_version="other")
         assert CODE_VERSION.startswith("repro-")
+
+    def test_every_declared_module_resolves(self):
+        # A deleted package left in the declaration must fail loudly,
+        # not silently drop out of every cache key.
+        assert code_fingerprint() == code_fingerprint(FINGERPRINT_MODULES)
+        with pytest.raises(ValueError, match="repro.no_such_module"):
+            code_fingerprint(FINGERPRINT_MODULES + ("repro.no_such_module",))
 
     def test_no_cache_bypass(self, tmp_path):
         # cache=None is the --no-cache path: nothing written anywhere.

@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 
 from repro.analysis.centralization import cdf_points, coverage_count
 from repro.analysis.timing import isolation_bound, min_isolation_time
-from repro.blockchain.block import Block, genesis_block, merkle_root
-from repro.blockchain.chain import BlockTree
-from repro.blockchain.tx import Transaction, TxOutput, UtxoSet
 from repro.crawler.timeseries import ConsensusTimeSeries
-from repro.netsim.grid import span_ratio_delay
+from repro.netsim.grid import ForkChain, span_ratio_delay
 from repro.topology.bgp import BgpAnnouncement, RoutingTable
 from repro.types import LagBand, lag_band
 
@@ -67,90 +64,37 @@ class TestTimingBoundProperties:
         assert min_isolation_time(m, 0.4) >= min_isolation_time(m, 0.9)
 
 
-class TestMerkleProperties:
-    @given(txids=st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=16))
-    def test_deterministic(self, txids):
-        assert merkle_root(txids) == merkle_root(txids)
-
-    @given(
-        txids=st.lists(st.text(min_size=1, max_size=8), min_size=2, max_size=16),
-        index=st.integers(min_value=0, max_value=15),
-    )
-    def test_mutation_changes_root(self, txids, index):
-        index = index % len(txids)
-        mutated = list(txids)
-        mutated[index] = mutated[index] + "x"
-        assert merkle_root(txids) != merkle_root(mutated)
-
-
-class TestUtxoConservation:
-    @given(
-        amounts=st.lists(st.integers(min_value=1, max_value=100), min_size=1, max_size=8)
-    )
-    def test_apply_revert_roundtrip(self, amounts):
-        """Applying then reverting any payment chain restores the set."""
-        utxo = UtxoSet()
-        cb = Transaction.make_coinbase(miner=0, value=sum(amounts))
-        utxo.apply_transaction(cb)
-        before = utxo.total_value
-        applied = []
-        spend = cb.outpoints()
-        for i, amount in enumerate(amounts):
-            available = utxo.value_of(spend[0])
-            pay = Transaction.make_payment(
-                spend,
-                [TxOutput(owner=i + 1, value=available)],
-                nonce=i,
-            )
-            utxo.apply_transaction(pay)
-            applied.append(pay)
-            spend = pay.outpoints()
-        for pay in reversed(applied):
-            utxo.revert_transaction(pay)
-        assert utxo.total_value == before
-        assert utxo.balance(0) == before
-
-
 class TestChainProperties:
-    @given(branch_lengths=st.lists(st.integers(1, 6), min_size=1, max_size=5))
-    @settings(max_examples=25, deadline=None)
-    def test_best_tip_is_always_max_height(self, branch_lengths):
-        genesis = genesis_block()
-        tree = BlockTree(genesis)
-        for miner, length in enumerate(branch_lengths):
-            parent = genesis
-            for _ in range(length):
-                block = Block.create(
-                    parent.hash,
-                    parent.height + 1,
-                    miner,
-                    parent.header.timestamp + 600.0,
-                )
-                tree.add_block(block)
-                parent = block
-        assert tree.height == max(branch_lengths)
-        assert tree.best_tip.height == max(
-            tip.height for tip in tree.tips
+    @given(
+        branches=st.lists(
+            st.tuples(st.integers(0, 6), st.integers(1, 6)),
+            min_size=2,
+            max_size=5,
         )
-
-    @given(branch_lengths=st.lists(st.integers(1, 6), min_size=2, max_size=5))
+    )
     @settings(max_examples=25, deadline=None)
-    def test_main_chain_linked(self, branch_lengths):
-        genesis = genesis_block()
-        tree = BlockTree(genesis)
-        for miner, length in enumerate(branch_lengths):
-            parent = genesis
+    def test_main_chain_linked(self, branches):
+        """Each branch of a fork tree shares its parent's blocks up to
+        the fork point and has exactly one block per height above it."""
+        main = ForkChain(label="A", parent=None, branch_height=0)
+        for _ in range(6):
+            main.extend()
+        forks = [main]
+        for index, (fork_at, length) in enumerate(branches):
+            parent = forks[index % len(forks)]
+            at = min(fork_at, parent.tip_height)
+            fork = ForkChain(label=f"F{index}", parent=parent, branch_height=at)
             for _ in range(length):
-                block = Block.create(
-                    parent.hash, parent.height + 1, miner,
-                    parent.header.timestamp + 600.0,
-                )
-                tree.add_block(block)
-                parent = block
-        chain = tree.main_chain()
-        for a, b in zip(chain, chain[1:]):
-            assert b.parent_hash == a.hash
-            assert b.height == a.height + 1
+                fork.extend()
+            forks.append(fork)
+        for fork in forks[1:]:
+            chain = [fork.hash_at(h) for h in range(fork.tip_height + 1)]
+            assert chain[0] == "genesis"
+            assert chain[: fork.branch_height + 1] == [
+                fork.parent.hash_at(h) for h in range(fork.branch_height + 1)
+            ]
+            assert len(set(chain)) == len(chain)
+            assert chain[fork.branch_height + 1 :] == fork.hashes
 
 
 class TestLagBandProperties:

@@ -1,113 +1,52 @@
-"""Tests for the canned scenario builders."""
+"""The paper network on the graph engine.
 
-import pytest
+The calibrated paper topology becomes an AS-level propagation graph
+through :meth:`GraphSpec.from_topology`; the Table IV pool mapping says
+which mining pools a stratum hijack stops.
+"""
 
+from repro.analysis.poolmap import map_pools
 from repro.attacks.spatial import StratumIsolation
-from repro.datagen.pools import MINING_POOLS
-from repro.errors import ConfigurationError
-from repro.scenarios import paper_network
-
-
-@pytest.fixture(scope="module")
-def scenario():
-    return paper_network(scale=0.2, num_nodes=800, seed=3, failure_rate=0.0)
+from repro.netsim.graph import GraphConfig, GraphSimulatorVec, GraphSpec
 
 
 class TestPaperNetwork:
-    def test_ids_align_with_topology(self, scenario):
-        for node_id in list(scenario.network.nodes)[:100]:
-            assert scenario.topology.asn_of(node_id) is not None
-
-    def test_pools_attached_in_their_stratum_ases(self, scenario):
-        # The scaled 800-node slice covers the first few ASes; pools
-        # whose stratum AS is inside get attached there.  Pools whose
-        # AS is missing are rehomed (and recorded), never dropped.
-        for pool in scenario.pools.values():
-            if pool.name == "others" or pool.name in scenario.rehomed:
-                continue
-            host_asn = scenario.topology.asn_of(pool.node_id)
-            assert host_asn == pool.stratum.asn
-
-    def test_total_hash_rate_complete(self):
-        scenario = paper_network(scale=1.0, num_nodes=5000, seed=1, with_pools=True)
-        total = sum(pool.hash_share for pool in scenario.pools.values())
-        assert total == pytest.approx(1.0)
-
-    def test_small_scale_attaches_every_pool(self):
-        """Regression: a scaled slice whose topology misses a pool's
-        stratum AS must not silently drop the pool (the seed bug left
-        ~40% of Table IV hash rate unattached at scale 0.2)."""
-        scenario = paper_network(scale=0.2, num_nodes=300, seed=3)
-        assert len(scenario.pools) == len(MINING_POOLS) + 1  # + "others"
-        total = sum(pool.hash_share for pool in scenario.pools.values())
-        assert total == pytest.approx(1.0)
-        assert scenario.rehomed  # the tiny slice forced rehoming
-        for name, asn in scenario.rehomed.items():
-            pool = scenario.pools[name]
-            # The pool still declares its real stratum AS; only the
-            # host node moved.
-            assert pool.stratum.asn == asn
-            assert scenario.topology.asn_of(pool.node_id) != asn
-
-    def test_small_scale_rehoming_is_deterministic(self):
-        a = paper_network(scale=0.2, num_nodes=300, seed=3)
-        b = paper_network(scale=0.2, num_nodes=300, seed=3)
-        assert a.rehomed == b.rehomed
-        assert {n: p.node_id for n, p in a.pools.items()} == {
-            n: p.node_id for n, p in b.pools.items()
-        }
-
-    def test_missing_stratum_error_policy_raises(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            paper_network(
-                scale=0.2, num_nodes=300, seed=3, missing_stratum="error"
-            )
-        assert "stratum" in str(excinfo.value)
-
-    def test_missing_stratum_drop_policy_restores_old_behaviour(self):
-        scenario = paper_network(
-            scale=0.2, num_nodes=300, seed=3, missing_stratum="drop"
-        )
-        assert len(scenario.pools) < len(MINING_POOLS) + 1
-        assert scenario.rehomed == {}
-
-    def test_unknown_missing_stratum_policy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            paper_network(scale=0.2, num_nodes=300, missing_stratum="bogus")
-
-    def test_without_pools(self):
-        scenario = paper_network(scale=0.2, num_nodes=300, seed=2, with_pools=False)
-        assert scenario.pools == {}
-        assert scenario.network.pools == []
-
-    def test_oversized_network_rejected(self):
-        with pytest.raises(ConfigurationError):
-            paper_network(scale=0.2, num_nodes=10**6)
-
-    def test_host_outside(self, scenario):
-        host = scenario.host_outside([24940])
-        assert scenario.topology.asn_of(host) != 24940
+    def test_ids_align_with_topology(self, small_topology):
+        spec = GraphSpec.from_topology(small_topology, seed=3)
+        assert list(spec.node_ids) == sorted(small_topology.ases.asns())
+        hosted = small_topology.nodes_per_as()
+        assert [int(w) for w in spec.node_weights] == [
+            hosted.get(asn, 0) for asn in spec.node_ids
+        ]
 
     def test_pool_for_stratum(self):
-        scenario = paper_network(scale=1.0, num_nodes=8000, seed=1)
-        at_45102 = scenario.pool_for_stratum(45102)
-        names = {pool.name for pool in at_45102}
-        assert "Antpool" in names
+        at_45102 = {
+            name for name, _, asns, _ in map_pools().rows if 45102 in asns
+        }
+        assert "Antpool" in at_45102
 
     def test_stratum_isolation_integrates(self):
-        """The Table IV prediction holds on the wired scenario: the
-        3-AS isolation stops the pools it names."""
-        scenario = paper_network(scale=1.0, num_nodes=8000, seed=4)
-        result = StratumIsolation(target_hash_share=0.65).execute(
-            network=scenario.network
-        )
+        """The Table IV prediction: the 3-AS isolation stops every pool
+        whose stratum servers all sit in the hijacked ASes."""
+        attack = StratumIsolation(target_hash_share=0.65)
+        hijacked = set(attack.plan())
         stopped = {
-            pool.name for pool in scenario.pools.values() if not pool.active
+            name
+            for name, _, asns, _ in attack.mapping.rows
+            if set(asns) <= hijacked
         }
         assert {"BTC.com", "Antpool", "ViaBTC", "BTC.TOP", "F2Pool"} <= stopped
-        assert scenario.pools["others"].active
-        assert result.metric("isolated_hash_share") >= 0.65
+        assert attack.execute().metric("isolated_hash_share") >= 0.65
 
-    def test_simulation_runs(self, scenario):
-        scenario.network.run_for(2 * 3600)
-        assert scenario.network.network_height() >= 1
+    def test_simulation_runs(self, small_topology):
+        spec = GraphSpec.from_topology(small_topology, seed=3)
+        sim = GraphSimulatorVec(
+            GraphConfig(spec=spec, steps_per_block=20, attacker_share=0.0)
+        )
+        synced = []
+        for _ in range(200):
+            sim.step()
+            synced.append(sim.synced_fraction())
+        assert max(sim.heights) >= 1
+        # Blocks reach the whole AS graph between blocks.
+        assert sum(synced) / len(synced) > 0.8
